@@ -1,16 +1,14 @@
 """Measure how evaluation cost grows with robot-cluster size.
 
 Rebuilds the cleaning mission with one, two, and three cleaner robots and
-times the mean per-chromosome evaluation.  Writes docs/benchmark.md.
+prints the mean per-chromosome evaluation time as a table.  The recorded
+benchmark is ``python3 perfbench/run.py --workload all`` (docs/benchmark.md).
 """
 
 import time
-from pathlib import Path
 
 from kanoa import AllocatorConfig, GaConfig, parse_problem, validate_problem
 from kanoa.optimizer import evaluate, prepare_search
-
-HERE = Path(__file__).parent
 
 VARIANT = """
 world {{
@@ -62,28 +60,8 @@ def measure(nrobots: int):
     return per, len(cache), feasible, biggest
 
 
-rows = []
+print("| cleaners | ms / chromosome | chromosomes | feasible | largest cluster |")
+print("|---------:|----------------:|------------:|---------:|----------------:|")
 for n in (1, 2, 3):
     per, total, feasible, biggest = measure(n)
-    rows.append((n, per * 1000, total, feasible, biggest))
-    print(f"{n} cleaner(s): {per * 1000:7.2f} ms/chromosome  "
-          f"({feasible}/{total} feasible, largest cluster {biggest})")
-
-doc = ["# Scaling benchmark", ""]
-doc.append("Mean wall-clock time per evaluated chromosome as the cleaning")
-doc.append("mission is given one, two, and three cleaner robots.  Larger")
-doc.append("clusters mean larger scheduling models, so the cost per")
-doc.append("chromosome grows monotonically with cluster size.  Absolute")
-doc.append("numbers are machine-specific; the trend is the point.")
-doc.append("")
-doc.append("| cleaners | ms / chromosome | chromosomes | feasible | largest cluster |")
-doc.append("|---------:|----------------:|------------:|---------:|----------------:|")
-for n, ms, total, feasible, biggest in rows:
-    doc.append(f"| {n} | {ms:.2f} | {total} | {feasible} | {biggest} |")
-doc.append("")
-doc.append("Regenerate with `python3 demos/benchmark_scaling.py`.")
-
-out = HERE.parent / "docs" / "benchmark.md"
-out.parent.mkdir(exist_ok=True)
-out.write_text("\n".join(doc) + "\n")
-print(f"\nwrote {out}")
+    print(f"| {n} | {per * 1000:.2f} | {total} | {feasible} | {biggest} |")

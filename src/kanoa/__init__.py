@@ -26,6 +26,7 @@ from .clustering import (
 from .errors import (
     DslSyntaxError,
     InfeasibleAllocation,
+    InvariantViolation,
     KanoaError,
     NoFeasibleSolution,
     NonConvergence,

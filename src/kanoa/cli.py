@@ -32,12 +32,25 @@ _ENV_PREFIX = "KANOA_"
 def _resolve(name, cli_value, file_cfg):
     if cli_value is not None:
         return cli_value
-    env = os.environ.get(_ENV_PREFIX + name.upper())
+    env_name = _ENV_PREFIX + name.upper()
+    env = os.environ.get(env_name)
     if env is not None:
-        return int(env)
+        return _integer(env, env_name)
     if name in file_cfg:
-        return int(file_cfg[name])
+        return _integer(file_cfg[name], f"config key '{name}'")
     return _DEFAULTS[name]
+
+
+def _integer(raw, source):
+    # int() would also accept True and truncate 2.9, so take only int or str
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"{source} must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,16 +88,20 @@ def main(argv=None) -> int:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
 
-    cfg = PipelineConfig(
-        allocations=_resolve("allocations", args.allocations, file_cfg),
-        permutations=_resolve("permutations", args.permutations, file_cfg),
-        population=_resolve("pop", args.pop, file_cfg),
-        generations=_resolve("gens", args.gens, file_cfg),
-        seed=_resolve("seed", args.seed, file_cfg),
-        state_cap=_resolve("state_cap", args.state_cap, file_cfg),
-        dump_allocations=args.dump_allocations,
-        dump_mdp=args.dump_mdp,
-    )
+    try:
+        cfg = PipelineConfig(
+            allocations=_resolve("allocations", args.allocations, file_cfg),
+            permutations=_resolve("permutations", args.permutations, file_cfg),
+            population=_resolve("pop", args.pop, file_cfg),
+            generations=_resolve("gens", args.gens, file_cfg),
+            seed=_resolve("seed", args.seed, file_cfg),
+            state_cap=_resolve("state_cap", args.state_cap, file_cfg),
+            dump_allocations=args.dump_allocations,
+            dump_mdp=args.dump_mdp,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     try:
         report = run(args.input, cfg, args.out)

@@ -51,6 +51,10 @@ class UndefinedReward(KanoaError):
     """Expected reward queried for a target that is not almost-surely reachable."""
 
 
+class InvariantViolation(KanoaError):
+    """An internal consistency check failed: a planner bug, not bad input."""
+
+
 class NoFeasibleSolution(KanoaError):
     """The optimizer found no feasible chromosome within its budget."""
 

@@ -30,6 +30,9 @@ Rewards: ``travel`` carries the hop distance of task/travel actions,
 ``idle`` carries the waited duration of idle actions.  ``done`` labels
 states where every robot finished; ``success`` additionally requires that
 no failure ever occurred.
+
+:func:`earliest_start_feasible` answers the ``done`` reachability query in
+closed form, without building the model.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 from .allocation import Allocation
 from .clustering import RobotCluster
-from .errors import StateExplosion
+from .errors import InvariantViolation, StateExplosion
 from .permutations import PermutationSet
 from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
@@ -72,7 +75,7 @@ class Choice:
     def __init__(self, label, branches, travel_reward=0, idle_reward=0, meta=None):
         total = sum(p for p, _ in branches)
         if abs(total - 1.0) > 1e-12:
-            raise AssertionError(f"distribution sums to {total}, not 1")
+            raise InvariantViolation(f"distribution sums to {total}, not 1")
         self.label = label
         self.branches = tuple(branches)
         self.travel_reward = travel_reward
@@ -121,7 +124,7 @@ class _Step:
     tracked_idx: int
 
 
-class _ClusterContext:
+class ClusterContext:
     """Static data shared by every state of one cluster model."""
 
     def __init__(self, v, allocation, cluster, permutation, pairs, instances, tt):
@@ -302,7 +305,7 @@ def _sync_status(ctx, state, instance):
     return ready, common, target
 
 
-def _enumerate_choices(ctx: _ClusterContext, state: tuple) -> list[Choice]:
+def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
     choices: list[Choice] = []
     tt = ctx.tt
 
@@ -461,6 +464,67 @@ def _enumerate_choices(ctx: _ClusterContext, state: tuple) -> list[Choice]:
     return choices
 
 
+def earliest_start_feasible(ctx: ClusterContext) -> bool:
+    """Whether the cluster's model reaches ``done``, without building it.
+
+    Exact under two preconditions of the model above: a task takes the
+    same time whether it succeeds or fails (outcome-independent
+    durations), and recovery takes no time (zero-time recovery).  Then no
+    robot clock depends on an outcome, the maximal reach probability is 0
+    or 1, and the model reaches ``done`` exactly when the earliest-start
+    schedule of the fixed per-robot orders completes (critical-path
+    scheduling over a simple temporal network).  Timing follows
+    :func:`_enumerate_choices`: a solo step departs at the later of its
+    robot's clock and its tracked predecessors' completions; a joint step's
+    participants travel first and the shared execution starts at the
+    latest arrival or tracked-predecessor completion.  The schedule fails
+    when it deadlocks, when a step ends after the budget, or when a
+    robot's total wait exceeds its idle cap.  Retries, or durations that
+    depend on the outcome, would make this check inexact.
+    """
+    tt = ctx.tt
+    clock = [0] * ctx.nrobots
+    idle = [0] * ctx.nrobots
+    pos = [0] * ctx.nrobots
+    done: dict[int, int] = {}  # tracked index -> completion time
+    progress = True
+    while progress:
+        progress = False
+        for i, row in enumerate(ctx.steps):
+            if pos[i] == len(row):
+                continue
+            step = row[pos[i]]
+            if any(t not in done for t in step.pred_tracked):
+                continue
+            ready = max((done[t] for t in step.pred_tracked), default=0)
+            if step.joint:
+                members = ctx.joint_positions[step.instance]
+                if any(pos[r] != k for r, k in members):
+                    continue
+                arrive = [clock[r] + ctx.steps[r][k].travel_time for r, k in members]
+                start = max(ready, *arrive)
+                end = start + step.duration
+                waits = [(r, start - a) for (r, _), a in zip(members, arrive)]
+            else:
+                members = [(i, pos[i])]
+                start = max(ready, clock[i])
+                end = start + step.travel_time + step.duration
+                waits = [(i, start - clock[i])]
+            if end > tt:
+                return False
+            for r, wait in waits:
+                idle[r] += wait
+                if idle[r] > ctx.idle_caps[r]:
+                    return False
+            for r, _ in members:
+                clock[r] = end
+                pos[r] += 1
+            if step.tracked_idx >= 0:
+                done[step.tracked_idx] = end
+            progress = True
+    return all(p == len(row) for p, row in zip(pos, ctx.steps))
+
+
 def build_mdp(
     v: ValidatedProblem,
     allocation: Allocation,
@@ -470,14 +534,17 @@ def build_mdp(
     instances: dict[str, TaskInstance],
     time_available: int | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
+    ctx: ClusterContext | None = None,
 ) -> Mdp:
     """Forward-reachable model for one (allocation, cluster, permutation).
 
-    Raises :class:`StateExplosion` when more than ``state_cap`` states are
-    discovered.
+    ``ctx``, when given, is the :class:`ClusterContext` of these same
+    arguments, already built.  Raises :class:`StateExplosion` when more
+    than ``state_cap`` states are discovered.
     """
-    tt = v.time_available if time_available is None else time_available
-    ctx = _ClusterContext(v, allocation, cluster, permutation, pairs, instances, tt)
+    if ctx is None:
+        tt = v.time_available if time_available is None else time_available
+        ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances, tt)
 
     init = ctx.initial_state()
     index: dict[tuple, int] = {init: 0}

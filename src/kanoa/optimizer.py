@@ -63,6 +63,10 @@ class GaConfig:
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and at least 4")
+        if self.generations < 0:
+            raise ValueError("generations must not be negative")
+        if self.permutations_per_allocation < 1:
+            raise ValueError("permutations_per_allocation must be at least 1")
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must lie in [0, 1]")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class Location:
@@ -172,7 +174,7 @@ class ValidatedProblem:
         for c in self.problem.constraints:
             if c.kind == "timeAvailable":
                 return c.budget
-        raise AssertionError("validated problem lacks a time constraint")
+        raise InvariantViolation("validated problem lacks a time constraint")
 
     def max_idle(self, robot_id: str) -> int | None:
         """Effective idle budget for a robot: the tightest applicable bound."""

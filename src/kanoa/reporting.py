@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocation import AllocatorConfig
+from .errors import InvariantViolation
 from .gantt import emit_gantt, format_gantt_text
 from .mdp import DEFAULT_STATE_CAP, build_mdp
 from .mdp_export import write_mdp_text
@@ -41,6 +42,11 @@ class PipelineConfig:
     state_cap: int = DEFAULT_STATE_CAP
     dump_allocations: bool = False
     dump_mdp: bool = False
+
+    def __post_init__(self):
+        # the search configs check their own ranges (ValueError)
+        self.ga()
+        AllocatorConfig(max_allocations=self.allocations)
 
     def ga(self) -> GaConfig:
         return GaConfig(
@@ -142,7 +148,7 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
             entry.plan, space.pairs, v.time_available, idle_caps
         )
         if problems:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"front entry {k} produced an unsound plan: {problems}"
             )
         (out / f"plan_{k}.json").write_text(

@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 from .allocation import Allocation
 from .clustering import RobotCluster
-from .mdp import DEFAULT_STATE_CAP, Mdp, build_mdp
+from .errors import InvariantViolation
+from .mdp import (
+    DEFAULT_STATE_CAP,
+    ClusterContext,
+    Mdp,
+    build_mdp,
+    earliest_start_feasible,
+)
 from .permutations import PermutationSet, travel_cost
 from .plans import Plan, extract_plan
 from .problem import ValidatedProblem
@@ -57,38 +64,29 @@ def schedule_cluster(
     Feasible when the done label is reachable (probability exactly 1 on
     these models); the attached plan realizes the minimum-idle policy.
     Travel is permutation-determined and equals the model's travel reward
-    along any completing policy.
+    along any completing policy.  Infeasible clusters are rejected in
+    closed form by :func:`earliest_start_feasible` before any model is
+    built; :class:`InvariantViolation` is raised when the model disagrees.
     """
     tt = v.time_available if time_available is None else time_available
-    # waiting never shortens a schedule: a robot whose bare chain of travel
-    # and execution already overruns the budget dooms the whole cluster
-    for rid in sorted(cluster.robots):
-        robot = v.robot(rid)
-        clock = 0
-        here = robot.initial_loc
-        for inst_id in permutation.per_robot[rid]:
-            inst = instances[inst_id]
-            if inst.robots_needed >= 2:
-                duration = max(
-                    v.robot(r).capability_for(inst.type_id).required_time
-                    for r in allocation.assignments[inst_id]
-                )
-            else:
-                duration = robot.capability_for(inst.type_id).required_time
-            clock += v.travel_time(robot, here, inst.location) + duration
-            here = inst.location
-        if clock > tt:
-            return SchedulingResult(False, 0.0, None, None, None)
+    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances, tt)
+    if not earliest_start_feasible(ctx):
+        return SchedulingResult(False, 0.0, None, None, None)
 
     mdp = build_mdp(
         v, allocation, cluster, permutation, pairs, instances,
-        time_available=tt, state_cap=state_cap,
+        time_available=tt, state_cap=state_cap, ctx=ctx,
     )
-    if max_reach_probability(mdp, "done") < 1.0:
-        return SchedulingResult(False, 0.0, None, None, None)
+    reach = max_reach_probability(mdp, "done")
+    if reach < 1.0:
+        raise InvariantViolation(
+            f"cluster {sorted(cluster.robots)} passed the earliest-start check "
+            f"but its model reaches done with probability {reach}"
+        )
     idle_value, policy = min_expected_reward_policy(mdp, "idle", "done")
     idle = round(idle_value)
-    assert abs(idle_value - idle) < 1e-6
+    if abs(idle_value - idle) >= 1e-6:
+        raise InvariantViolation(f"minimum idle {idle_value} is not an integer")
     plan = extract_plan(mdp, policy)
     return SchedulingResult(
         feasible=True,

@@ -14,7 +14,10 @@ from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import Mdp, build_mdp
 from kanoa.parser import parse_problem
-from kanoa.permutations import PermutationSet, random_task_permutation
+from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
+from kanoa.plans import extract_plan
+from kanoa.scheduling import SchedulingResult, success_probability
+from kanoa.solver import max_reach_probability, min_expected_reward_policy
 from kanoa.taskgraph import expand_mission, prune_subtrees
 from kanoa.validation import validate_problem
 
@@ -136,8 +139,13 @@ def enumerate_policy_values(mdp: Mdp, reward="idle", label="done", limit=1 << 14
 # -- random scheduling problems ----------------------------------------------
 
 
-def random_problem_text(rng: random.Random):
-    """Small random mission: 1-3 robots, 2-4 atomic instances, TT <= 20."""
+def random_problem_text(rng: random.Random, idle_caps: bool = False):
+    """Small random mission: 1-3 robots, 2-4 atomic instances, TT <= 20.
+
+    With ``idle_caps`` some robots also get a ``maxidle`` bound of 1-4;
+    without it no extra number is drawn, so existing seeds keep their
+    missions.
+    """
     nrobots = rng.randint(1, 3)
     nlocs = rng.randint(2, 4)
     locs = [f"p{i}" for i in range(nlocs)]
@@ -188,31 +196,71 @@ def random_problem_text(rng: random.Random):
     for name, _, _ in rest:
         lines.append(f"  task {name} at {locs[rng.randrange(nlocs)]}")
     lines.append(f"  time {rng.randint(8, 20)}")
+    if idle_caps:
+        for r in range(nrobots):
+            if rng.random() < 0.6:
+                lines.append(f"  maxidle r{r} {rng.randint(1, 4)}")
     lines.append("}")
     return "\n".join(lines)
 
 
-def random_scheduling_model(rng: random.Random, max_decision=12):
-    """A built model for a random mission, or None when it is degenerate
-    (unsatisfiable capability needs or an oversized policy space)."""
+def random_clusters(rng: random.Random, idle_caps: bool = False, draws: int = 1):
+    """Up to ``draws`` (v, allocation, cluster, permutation, pairs,
+    instances) tuples from one random mission, each with its own allocation,
+    cluster and permutation; empty when the mission's capability needs
+    cannot be met."""
     try:
-        v = load(random_problem_text(rng))
+        v = load(random_problem_text(rng, idle_caps))
     except Exception:
-        return None
+        return []
     leaves, instances, pairs, subtrees = expanded(v)
     try:
         allocations = enumerate_allocations(
             v, leaves, AllocatorConfig(max_allocations=3)
         )
     except Exception:
+        return []
+    made = []
+    for _ in range(draws):
+        allocation = allocations[rng.randrange(len(allocations))]
+        clusters = cluster_robots(allocation, subtrees)
+        cluster = clusters[rng.randrange(len(clusters))]
+        permutation = random_task_permutation(
+            allocation, cluster, pairs, seed=rng.random()
+        )
+        made.append((v, allocation, cluster, permutation, pairs, instances))
+    return made
+
+
+def random_scheduling_model(rng: random.Random, max_decision=12):
+    """A built model for a random mission, or None when it is degenerate
+    (unsatisfiable capability needs or an oversized policy space)."""
+    made = random_clusters(rng)
+    if not made:
         return None
-    allocation = allocations[rng.randrange(len(allocations))]
-    clusters = cluster_robots(allocation, subtrees)
-    cluster = clusters[rng.randrange(len(clusters))]
-    permutation = random_task_permutation(
-        allocation, cluster, pairs, seed=rng.random()
-    )
+    v, allocation, cluster, permutation, pairs, instances = made[0]
     mdp = build_mdp(v, allocation, cluster, permutation, pairs, instances)
     if len(decision_states(mdp)) > max_decision:
         return None
     return v, allocation, cluster, permutation, mdp
+
+
+def reference_schedule(
+    v, allocation, cluster, permutation, pairs, instances, time_available=None
+):
+    """``schedule_cluster`` without its closed-form rejections: always build
+    the model, then reach, minimum-idle policy and plan extraction."""
+    mdp = build_mdp(
+        v, allocation, cluster, permutation, pairs, instances,
+        time_available=time_available,
+    )
+    if max_reach_probability(mdp, "done") < 1.0:
+        return SchedulingResult(False, 0.0, None, None, None)
+    idle, policy = min_expected_reward_policy(mdp, "idle", "done")
+    return SchedulingResult(
+        feasible=True,
+        p_success=success_probability(v, allocation, cluster, instances),
+        idle=round(idle),
+        travel=travel_cost(permutation, v, instances),
+        plan=extract_plan(mdp, policy),
+    )

@@ -1,0 +1,255 @@
+"""The closed-form earliest-start check against the explicit model.
+
+``schedule_cluster`` rejects a cluster before building its model when the
+earliest-start schedule of the cluster's fixed per-robot orders does not
+fit.  These tests hold the check to the model's verdict, and the whole
+``SchedulingResult`` to a reference that always builds and solves the
+model, on random clusters, on hand-built edge cases and on every cluster
+solved by a default hospital run.  They also guard the two preconditions
+the check rests on: outcome-independent durations and zero-time recovery.
+"""
+
+import random
+
+import pytest
+from helpers import expanded, load, random_clusters, reference_schedule
+
+import kanoa.optimizer
+import kanoa.scheduling
+from kanoa.allocation import Allocation, AllocatorConfig
+from kanoa.clustering import cluster_robots
+from kanoa.errors import InvariantViolation
+from kanoa.mdp import ClusterContext, build_mdp, earliest_start_feasible
+from kanoa.optimizer import nsga2_run, prepare_search
+from kanoa.permutations import PermutationSet
+from kanoa.reporting import PipelineConfig
+from kanoa.scheduling import schedule_cluster
+
+RELAY = """
+world { loc room (0,0) loc dock (4,0) }
+tasks { atomic notify robots 1 atomic clean robots 1
+        compound c = ordered { notify, clean } }
+robots {
+  robot talker at dock velocity 1 { can notify time 6 prob 0.9 can clean time 2 prob 1 }
+  robot wiper at room velocity 1 { can notify time 6 prob 1 can clean time 2 prob 0.8 }
+}
+mission { task c at room; time TT IDLE }
+"""
+
+TWO_LIFTS = """
+world { loc a (0,0) loc b (3,0) }
+tasks { atomic lift robots 2 }
+robots {
+  robot r1 at a velocity 1 { can lift time 1 prob 0.9 }
+  robot r2 at a velocity 1 { can lift time 1 prob 1 }
+}
+mission { task lift at a; task lift at b; time 30 }
+"""
+
+
+def relay_case(tt, idle=""):
+    """talker notifies (done at 4 + 6 = 10), then wiper cleans in place for
+    2: wiper's bare chain is 2 long, but waiting makes it end at 12."""
+    v = load(RELAY.replace("TT", str(tt)).replace("IDLE", idle))
+    _, instances, pairs, subtrees = expanded(v)
+    allocation = Allocation(0, {
+        "notify_0": frozenset({"talker"}), "clean_0": frozenset({"wiper"}),
+    })
+    cluster = cluster_robots(allocation, subtrees)[0]
+    p = PermutationSet({"talker": ("notify_0",), "wiper": ("clean_0",)})
+    return v, allocation, cluster, p, pairs, instances
+
+
+def crossed_lifts_case(crossed):
+    v = load(TWO_LIFTS)
+    _, instances, pairs, subtrees = expanded(v)
+    both = frozenset({"r1", "r2"})
+    allocation = Allocation(0, {"lift_0": both, "lift_1": both})
+    cluster = cluster_robots(allocation, subtrees)[0]
+    second = ("lift_1", "lift_0") if crossed else ("lift_0", "lift_1")
+    p = PermutationSet({"r1": ("lift_0", "lift_1"), "r2": second})
+    return v, allocation, cluster, p, pairs, instances
+
+
+def crossed_orders_case(crossed):
+    """Two notify -> clean orders, each split across the robots; crossed
+    per-robot orders make each robot wait on the other's later task."""
+    v = load(RELAY.replace("task c at room", "task c at room; task c at dock")
+             .replace("TT", "60").replace("IDLE", ""))
+    _, instances, pairs, subtrees = expanded(v)
+    allocation = Allocation(0, {
+        "notify_0": frozenset({"talker"}), "clean_0": frozenset({"wiper"}),
+        "notify_1": frozenset({"wiper"}), "clean_1": frozenset({"talker"}),
+    })
+    cluster = cluster_robots(allocation, subtrees)[0]
+    if crossed:
+        p = PermutationSet({"talker": ("clean_1", "notify_0"),
+                            "wiper": ("clean_0", "notify_1")})
+    else:
+        p = PermutationSet({"talker": ("notify_0", "clean_1"),
+                            "wiper": ("notify_1", "clean_0")})
+    return v, allocation, cluster, p, pairs, instances
+
+
+def context(case, tt=None):
+    v = case[0]
+    return ClusterContext(*case, v.time_available if tt is None else tt)
+
+
+def check(case, tt=None):
+    return earliest_start_feasible(context(case, tt))
+
+
+def chains_fit(case, tt=None):
+    """Whether every robot's bare chain of travel and execution fits the
+    budget, so that only waiting can make the cluster infeasible."""
+    ctx = context(case, tt)
+    return all(ctx.min_completion(i) <= ctx.tt for i in range(ctx.nrobots))
+
+
+def verdicts(case, tt=None):
+    """(check verdict, model verdict), after asserting that the whole
+    result equals the reference's."""
+    ref = reference_schedule(*case, time_available=tt)
+    assert schedule_cluster(*case, time_available=tt) == ref
+    return check(case, tt), ref.feasible
+
+
+# -- random clusters ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("idle_caps", [False, True])
+def test_random_clusters_match_reference(idle_caps):
+    rng = random.Random(2024 + idle_caps)
+    checked = feasible = waits_reject = 0
+    while checked < 1000:
+        for case in random_clusters(rng, idle_caps, draws=3):
+            tt = rng.randint(4, 24)
+            check, model = verdicts(case, tt)
+            assert check == model
+            checked += 1
+            feasible += model
+            waits_reject += not model and chains_fit(case, tt)
+    # both verdicts occur, and the check rejects clusters the chains pass
+    assert 0.2 * checked < feasible < 0.8 * checked
+    assert waits_reject > 0.02 * checked
+
+
+# -- hand-built edge cases ------------------------------------------------------
+
+
+def test_chain_fits_only_without_waiting():
+    case = relay_case(tt=11)
+    assert chains_fit(case)
+    assert verdicts(case) == (False, False)
+    assert verdicts(relay_case(tt=12)) == (True, True)
+
+
+def test_idle_cap_overrun():
+    # wiper must wait 10 units for notify
+    case = relay_case(tt=30, idle="maxidle wiper 9")
+    assert chains_fit(case)
+    assert verdicts(case) == (False, False)
+    assert verdicts(relay_case(tt=30, idle="maxidle wiper 10")) == (True, True)
+
+
+@pytest.mark.parametrize("make", [crossed_lifts_case, crossed_orders_case])
+def test_cross_robot_deadlock(make):
+    case = make(crossed=True)
+    assert chains_fit(case)
+    assert verdicts(case) == (False, False)
+    assert verdicts(make(crossed=False)) == (True, True)
+
+
+def test_model_disagreeing_with_check_raises(monkeypatch):
+    monkeypatch.setattr(
+        kanoa.scheduling, "earliest_start_feasible", lambda *a, **k: True
+    )
+    with pytest.raises(InvariantViolation, match="earliest-start"):
+        schedule_cluster(*relay_case(tt=11))
+
+
+# -- every cluster of a default hospital run ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hospital_calls(hospital):
+    """(args, kwargs, reference result) of every ``schedule_cluster`` call
+    of a hospital run at the default config, GA seed 0.  The run is driven
+    by the reference results, so it takes the same path as a real run
+    exactly when the two agree."""
+    calls = []
+
+    def record(*args, **kwargs):
+        ref = reference_schedule(*args, time_available=kwargs["time_available"])
+        calls.append((args, kwargs, ref))
+        return ref
+
+    cfg = PipelineConfig(seed=0)
+    real = kanoa.optimizer.schedule_cluster
+    kanoa.optimizer.schedule_cluster = record
+    try:
+        space = prepare_search(
+            hospital, AllocatorConfig(max_allocations=cfg.allocations), cfg.ga(),
+            state_cap=cfg.state_cap,
+        )
+        nsga2_run(space, cfg.ga())
+    finally:
+        kanoa.optimizer.schedule_cluster = real
+    return calls
+
+
+def test_hospital_calls_match_reference(hospital_calls):
+    rejected = 0
+    for args, kwargs, ref in hospital_calls:
+        tt = kwargs["time_available"]
+        assert check(args, tt) == ref.feasible
+        # a feasible call runs the reference's own build -> reach -> policy
+        # -> extract; only the rejections take a different path
+        if not ref.feasible:
+            assert schedule_cluster(*args, **kwargs) == ref
+            rejected += chains_fit(args, tt)
+    assert rejected > len(hospital_calls) / 2
+    assert any(ref.feasible for *_, ref in hospital_calls)
+
+
+# -- preconditions of the check ---------------------------------------------------
+
+
+def assert_outcome_independent(mdp):
+    """Both branches of a choice reach equal robot clocks, and recovery
+    moves no clock; returns how many such choices were seen."""
+    seen = 0
+    times = mdp.state_times
+    for s, choices in enumerate(mdp.choices):
+        for c in choices:
+            if len(c.branches) == 2:
+                (_, ok), (_, bad) = c.branches
+                assert times[ok] == times[bad]
+                seen += 1
+            elif c.meta.kind == "recover":
+                [(_, t)] = c.branches
+                assert times[t] == times[s]
+                seen += 1
+    return seen
+
+
+def test_preconditions_on_random_models():
+    rng = random.Random(7)
+    seen = built = 0
+    while built < 150:
+        for case in random_clusters(rng, idle_caps=built % 2 == 1):
+            seen += assert_outcome_independent(
+                build_mdp(*case, time_available=rng.randint(4, 24))
+            )
+            built += 1
+    assert seen > built
+
+
+def test_preconditions_on_hospital_clusters(hospital_calls):
+    seen = 0
+    for args, kwargs, _ in hospital_calls[::12]:
+        seen += assert_outcome_independent(
+            build_mdp(*args, time_available=kwargs["time_available"])
+        )
+    assert seen > 0

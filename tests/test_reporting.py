@@ -205,6 +205,40 @@ def test_cli_infeasible_exit_two(fixtures_dir, tmp_path, capsys):
     assert "no feasible plan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--pop", "5"], ["--allocations", "0"], ["--permutations", "0"],
+])
+def test_cli_bad_config_value_exit_one(hospital_path, tmp_path, capsys, flags):
+    code = cli_main(["plan", "--input", str(hospital_path),
+                     "--out", str(tmp_path), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "pareto.csv").exists()
+
+
+def test_cli_bad_env_seed_exit_one(hospital_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KANOA_SEED", "abc")
+    code = cli_main(["plan", "--input", str(hospital_path), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: KANOA_SEED must be an integer, got 'abc'\n"
+    )
+
+
+@pytest.mark.parametrize("raw", ["2.9", "true", '"abc"', "null"])
+def test_cli_bad_config_file_value_exit_one(hospital_path, tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"gens": {raw}}}')
+    code = cli_main(["plan", "--input", str(hospital_path),
+                     "--out", str(tmp_path), "--config", str(cfg)])
+    assert code == 1
+    got = json.loads(raw)
+    assert capsys.readouterr().err == (
+        f"error: config key 'gens' must be an integer, got {got!r}\n"
+    )
+
+
 def test_cli_env_override(hospital_path, tmp_path, monkeypatch):
     monkeypatch.setenv("KANOA_ALLOCATIONS", "2")
     monkeypatch.setenv("KANOA_PERMUTATIONS", "2")
