@@ -2,23 +2,22 @@
 
 An allocation assigns each atomic instance a team of capable robots.
 Robots sharing a constraint subtree must be scheduled together; the
-transitive closure of that relation yields the clusters.
+transitive closure of that relation yields the clusters, which
+``cluster_robots`` computes by union-find.
 """
 
 from pathlib import Path
 
 from kanoa import (
     AllocatorConfig,
+    cluster_robots,
     count_feasible,
     enumerate_allocations,
     expand_mission,
     parse_problem,
     prune_subtrees,
-    relation_matrix,
-    transitive_closure,
     validate_problem,
 )
-from kanoa.clustering import cluster_robots, clusters, format_clusters
 
 HERE = Path(__file__).parent
 v = validate_problem(
@@ -42,12 +41,5 @@ for a in allocations:
     print(f"allocation {a.index}: loads {dict(sorted(loads.items()))}")
     print(f"  move teams: {sorted(a.assignments['at1_move_0'])} and "
           f"{sorted(a.assignments['at1_move_1'])}")
-    groups = cluster_robots(a, subtrees)
-    print(f"  clusters: {[sorted(g.robots) for g in groups]}")
-
-# the relation matrix and its Warshall closure, spelled out for one allocation
-a = allocations[0]
-m = relation_matrix(a, subtrees)
-closed = transitive_closure(m)
-print("\nrelation matrix and clusters for allocation 0:")
-print(format_clusters(closed, clusters(closed, a)))
+    for g in cluster_robots(a, subtrees):
+        print(f"  cluster {sorted(g.robots)}: {len(g.instances)} instances")

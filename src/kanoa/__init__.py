@@ -14,22 +14,13 @@ from .allocation import (
     count_feasible,
     enumerate_allocations,
 )
-from .clustering import (
-    InterdependenceMatrix,
-    RobotCluster,
-    cluster_robots,
-    clusters,
-    relation_matrix,
-    robots_of_subtree,
-    transitive_closure,
-)
+from .clustering import RobotCluster, cluster_robots, robots_of_subtree
 from .errors import (
     DslSyntaxError,
     InfeasibleAllocation,
     InvariantViolation,
     KanoaError,
     NoFeasibleSolution,
-    NonConvergence,
     StateExplosion,
     UndefinedReward,
     ValidationError,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InfeasibleAllocation
 from .problem import ValidatedProblem
@@ -46,34 +45,26 @@ class Allocation:
 @dataclass(frozen=True)
 class AllocatorConfig:
     max_allocations: int = 30
-    boundary_filter: bool = True
 
     def __post_init__(self):
         if self.max_allocations < 1:
             raise ValueError("max_allocations must be at least 1")
 
 
-def eligible_robots(
-    v: ValidatedProblem, instance: TaskInstance, boundary_filter: bool = True
-) -> list[str]:
+def eligible_robots(v: ValidatedProblem, instance: TaskInstance) -> list[str]:
     """Robots capable of the instance's type, honoring boundary constraints."""
-    out = []
-    for rid in v.capable_robots(instance.type_id):
-        if boundary_filter and not v.location_allowed(rid, instance.location):
-            continue
-        out.append(rid)
-    return sorted(out)
+    return sorted(
+        rid
+        for rid in v.capable_robots(instance.type_id)
+        if v.location_allowed(rid, instance.location)
+    )
 
 
-def count_feasible(
-    v: ValidatedProblem,
-    instances: list[TaskInstance],
-    boundary_filter: bool = True,
-) -> int:
+def count_feasible(v: ValidatedProblem, instances: list[TaskInstance]) -> int:
     """Exact size of the feasible allocation space (product of binomials)."""
     total = 1
     for inst in instances:
-        pool = eligible_robots(v, inst, boundary_filter)
+        pool = eligible_robots(v, inst)
         total *= math.comb(len(pool), inst.robots_needed)
     return total
 
@@ -90,7 +81,7 @@ def enumerate_allocations(
     """
     pools = []
     for inst in instances:
-        pool = eligible_robots(v, inst, cfg.boundary_filter)
+        pool = eligible_robots(v, inst)
         if len(pool) < inst.robots_needed:
             raise InfeasibleAllocation(
                 f"instance '{inst.instance_id}' needs {inst.robots_needed} robots "
@@ -145,29 +136,3 @@ def _combination_unrank(pool: list[str], k: int, rank: int) -> list[str]:
             x += 1
     return combo
 
-
-def brute_force_allocations(
-    v: ValidatedProblem,
-    instances: list[TaskInstance],
-    boundary_filter: bool = True,
-):
-    """Generator over the full feasible space in enumeration order.
-
-    Kept independent of the unranking path; used as the test oracle.
-    """
-    pools = [eligible_robots(v, i, boundary_filter) for i in instances]
-    combos = [
-        list(combinations(pool, inst.robots_needed))
-        for pool, inst in zip(pools, instances)
-    ]
-
-    def rec(idx, acc):
-        if idx == len(instances):
-            yield dict(acc)
-            return
-        for team in combos[idx]:
-            acc[instances[idx].instance_id] = frozenset(team)
-            yield from rec(idx + 1, acc)
-        acc.pop(instances[idx].instance_id, None)
-
-    yield from rec(0, {})

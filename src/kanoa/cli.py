@@ -13,7 +13,12 @@ import json
 import os
 import sys
 
-from .errors import DslSyntaxError, NoFeasibleSolution, ValidationError
+from .errors import (
+    DslSyntaxError,
+    InfeasibleAllocation,
+    NoFeasibleSolution,
+    ValidationError,
+)
 from .mdp import DEFAULT_STATE_CAP
 from .reporting import PipelineConfig, run
 
@@ -115,7 +120,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NoFeasibleSolution as exc:
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
+    except (InfeasibleAllocation, NoFeasibleSolution) as exc:
         print(f"no feasible plan: {exc}", file=sys.stderr)
         return 2
 

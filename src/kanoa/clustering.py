@@ -3,34 +3,15 @@
 Robots are related when they co-occur in a subtree's robot set; the
 transitive closure of that relation partitions the used robots into
 clusters that must be scheduled together.  Union-find over the relation's
-edges is the production path; the Warshall closure is retained as a public
-operation and as the verification oracle.
+edges yields exactly that partition without building the relation matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .allocation import Allocation
 from .taskgraph import Subtree
-
-
-class InterdependenceMatrix:
-    """Reflexive symmetric boolean relation over an ordered robot list."""
-
-    def __init__(self, robots: tuple[str, ...], m: np.ndarray):
-        self.robots = tuple(robots)
-        self.m = m.astype(bool)
-
-    def __eq__(self, other):
-        if not isinstance(other, InterdependenceMatrix):
-            return NotImplemented
-        return self.robots == other.robots and np.array_equal(self.m, other.m)
-
-    def __repr__(self):
-        return f"InterdependenceMatrix({self.robots}, {self.m.astype(int).tolist()})"
 
 
 @dataclass(frozen=True)
@@ -45,55 +26,6 @@ def robots_of_subtree(allocation: Allocation, subtree: Subtree) -> frozenset[str
     for inst_id in subtree.leaf_instances:
         out |= allocation.assignments[inst_id]
     return frozenset(out)
-
-
-def relation_matrix(
-    allocation: Allocation, subtrees: list[Subtree]
-) -> InterdependenceMatrix:
-    robots = tuple(sorted(allocation.used_robots))
-    index = {r: i for i, r in enumerate(robots)}
-    m = np.eye(len(robots), dtype=bool)
-    for s in subtrees:
-        group = [index[r] for r in robots_of_subtree(allocation, s)]
-        for a in group:
-            for b in group:
-                m[a, b] = True
-    return InterdependenceMatrix(robots, m)
-
-
-def transitive_closure(matrix: InterdependenceMatrix) -> InterdependenceMatrix:
-    """Warshall's algorithm; idempotent, never removes existing relations."""
-    m = matrix.m.copy()
-    n = len(matrix.robots)
-    for k in range(n):
-        m |= np.outer(m[:, k], m[k, :])
-    return InterdependenceMatrix(matrix.robots, m)
-
-
-def closure_by_multiplication(matrix: InterdependenceMatrix) -> InterdependenceMatrix:
-    """Boolean matrix-power fixpoint; independent oracle for the closure."""
-    m = matrix.m.copy()
-    while True:
-        nxt = m | (m @ m)
-        if np.array_equal(nxt, m):
-            return InterdependenceMatrix(matrix.robots, nxt)
-        m = nxt
-
-
-def clusters(
-    matrix: InterdependenceMatrix, allocation: Allocation
-) -> list[RobotCluster]:
-    """Connected components of a closed matrix, ordered by smallest robot id."""
-    robots = matrix.robots
-    seen = set()
-    groups = []
-    for i, r in enumerate(robots):
-        if r in seen:
-            continue
-        members = frozenset(robots[j] for j in np.flatnonzero(matrix.m[i]))
-        seen |= members
-        groups.append(members)
-    return [_make_cluster(g, allocation) for g in sorted(groups, key=min)]
 
 
 class UnionFind:
@@ -139,12 +71,3 @@ def _make_cluster(robots: frozenset[str], allocation: Allocation) -> RobotCluste
     )
     return RobotCluster(robots=robots, instances=instances)
 
-
-def format_clusters(matrix: InterdependenceMatrix, groups: list[RobotCluster]) -> str:
-    """Plain-text dump of the relation matrix and resulting clusters."""
-    lines = ["robots: " + " ".join(matrix.robots)]
-    for r, row in zip(matrix.robots, matrix.m):
-        lines.append(f"  {r}: " + " ".join("1" if v else "0" for v in row))
-    for i, g in enumerate(groups):
-        lines.append(f"cluster {i}: {{{', '.join(sorted(g.robots))}}}")
-    return "\n".join(lines)

@@ -43,10 +43,6 @@ class StateExplosion(KanoaError):
         super().__init__(message)
 
 
-class NonConvergence(KanoaError):
-    """Value iteration failed to reach the residual tolerance."""
-
-
 class UndefinedReward(KanoaError):
     """Expected reward queried for a target that is not almost-surely reachable."""
 

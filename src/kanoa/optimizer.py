@@ -28,6 +28,9 @@ from .taskgraph import (
     prune_subtrees,
 )
 
+CROSSOVER_RATE = 0.9  # chance that a selected pair swaps genes
+MUTATION_RATE = 0.2  # chance that an offspring redraws one gene
+
 
 @dataclass(frozen=True)
 class Chromosome:
@@ -56,8 +59,6 @@ class GaConfig:
     population_size: int = 50
     generations: int = 5
     permutations_per_allocation: int = 20
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -67,9 +68,6 @@ class GaConfig:
             raise ValueError("generations must not be negative")
         if self.permutations_per_allocation < 1:
             raise ValueError("permutations_per_allocation must be at least 1")
-        for rate in (self.crossover_rate, self.mutation_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must lie in [0, 1]")
 
 
 @dataclass
@@ -93,10 +91,6 @@ class SearchSpace:
     permutations: list[list[PermutationSet]]
     time_available: int
     state_cap: int = DEFAULT_STATE_CAP
-
-    @property
-    def size(self) -> int:
-        return len(self.allocations) * len(self.permutations[0]) if self.allocations else 0
 
     def chromosomes(self):
         for a in range(len(self.allocations)):
@@ -328,14 +322,14 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
             a = better(rng.randrange(len(population)), rng.randrange(len(population)))
             b = better(rng.randrange(len(population)), rng.randrange(len(population)))
             c1, c2 = population[a], population[b]
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 g1 = [c1.alloc_idx, c1.perm_idx]
                 g2 = [c2.alloc_idx, c2.perm_idx]
                 for g in range(2):
                     if rng.random() < 0.5:
                         g1[g], g2[g] = g2[g], g1[g]
                 c1, c2 = Chromosome(*g1), Chromosome(*g2)
-            offspring.extend(_mutate(c, space, cfg, rng) for c in (c1, c2))
+            offspring.extend(_mutate(c, space, rng) for c in (c1, c2))
         offspring = offspring[: cfg.population_size]
 
         combined = population + offspring
@@ -356,8 +350,8 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
     return ParetoFront(tuple(front))
 
 
-def _mutate(ch: Chromosome, space: SearchSpace, cfg: GaConfig, rng) -> Chromosome:
-    if rng.random() >= cfg.mutation_rate:
+def _mutate(ch: Chromosome, space: SearchSpace, rng) -> Chromosome:
+    if rng.random() >= MUTATION_RATE:
         return ch
     if rng.random() < 0.5:
         return Chromosome(rng.randrange(len(space.allocations)), ch.perm_idx)

@@ -18,18 +18,10 @@ from .optimizer import GaConfig, ParetoFront, nsga2_run, prepare_search
 from .parser import parse_problem
 from .permutations import PermutationSet
 from .plans import check_plan
-from .printer import pretty_print
 from .taskgraph import debug_report, expand_mission
 from .validation import validate_problem
 
-__all__ = [
-    "PipelineConfig",
-    "RunReport",
-    "run",
-    "pretty_print",
-    "parse_problem",
-    "validate_problem",
-]
+__all__ = ["PipelineConfig", "RunReport", "run"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +39,8 @@ class PipelineConfig:
         # the search configs check their own ranges (ValueError)
         self.ga()
         AllocatorConfig(max_allocations=self.allocations)
+        if self.state_cap < 1:
+            raise ValueError("state_cap must be at least 1")
 
     def ga(self) -> GaConfig:
         return GaConfig(

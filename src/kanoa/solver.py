@@ -3,15 +3,15 @@
 Scheduling models are acyclic (every action advances progress, a clock,
 or a one-shot flag), so maximal reachability probabilities and minimal
 expected rewards are computed exactly by backward induction over a
-topological order.  A generic value-iteration path handles arbitrary
-(possibly cyclic) models and backs the randomized solver tests.
+topological order.  A cyclic model is a builder bug and raises
+:class:`InvariantViolation`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import NonConvergence, UndefinedReward
+from .errors import InvariantViolation, UndefinedReward
 from .mdp import Mdp
 
 _PROB_ONE = 1.0 - 1e-9
@@ -38,46 +38,29 @@ def topological_order(mdp: Mdp) -> list[int] | None:
     return order if len(order) == n else None
 
 
-def max_reach_probability(
-    mdp: Mdp,
-    label: str = "done",
-    tol: float = 1e-14,
-    max_iter: int = 100_000,
-) -> float:
+def max_reach_probability(mdp: Mdp, label: str = "done") -> float:
     """Maximal probability, over all policies, of reaching a labeled state."""
-    return _max_reach_values(mdp, label, tol, max_iter)[mdp.initial]
+    return _max_reach_values(mdp, label, _acyclic_order(mdp))[mdp.initial]
 
 
-def _max_reach_values(mdp, label, tol=1e-14, max_iter=100_000):
-    target = mdp.label_states(label)
+def _acyclic_order(mdp: Mdp) -> list[int]:
     order = topological_order(mdp)
-    if order is not None:
-        v = [0.0] * mdp.n_states
-        for s in reversed(order):
-            if s in target:
-                v[s] = 1.0
-            elif mdp.choices[s]:
-                v[s] = max(
-                    sum(p * v[t] for p, t in c.branches) for c in mdp.choices[s]
-                )
-        return v
-
-    # cyclic model: value iteration from below
-    v = [1.0 if s in target else 0.0 for s in range(mdp.n_states)]
-    for _ in range(max_iter):
-        residual = 0.0
-        for s in range(mdp.n_states):
-            if s in target or not mdp.choices[s]:
-                continue
-            new = max(sum(p * v[t] for p, t in c.branches) for c in mdp.choices[s])
-            residual = max(residual, new - v[s])
-            v[s] = new
-        if residual < tol:
-            return v
-    if residual > 1e-10:
-        raise NonConvergence(
-            f"max-reach residual {residual} above 1e-10 after {max_iter} iterations"
+    if order is None:
+        raise InvariantViolation(
+            f"model with {mdp.n_states} states has a cycle; "
+            "scheduling models must be acyclic"
         )
+    return order
+
+
+def _max_reach_values(mdp, label, order):
+    target = mdp.label_states(label)
+    v = [0.0] * mdp.n_states
+    for s in reversed(order):
+        if s in target:
+            v[s] = 1.0
+        elif mdp.choices[s]:
+            v[s] = max(sum(p * v[t] for p, t in c.branches) for c in mdp.choices[s])
     return v
 
 
@@ -93,10 +76,7 @@ def min_expected_reward(mdp: Mdp, reward: str, label: str = "done") -> float:
 
 
 def min_expected_reward_policy(
-    mdp: Mdp,
-    reward: str,
-    label: str = "done",
-    max_iter: int = 100_000,
+    mdp: Mdp, reward: str, label: str = "done"
 ) -> tuple[float, list[int | None]]:
     """As :func:`min_expected_reward`, also returning the optimal policy.
 
@@ -104,7 +84,8 @@ def min_expected_reward_policy(
     where no almost-surely-reaching action exists).  Ties break toward the
     first action in enumeration order, keeping extraction deterministic.
     """
-    vmax = _max_reach_values(mdp, label)
+    order = _acyclic_order(mdp)
+    vmax = _max_reach_values(mdp, label, order)
     if vmax[mdp.initial] < _PROB_ONE:
         raise UndefinedReward(
             f"label '{label}' is not almost-surely reachable "
@@ -113,49 +94,18 @@ def min_expected_reward_policy(
     target = mdp.label_states(label)
     sure = [v >= _PROB_ONE for v in vmax]
 
-    def eligible(s):
-        return [
-            (i, c)
-            for i, c in enumerate(mdp.choices[s])
-            if all(sure[t] for _, t in c.branches)
-        ]
-
     policy: list[int | None] = [None] * mdp.n_states
-    order = topological_order(mdp)
-    if order is not None:
-        cost = [0.0] * mdp.n_states
-        for s in reversed(order):
-            if s in target or not sure[s]:
-                continue
-            best, best_i = None, None
-            for i, c in eligible(s):
-                val = c.reward(reward) + sum(p * cost[t] for p, t in c.branches)
-                if best is None or val < best - 1e-12:
-                    best, best_i = val, i
-            cost[s] = best
-            policy[s] = best_i
-        return cost[mdp.initial], policy
-
-    # cyclic model: value iteration from below over admissible actions
     cost = [0.0] * mdp.n_states
-    for _ in range(max_iter):
-        residual = 0.0
-        for s in range(mdp.n_states):
-            if s in target or not sure[s] or not mdp.choices[s]:
+    for s in reversed(order):
+        if s in target or not sure[s]:
+            continue
+        best, best_i = None, None
+        for i, c in enumerate(mdp.choices[s]):
+            if not all(sure[t] for _, t in c.branches):
                 continue
-            best, best_i = None, None
-            for i, c in eligible(s):
-                val = c.reward(reward) + sum(p * cost[t] for p, t in c.branches)
-                if best is None or val < best:
-                    best, best_i = val, i
-            residual = max(residual, abs(best - cost[s]))
-            cost[s] = best
-            policy[s] = best_i
-        if residual < 1e-14:
-            break
-    else:
-        if residual > 1e-10:
-            raise NonConvergence(
-                f"min-reward residual {residual} above 1e-10 after {max_iter} iterations"
-            )
+            val = c.reward(reward) + sum(p * cost[t] for p, t in c.branches)
+            if best is None or val < best - 1e-12:
+                best, best_i = val, i
+        cost[s] = best
+        policy[s] = best_i
     return cost[mdp.initial], policy

@@ -2,10 +2,10 @@ import math
 
 import pytest
 from helpers import expanded, load
+from oracles import brute_force_allocations
 
 from kanoa.allocation import (
     AllocatorConfig,
-    brute_force_allocations,
     count_feasible,
     enumerate_allocations,
 )

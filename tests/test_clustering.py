@@ -2,17 +2,17 @@ import random
 
 import numpy as np
 from helpers import expanded, load
-
-from kanoa.allocation import Allocation, AllocatorConfig, enumerate_allocations
-from kanoa.clustering import (
+from oracles import (
     InterdependenceMatrix,
     closure_by_multiplication,
-    cluster_robots,
     clusters,
+    format_clusters,
     relation_matrix,
-    robots_of_subtree,
     transitive_closure,
 )
+
+from kanoa.allocation import Allocation, AllocatorConfig, enumerate_allocations
+from kanoa.clustering import cluster_robots, robots_of_subtree
 from kanoa.taskgraph import Subtree
 
 
@@ -180,7 +180,6 @@ def test_format_clusters_dump(hospital):
     leaves, _, pairs, subtrees = expanded(hospital)
     a = enumerate_allocations(hospital, leaves, AllocatorConfig(max_allocations=1))[0]
     m = transitive_closure(relation_matrix(a, subtrees))
-    from kanoa.clustering import format_clusters
     text = format_clusters(m, clusters(m, a))
     assert text.startswith("robots:")
     assert "cluster 0:" in text

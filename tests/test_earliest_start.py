@@ -13,6 +13,7 @@ import random
 
 import pytest
 from helpers import expanded, load, random_clusters, reference_schedule
+from oracles import min_completion
 
 import kanoa.optimizer
 import kanoa.scheduling
@@ -104,7 +105,7 @@ def chains_fit(case, tt=None):
     """Whether every robot's bare chain of travel and execution fits the
     budget, so that only waiting can make the cluster infeasible."""
     ctx = context(case, tt)
-    return all(ctx.min_completion(i) <= ctx.tt for i in range(ctx.nrobots))
+    return all(min_completion(ctx, i) <= ctx.tt for i in range(ctx.nrobots))
 
 
 def verdicts(case, tt=None):

@@ -143,5 +143,3 @@ def test_no_feasible_solution_error():
 def test_ga_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population_size=5)
-    with pytest.raises(ValueError):
-        GaConfig(population_size=4, crossover_rate=1.5)

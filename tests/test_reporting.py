@@ -205,8 +205,35 @@ def test_cli_infeasible_exit_two(fixtures_dir, tmp_path, capsys):
     assert "no feasible plan" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_input_exit_one(tmp_path, capsys):
+    bad = tmp_path / "latin.kanoa"
+    bad.write_bytes(b"\xff\xfe")
+    code = cli_main(["plan", "--input", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not UTF-8 text") and err.count("\n") == 1
+
+
+def test_cli_no_eligible_robot_exit_two(tmp_path, capsys):
+    # the only robot's boundary excludes the only task location
+    mission = tmp_path / "fenced.kanoa"
+    mission.write_text(
+        "world { loc depot (0,0) loc ward (5,0) }"
+        " tasks { atomic check robots 1 }"
+        " robots { robot r1 at depot velocity 1 { can check time 3 prob 0.9 } }"
+        " mission { task check at ward; time 10; boundary r1 (-1, -1) (1, 1) }"
+    )
+    code = cli_main(["plan", "--input", str(mission), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "no feasible plan: instance 'check_0' needs 1 robots "
+        "but only 0 are eligible\n"
+    )
+
+
 @pytest.mark.parametrize("flags", [
     ["--pop", "5"], ["--allocations", "0"], ["--permutations", "0"],
+    ["--state-cap", "0"],
 ])
 def test_cli_bad_config_value_exit_one(hospital_path, tmp_path, capsys, flags):
     code = cli_main(["plan", "--input", str(hospital_path),
@@ -263,6 +290,17 @@ def test_cli_config_file_and_flag_precedence(hospital_path, tmp_path):
     assert code in (0, 2)
     allocs = json.loads((out / "allocations.json").read_text())
     assert len(allocs) == 3  # flag beats config file
+
+
+def test_import_does_not_load_numpy():
+    # numpy is a test-only dependency; the shipped package must not need it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kanoa; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_script_installed(hospital_path, tmp_path):
