@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .errors import (
     DslSyntaxError,
@@ -19,31 +20,52 @@ from .errors import (
     NoFeasibleSolution,
     ValidationError,
 )
-from .mdp import DEFAULT_STATE_CAP
 from .reporting import PipelineConfig, run
 
-_DEFAULTS = {
-    "allocations": 30,
-    "permutations": 20,
-    "pop": 50,
-    "gens": 5,
-    "seed": 0,
-    "state_cap": DEFAULT_STATE_CAP,
+# flag / config-file key / KANOA_ suffix -> PipelineConfig field; a key set
+# nowhere keeps PipelineConfig's default
+_FIELDS = {
+    "allocations": "allocations",
+    "permutations": "permutations",
+    "pop": "population",
+    "gens": "generations",
+    "seed": "seed",
+    "state_cap": "state_cap",
 }
 
 _ENV_PREFIX = "KANOA_"
 
 
-def _resolve(name, cli_value, file_cfg):
-    if cli_value is not None:
-        return cli_value
-    env_name = _ENV_PREFIX + name.upper()
-    env = os.environ.get(env_name)
-    if env is not None:
-        return _integer(env, env_name)
-    if name in file_cfg:
-        return _integer(file_cfg[name], f"config key '{name}'")
-    return _DEFAULTS[name]
+def _read_config(path) -> dict:
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(
+            f"config {path} must hold a JSON object, got {type(cfg).__name__}"
+        )
+    unknown = sorted(set(cfg) - set(_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"config {path} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(_FIELDS)}"
+        )
+    return cfg
+
+
+def _resolve(args, file_cfg) -> dict:
+    """PipelineConfig keyword arguments from flags, environment and file."""
+    values = {}
+    for key, name in _FIELDS.items():
+        env_name = _ENV_PREFIX + key.upper()
+        if getattr(args, key) is not None:
+            values[name] = getattr(args, key)
+        elif env_name in os.environ:
+            values[name] = _integer(os.environ[env_name], env_name)
+        elif key in file_cfg:
+            values[name] = _integer(file_cfg[key], f"config key '{key}'")
+    return values
 
 
 def _integer(raw, source):
@@ -85,22 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    file_cfg = {}
-    if args.config:
-        try:
-            file_cfg = json.loads(open(args.config, encoding="utf-8").read())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 1
-
     try:
+        file_cfg = _read_config(args.config) if args.config else {}
         cfg = PipelineConfig(
-            allocations=_resolve("allocations", args.allocations, file_cfg),
-            permutations=_resolve("permutations", args.permutations, file_cfg),
-            population=_resolve("pop", args.pop, file_cfg),
-            generations=_resolve("gens", args.gens, file_cfg),
-            seed=_resolve("seed", args.seed, file_cfg),
-            state_cap=_resolve("state_cap", args.state_cap, file_cfg),
+            **_resolve(args, file_cfg),
             dump_allocations=args.dump_allocations,
             dump_mdp=args.dump_mdp,
         )

@@ -60,17 +60,17 @@ _SLOTS = 4  # pos, arrived, idle, fail
 
 @dataclass(frozen=True)
 class ActionMeta:
-    """What an action means in schedule terms; drives plan extraction."""
+    """What an action means in schedule terms; drives plan extraction.
+
+    ``step`` is the schedule step the action works on (an idle action's is
+    the step it waits to start); ``robot`` is None for a synchronized joint
+    action, whose actors are the step's participants.  A stochastic
+    action's success outcome is always its first branch.
+    """
 
     kind: str  # "task" | "travel" | "sync" | "idle" | "recover"
     robot: str | None
-    participants: tuple[str, ...]
-    instance: str | None
-    frm: str | None
-    to: str | None
-    travel_time: int
-    duration: int
-    success_branch: int
+    step: _Step
 
 
 class Choice:
@@ -99,12 +99,11 @@ class Choice:
 class Mdp:
     """Explicit model: indexed states, per-state action choices, labels."""
 
-    def __init__(self, states, choices, labels, initial=0, state_times=None, context=None):
+    def __init__(self, states, choices, labels, initial=0, context=None):
         self.states = states
         self.choices = choices
         self.labels = {name: frozenset(ids) for name, ids in labels.items()}
         self.initial = initial
-        self.state_times = state_times
         self.context = context
 
     @property
@@ -260,18 +259,9 @@ def _with_done_time(ctx, state, tracked_idx, time):
     return state[:slot] + (time + 1,) + state[slot + 1 :]
 
 
-def _preds_ready(ctx, state, step, my_time):
-    """All awaited predecessors completed, no later than my clock."""
-    for t in step.pred_tracked:
-        dt = ctx.done_time(state, t)
-        if dt is None or my_time < dt:
-            return False
-    return True
-
-
-def _pred_target(ctx, state, step):
-    """Largest recorded predecessor completion time, or None if one is missing."""
-    target = 0
+def _pred_target(ctx, state, step, target=0):
+    """Largest of ``target`` and the step's recorded predecessor
+    completion times, or None while a predecessor is unfinished."""
     for t in step.pred_tracked:
         dt = ctx.done_time(state, t)
         if dt is None:
@@ -289,19 +279,14 @@ def _sync_status(ctx, state, instance):
     while some participant has not arrived or a predecessor is unfinished.
     """
     times = []
-    step0 = None
     for ri, k in ctx.joint_positions[instance]:
         pos, arrived, _, fail = state[_SLOTS * ri : _SLOTS * ri + _SLOTS]
         if pos != k or not arrived or fail:
             return False, None, None
         times.append(ctx.robot_time(state, ri))
-        step0 = ctx.steps[ri][k]
-    target = max(times)
-    for t in step0.pred_tracked:
-        dt = ctx.done_time(state, t)
-        if dt is None:
-            return False, None, None
-        target = max(target, dt)
+    target = _pred_target(ctx, state, ctx.steps[ri][k], max(times))
+    if target is None:
+        return False, None, None
     common = times[0]
     ready = all(t == common for t in times) and common >= target
     return ready, common, target
@@ -328,40 +313,30 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
                 Choice(
                     f"recover_{rid}",
                     ((1.0, succ),),
-                    meta=ActionMeta(
-                        "recover", rid, (rid,), step.instance, None, None, 0, 0, 0
-                    ),
+                    meta=ActionMeta("recover", rid, step),
                 )
             )
             continue
 
+        # the clock this robot must wait for before it can act, if any
+        target = None
         if step.joint:
-            if not arrived and my_time + step.travel_time <= tt:
+            if arrived:
+                target = _sync_status(ctx, state, step.instance)[2]
+            elif my_time + step.travel_time <= tt:
                 succ = _with_robot(state, i, pos, 1, idle, 0)
                 choices.append(
                     Choice(
                         f"goto_{rid}_{step.instance}",
                         ((1.0, succ),),
                         travel_reward=step.hop_dist,
-                        meta=ActionMeta(
-                            "travel",
-                            rid,
-                            (rid,),
-                            step.instance,
-                            step.hop_from,
-                            step.location,
-                            step.travel_time,
-                            0,
-                            0,
-                        ),
+                        meta=ActionMeta("travel", rid, step),
                     )
                 )
         else:
-            if (
-                my_time + step.travel_time + step.duration <= tt
-                and _preds_ready(ctx, state, step, my_time)
-            ):
-                done_t = my_time + step.travel_time + step.duration
+            target = _pred_target(ctx, state, step)
+            done_t = my_time + step.travel_time + step.duration
+            if target is not None and target <= my_time and done_t <= tt:
                 ok = _with_robot(state, i, pos + 1, 0, idle, 0)
                 if step.tracked_idx >= 0:
                     ok = _with_done_time(ctx, ok, step.tracked_idx, done_t)
@@ -380,32 +355,13 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
                         f"do_{rid}_{step.instance}",
                         branches,
                         travel_reward=step.hop_dist,
-                        meta=ActionMeta(
-                            "task",
-                            rid,
-                            (rid,),
-                            step.instance,
-                            step.hop_from,
-                            step.location,
-                            step.travel_time,
-                            step.duration,
-                            0,
-                        ),
+                        meta=ActionMeta("task", rid, step),
                     )
                 )
 
         # wait: only while catching up to a joint partner or a predecessor,
         # and then in one jump (the waiting target cannot move)
-        target = None
-        if step.joint and arrived:
-            ready, _, tgt = _sync_status(ctx, state, step.instance)
-            if not ready and tgt is not None and my_time < tgt:
-                target = tgt
-        elif not step.joint and step.pred_tracked:
-            tgt = _pred_target(ctx, state, step)
-            if tgt is not None and my_time < tgt:
-                target = tgt
-        if target is not None:
+        if target is not None and my_time < target:
             wait = target - my_time
             if target <= tt and idle + wait <= ctx.idle_caps[i]:
                 succ = _with_robot(state, i, pos, arrived, idle + wait, 0)
@@ -414,9 +370,7 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
                         f"idle_{rid}",
                         ((1.0, succ),),
                         idle_reward=wait,
-                        meta=ActionMeta(
-                            "idle", rid, (rid,), None, None, None, 0, wait, 0
-                        ),
+                        meta=ActionMeta("idle", rid, step),
                     )
                 )
 
@@ -449,17 +403,7 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
             Choice(
                 f"sync_{instance}",
                 branches,
-                meta=ActionMeta(
-                    "sync",
-                    None,
-                    step0.participants,
-                    instance,
-                    None,
-                    step0.location,
-                    0,
-                    step0.duration,
-                    0,
-                ),
+                meta=ActionMeta("sync", None, step0),
             )
         )
 
@@ -581,12 +525,10 @@ def build_mdp(
 
     done_ids = [i for i, s in enumerate(states) if ctx.is_done(s)]
     success_ids = [i for i in done_ids if not ctx.ever_failed(states[i])]
-    state_times = [ctx.times(s) for s in states]
     return Mdp(
         states=states,
         choices=raw_choices,
         labels={"done": done_ids, "success": success_ids},
         initial=0,
-        state_times=state_times,
         context=ctx,
     )

@@ -397,12 +397,16 @@ def _feasible_front(population, results) -> list[ParetoEntry]:
         if res.feasible and key not in seen:
             seen.add(key)
             candidates.append((ch, res))
+    return _nondominated(candidates)
+
+
+def _nondominated(feasible) -> list[ParetoEntry]:
+    """The nondominated (chromosome, result) pairs of a feasible list, as
+    entries sorted by objectives, then chromosome."""
     front = [
         (ch, res)
-        for ch, res in candidates
-        if not any(
-            dominates(other.objectives, res.objectives) for _, other in candidates
-        )
+        for ch, res in feasible
+        if not any(dominates(o.objectives, res.objectives) for _, o in feasible)
     ]
     front.sort(key=lambda e: (e[1].objectives.as_tuple(), e[0].alloc_idx, e[0].perm_idx))
     return [ParetoEntry(ch, res.objectives, res.plan) for ch, res in front]
@@ -416,11 +420,4 @@ def brute_force_front(space: SearchSpace, cache=None) -> list[ParetoEntry]:
     """
     cache = {} if cache is None else cache
     evaluated = [(ch, evaluate(space, ch, cache)) for ch in space.chromosomes()]
-    feasible = [(ch, res) for ch, res in evaluated if res.feasible]
-    front = [
-        (ch, res)
-        for ch, res in feasible
-        if not any(dominates(o.objectives, res.objectives) for _, o in feasible)
-    ]
-    front.sort(key=lambda e: (e[1].objectives.as_tuple(), e[0].alloc_idx, e[0].perm_idx))
-    return [ParetoEntry(ch, res.objectives, res.plan) for ch, res in front]
+    return _nondominated([(ch, res) for ch, res in evaluated if res.feasible])

@@ -18,9 +18,6 @@ class PermutationSet:
 
     per_robot: dict[str, tuple[str, ...]]
 
-    def key(self) -> tuple:
-        return tuple(sorted((r, p) for r, p in self.per_robot.items()))
-
 
 def _instances_of(allocation: Allocation, cluster: RobotCluster, robot: str) -> list[str]:
     return [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .mdp import Mdp
 from .taskgraph import PrecedencePair
 
@@ -53,7 +54,7 @@ def extract_plan(mdp: Mdp, policy: list[int | None]) -> Plan:
     """
     ctx = mdp.context
     if ctx is None:
-        raise ValueError("plan extraction needs a scheduling model")
+        raise InvariantViolation("plan extraction needs a scheduling model")
     events: dict[str, list[PlanEvent]] = {r: [] for r in ctx.robots}
     done = mdp.label_states("done")
 
@@ -61,35 +62,30 @@ def extract_plan(mdp: Mdp, policy: list[int | None]) -> Plan:
     while s not in done:
         action_idx = policy[s]
         if action_idx is None:
-            raise ValueError("policy undefined before reaching the target")
+            raise InvariantViolation("policy undefined before reaching the target")
         choice = mdp.choices[s][action_idx]
-        meta = choice.meta
-        if meta.kind == "task":
-            t0 = mdp.state_times[s][ctx.robot_index[meta.robot]]
-            if meta.travel_time > 0:
-                events[meta.robot].append(
-                    PlanEvent("travel", t0, t0 + meta.travel_time, None, meta.frm, meta.to)
+        kind, robot, step = choice.meta.kind, choice.meta.robot, choice.meta.step
+        if kind == "sync":
+            t0 = ctx.robot_time(mdp.states[s], ctx.robot_index[step.participants[0]])
+            for r in step.participants:
+                events[r].append(
+                    PlanEvent("jointSync", t0, t0 + step.duration, step.instance)
                 )
-            start = t0 + meta.travel_time
-            events[meta.robot].append(
-                PlanEvent("execute", start, start + meta.duration, meta.instance)
-            )
-        elif meta.kind == "travel":
-            t0 = mdp.state_times[s][ctx.robot_index[meta.robot]]
-            if meta.travel_time > 0:
-                events[meta.robot].append(
-                    PlanEvent("travel", t0, t0 + meta.travel_time, None, meta.frm, meta.to)
-                )
-        elif meta.kind == "sync":
-            t0 = mdp.state_times[s][ctx.robot_index[meta.participants[0]]]
-            for robot in meta.participants:
+        elif kind != "recover":
+            t0 = ctx.robot_time(mdp.states[s], ctx.robot_index[robot])
+            if kind == "idle":
+                events[robot].append(PlanEvent("idle", t0, t0 + choice.idle_reward))
+            elif step.travel_time > 0:  # task and travel both make the hop
+                events[robot].append(PlanEvent(
+                    "travel", t0, t0 + step.travel_time, None, step.hop_from,
+                    step.location,
+                ))
+            if kind == "task":
+                start = t0 + step.travel_time
                 events[robot].append(
-                    PlanEvent("jointSync", t0, t0 + meta.duration, meta.instance)
+                    PlanEvent("execute", start, start + step.duration, step.instance)
                 )
-        elif meta.kind == "idle":
-            t0 = mdp.state_times[s][ctx.robot_index[meta.robot]]
-            events[meta.robot].append(PlanEvent("idle", t0, t0 + meta.duration))
-        s = choice.branches[meta.success_branch][1]
+        s = choice.branches[0][1]
 
     return Plan({r: tuple(_merge_idles(evs)) for r, evs in events.items()})
 

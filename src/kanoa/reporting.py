@@ -88,10 +88,8 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     Writes pareto.csv / pareto.json, one plan_<k>.json and plan_<k>.svg per
     front entry, instances.json, and report.txt.  Raises the underlying
     error on bad input or an empty feasible set; the CLI maps those to
-    exit codes.
+    exit codes.  ``out_dir`` is created only once the mission validates.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -102,6 +100,9 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     t0 = time.perf_counter()
     v = validate_problem(spec)
     timings["validate"] = time.perf_counter() - t0
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     tree, pairs = expand_mission(v)

@@ -8,7 +8,9 @@ here compute the same results the slow, obvious way:
 * the paper's interdependence matrix, closed by Warshall's algorithm and,
   independently, by a boolean matrix-power fixpoint;
 * the full feasible allocation space, by nested enumeration;
-* a robot's finishing clock with no waiting at all.
+* a robot's finishing clock with no waiting at all;
+* a cluster's minimum-idle plan, by simulating the earliest-start schedule
+  of its fixed per-robot orders instead of building and solving a model.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from kanoa.allocation import Allocation, eligible_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
 from kanoa.mdp import ClusterContext
+from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
 from kanoa.taskgraph import Subtree, TaskInstance
 
@@ -125,3 +128,74 @@ def brute_force_allocations(v: ValidatedProblem, instances: list[TaskInstance]):
 def min_completion(ctx: ClusterContext, i: int) -> int:
     """Lower bound on robot i's finishing clock (no waiting at all)."""
     return ctx.cum[i][-1]
+
+
+def earliest_start_plan(ctx: ClusterContext) -> tuple[Plan, int] | None:
+    """(plan, total idle) of the earliest-start schedule of the cluster's
+    fixed per-robot orders, or None when it deadlocks, ends a step after
+    the budget or passes a robot's idle cap.  Builds no model.
+
+    A solo step waits for its awaited predecessors, then travels and
+    executes (idle, travel, execute); a joint step's participants travel
+    first and wait for the last arrival or predecessor (travel, idle,
+    jointSync).
+    """
+    n = ctx.nrobots
+    clock, pos, idle = [0] * n, [0] * n, [0] * n
+    events: list[list[PlanEvent]] = [[] for _ in range(n)]
+    finished: dict[str, int] = {}  # instance -> completion time
+
+    def current(r):
+        return ctx.steps[r][pos[r]] if pos[r] < len(ctx.steps[r]) else None
+
+    def travel(r, t0, step):
+        if step.travel_time:
+            events[r].append(PlanEvent(
+                "travel", t0, t0 + step.travel_time, None, step.hop_from, step.location
+            ))
+
+    def wait(r, t0, t1):
+        if t1 > t0:
+            events[r].append(PlanEvent("idle", t0, t1))
+            idle[r] += t1 - t0
+
+    progress = True
+    while progress:
+        progress = False
+        for i in range(n):
+            step = current(i)
+            awaited = [ctx.tracked[t] for t in step.pred_tracked] if step else []
+            if step is None or any(a not in finished for a in awaited):
+                continue
+            ready = max((finished[a] for a in awaited), default=0)
+            if step.joint:
+                members = [r for r in range(n)
+                           if current(r) and current(r).instance == step.instance]
+                if len(members) < len(step.participants):
+                    continue
+                arrive = {r: clock[r] + current(r).travel_time for r in members}
+                start = max(ready, *arrive.values())
+                end = start + step.duration
+                for r in members:
+                    travel(r, clock[r], current(r))
+                    wait(r, arrive[r], start)
+                    events[r].append(PlanEvent("jointSync", start, end, step.instance))
+            else:
+                members = [i]
+                start = max(ready, clock[i])
+                wait(i, clock[i], start)
+                travel(i, start, step)
+                begin = start + step.travel_time
+                end = begin + step.duration
+                events[i].append(PlanEvent("execute", begin, end, step.instance))
+            if end > ctx.tt or any(idle[r] > ctx.idle_caps[r] for r in members):
+                return None
+            for r in members:
+                clock[r] = end
+                pos[r] += 1
+            finished[step.instance] = end
+            progress = True
+    if any(current(r) for r in range(n)):
+        return None
+    plan = Plan({rid: tuple(events[r]) for r, rid in enumerate(ctx.robots)})
+    return plan, sum(idle)

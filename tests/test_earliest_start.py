@@ -5,7 +5,9 @@ earliest-start schedule of the cluster's fixed per-robot orders does not
 fit.  These tests hold the check to the model's verdict, and the whole
 ``SchedulingResult`` to a reference that always builds and solves the
 model, on random clusters, on hand-built edge cases and on every cluster
-solved by a default hospital run.  They also guard the two preconditions
+solved by a default hospital run.  The plan and idle of every feasible
+cluster are also held to ``oracles.earliest_start_plan``, which simulates
+the schedule without a model.  Last, the tests guard the two preconditions
 the check rests on: outcome-independent durations and zero-time recovery.
 """
 
@@ -13,7 +15,7 @@ import random
 
 import pytest
 from helpers import expanded, load, random_clusters, reference_schedule
-from oracles import min_completion
+from oracles import earliest_start_plan, min_completion
 
 import kanoa.optimizer
 import kanoa.scheduling
@@ -214,6 +216,46 @@ def test_hospital_calls_match_reference(hospital_calls):
     assert any(ref.feasible for *_, ref in hospital_calls)
 
 
+# -- plans against the simulated earliest-start schedule ------------------------
+
+
+def matches_plan_oracle(result, ctx):
+    """Assert that a scheduling result has the oracle's verdict, plan and
+    idle; returns whether it is feasible."""
+    simulated = earliest_start_plan(ctx)
+    assert result.feasible == (simulated is not None)
+    if simulated is not None:
+        assert (result.plan, result.idle) == simulated
+    return result.feasible
+
+
+@pytest.mark.parametrize("idle_caps", [False, True])
+def test_random_clusters_match_plan_oracle(idle_caps):
+    rng = random.Random(4048 + idle_caps)
+    checked = feasible = waited = 0
+    while checked < 1000:
+        for case in random_clusters(rng, idle_caps, draws=3):
+            tt = rng.randint(4, 24)
+            result = schedule_cluster(*case, time_available=tt)
+            feasible += matches_plan_oracle(result, context(case, tt))
+            waited += bool(result.idle)
+            checked += 1
+    # both verdicts occur, and many plans wait
+    assert 0.2 * checked < feasible < 0.8 * checked
+    assert waited > 0.1 * checked
+
+
+def test_hospital_calls_match_plan_oracle(hospital_calls):
+    # each reference result is what schedule_cluster returns on that call:
+    # rejections are compared above, and a feasible call runs the
+    # reference's own build -> reach -> policy -> extract
+    feasible = sum(
+        matches_plan_oracle(ref, context(args, kwargs["time_available"]))
+        for args, kwargs, ref in hospital_calls
+    )
+    assert feasible > 0
+
+
 # -- preconditions of the check ---------------------------------------------------
 
 
@@ -221,7 +263,7 @@ def assert_outcome_independent(mdp):
     """Both branches of a choice reach equal robot clocks, and recovery
     moves no clock; returns how many such choices were seen."""
     seen = 0
-    times = mdp.state_times
+    times = [mdp.context.times(state) for state in mdp.states]
     for s, choices in enumerate(mdp.choices):
         for c in choices:
             if len(c.branches) == 2:

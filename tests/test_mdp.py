@@ -51,7 +51,7 @@ def test_single_path_hand_enumeration():
     assert len(mdp.choices[0]) == 1
     assert mdp.choices[0][0].branches == ((1.0, 1),)
     (done,) = mdp.label_states("done")
-    assert mdp.state_times[done] == (5,)
+    assert mdp.context.times(mdp.states[done]) == (5,)
     assert max_reach_probability(mdp, "done") == 1.0
 
 

@@ -266,6 +266,70 @@ def test_cli_bad_config_file_value_exit_one(hospital_path, tmp_path, capsys, raw
     )
 
 
+@pytest.mark.parametrize("raw", ["5", "[1]", '{"population": 7}'])
+def test_cli_bad_config_file_shape_exit_one(fixtures_dir, tmp_path, capsys, raw):
+    # a config file holds one JSON object with only the documented keys
+    # ("pop", not the PipelineConfig field name "population")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw)
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(fixtures_dir / "minimal.kanoa"),
+                     "--out", str(out), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_non_utf8_config_exit_one(fixtures_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe")
+    code = cli_main(["plan", "--input", str(fixtures_dir / "minimal.kanoa"),
+                     "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: ")
+    assert err.count("\n") == 1
+
+
+INVALID_MISSION = (
+    "world { loc a (0,0) } tasks { atomic t robots 1 }"
+    " robots { robot r at a velocity 1 { can t time 1 prob 1.7 } }"
+    " mission { task t at a; time 5 }"
+)
+
+
+@pytest.mark.parametrize("content", [
+    None, b"\xff\xfe", b"world { loc }", INVALID_MISSION.encode(),
+], ids=["missing", "non_utf8", "syntax", "validation"])
+def test_cli_rejected_input_leaves_no_out_dir(tmp_path, capsys, content):
+    mission = tmp_path / "mission.kanoa"
+    if content is not None:
+        mission.write_bytes(content)
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(mission), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_constraints_golden_artifacts(fixtures_dir, tmp_path, seed):
+    """pareto.csv, pareto.json and plan_*.json of ``kanoa plan --input
+    fixtures/constraints.kanoa --seed N`` at the default config, byte for
+    byte.  Every golden plan has jointSync and idle events."""
+    golden = GOLDEN / f"constraints_seed{seed}"
+    run(fixtures_dir / "constraints.kanoa", PipelineConfig(seed=seed), tmp_path)
+    names = sorted(p.name for p in golden.iterdir())
+    written = sorted(
+        [p.name for p in tmp_path.glob("pareto.*")]
+        + [p.name for p in tmp_path.glob("plan_*.json")]
+    )
+    assert written == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_cli_env_override(hospital_path, tmp_path, monkeypatch):
     monkeypatch.setenv("KANOA_ALLOCATIONS", "2")
     monkeypatch.setenv("KANOA_PERMUTATIONS", "2")
