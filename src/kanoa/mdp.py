@@ -295,6 +295,8 @@ def _sync_status(ctx, state, instance):
 def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
     choices: list[Choice] = []
     tt = ctx.tt
+    # joint instance -> _sync_status, made on the first arrived participant
+    statuses = None
 
     for i in range(ctx.nrobots):
         pos, arrived, idle, fail = state[_SLOTS * i : _SLOTS * i + _SLOTS]
@@ -322,7 +324,13 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
         target = None
         if step.joint:
             if arrived:
-                target = _sync_status(ctx, state, step.instance)[2]
+                if statuses is None:
+                    statuses = {}
+                status = statuses.get(step.instance)
+                if status is None:
+                    status = _sync_status(ctx, state, step.instance)
+                    statuses[step.instance] = status
+                target = status[2]
             elif my_time + step.travel_time <= tt:
                 succ = _with_robot(state, i, pos, 1, idle, 0)
                 choices.append(
@@ -374,9 +382,12 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
                     )
                 )
 
-    # synchronized joint actions, one per ready instance
-    for instance in sorted(ctx.joint_positions):
-        ready, common, _ = _sync_status(ctx, state, instance)
+    # synchronized joint actions, one per ready instance; every participant
+    # of a ready instance has arrived and not failed, so it has a status
+    if not statuses:
+        return choices
+    for instance in sorted(statuses):
+        ready, common, _ = statuses[instance]
         if not ready:
             continue
         members = ctx.joint_positions[instance]

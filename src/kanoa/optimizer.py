@@ -200,40 +200,51 @@ def evaluate(
 # -- NSGA-II machinery -------------------------------------------------------
 
 
-def _constrained_dominates(a: EvalResult, b: EvalResult) -> bool:
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible:
-        return False
-    return dominates(a.objectives, b.objectives)
-
-
 def fast_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
-    n = len(results)
-    dominated: list[list[int]] = [[] for _ in range(n)]
-    count = [0] * n
-    fronts: list[list[int]] = [[]]
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if _constrained_dominates(results[p], results[q]):
-                dominated[p].append(q)
-            elif _constrained_dominates(results[q], results[p]):
-                count[p] += 1
-        if count[p] == 0:
-            fronts[0].append(p)
-    i = 0
-    while fronts[i]:
-        nxt = []
-        for p in fronts[i]:
-            for q in dominated[p]:
-                count[q] -= 1
-                if count[q] == 0:
-                    nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()
+    """Deb's nondominated sort under constrained domination.
+
+    Members with equal objectives dominate, and are dominated by, the same
+    members, so dominance is decided once per pair of distinct keys: the
+    objective tuple of a feasible member, or None, which every feasible
+    key dominates, for an infeasible one.  A key's domination count is
+    the number of members, not keys, that dominate it.  The fronts list
+    members in the order of Deb's member-by-member peeling: front 0 in
+    ascending index order; each later front in the order its members'
+    counts reach zero while the previous front is walked, ascending index
+    among members that the same member releases.
+    """
+    members: dict[tuple | None, list[int]] = {}
+    key_of = []
+    for i, r in enumerate(results):
+        key = r.objectives.as_tuple() if r.feasible else None
+        members.setdefault(key, []).append(i)
+        key_of.append(key)
+    beats: dict[tuple | None, list] = {key: [] for key in members}
+    count = dict.fromkeys(members, 0)
+    feasible = [key for key in members if key is not None]
+    for a in feasible:
+        a0, a1, a2 = a
+        weight = len(members[a])
+        for b in feasible:
+            if a0 <= b[0] and a1 <= b[1] and a2 <= b[2] and b is not a:
+                beats[a].append(b)
+                count[b] += weight
+        if None in members:
+            beats[a].append(None)
+            count[None] += weight
+
+    fronts: list[list[int]] = []
+    front = sorted(i for key, idx in members.items() if not count[key] for i in idx)
+    while front:
+        fronts.append(front)
+        front = []
+        for p in fronts[-1]:
+            released = []
+            for b in beats[key_of[p]]:
+                count[b] -= 1
+                if not count[b]:
+                    released += members[b]
+            front += sorted(released)
     return fronts
 
 

@@ -10,7 +10,9 @@ here compute the same results the slow, obvious way:
 * the full feasible allocation space, by nested enumeration;
 * a robot's finishing clock with no waiting at all;
 * a cluster's minimum-idle plan, by simulating the earliest-start schedule
-  of its fixed per-robot orders instead of building and solving a model.
+  of its fixed per-robot orders instead of building and solving a model;
+* NSGA-II's nondominated fronts, by comparing every pair of population
+  members instead of every pair of distinct objective vectors.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from kanoa.allocation import Allocation, eligible_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
 from kanoa.mdp import ClusterContext
+from kanoa.optimizer import EvalResult, dominates
 from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
 from kanoa.taskgraph import Subtree, TaskInstance
@@ -199,3 +202,42 @@ def earliest_start_plan(ctx: ClusterContext) -> tuple[Plan, int] | None:
         return None
     plan = Plan({rid: tuple(events[r]) for r, rid in enumerate(ctx.robots)})
     return plan, sum(idle)
+
+
+def _constrained_dominates(a: EvalResult, b: EvalResult) -> bool:
+    if a.feasible and not b.feasible:
+        return True
+    if not a.feasible:
+        return False
+    return dominates(a.objectives, b.objectives)
+
+
+def pairwise_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
+    """Deb's fast nondominated sort, comparing every ordered pair of
+    members under constrained domination."""
+    n = len(results)
+    dominated: list[list[int]] = [[] for _ in range(n)]
+    count = [0] * n
+    fronts: list[list[int]] = [[]]
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                continue
+            if _constrained_dominates(results[p], results[q]):
+                dominated[p].append(q)
+            elif _constrained_dominates(results[q], results[p]):
+                count[p] += 1
+        if count[p] == 0:
+            fronts[0].append(p)
+    i = 0
+    while fronts[i]:
+        nxt = []
+        for p in fronts[i]:
+            for q in dominated[p]:
+                count[q] -= 1
+                if count[q] == 0:
+                    nxt.append(q)
+        i += 1
+        fronts.append(nxt)
+    fronts.pop()
+    return fronts

@@ -1,15 +1,21 @@
+import random
+
 import pytest
 from helpers import load
+from oracles import pairwise_nondominated_sort
 
 from kanoa.allocation import AllocatorConfig
 from kanoa.errors import NoFeasibleSolution
 from kanoa.optimizer import (
     Chromosome,
+    EvalResult,
     GaConfig,
     Objectives,
     brute_force_front,
+    crowding_distance,
     dominates,
     evaluate,
+    fast_nondominated_sort,
     nsga2_run,
     prepare_search,
 )
@@ -143,3 +149,90 @@ def test_no_feasible_solution_error():
 def test_ga_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population_size=5)
+
+
+# -- nondominated sort and crowding ---------------------------------------------
+
+
+def scored(p_fail, idle, travel):
+    return EvalResult(feasible=True, objectives=Objectives(p_fail, idle, travel))
+
+
+def infeasible():
+    return EvalResult(feasible=False)
+
+
+def random_population(rng):
+    """0-40 members drawn from a pool of at most 6 objective vectors over
+    small ranges, so equal vectors and ties in one objective are common;
+    about 15% of members are infeasible."""
+    pool = [
+        (rng.choice((0.0, 0.25, 0.5)), rng.randrange(3), rng.randrange(4))
+        for _ in range(rng.randint(1, 6))
+    ]
+    return [
+        infeasible() if rng.random() < 0.15 else scored(*rng.choice(pool))
+        for _ in range(rng.randint(0, 40))
+    ]
+
+
+def test_sort_matches_pairwise_oracle_on_random_populations():
+    rng = random.Random("nondominated-sort")
+    for _ in range(2000):
+        rs = random_population(rng)
+        assert fast_nondominated_sort(rs) == pairwise_nondominated_sort(rs)
+
+
+@pytest.mark.parametrize("rs", [
+    [],
+    [infeasible() for _ in range(5)],
+    [scored(0.25, 1, 2) for _ in range(5)],
+], ids=["empty", "all_infeasible", "all_identical"])
+def test_sort_degenerate_populations(rs):
+    fronts = fast_nondominated_sort(rs)
+    assert fronts == pairwise_nondominated_sort(rs)
+    assert fronts == ([list(range(len(rs)))] if rs else [])
+
+
+def test_sort_front_order_follows_releasing_member():
+    # front 1 lists 4, whose only dominator is 0, before 3, whose only
+    # dominator is 1: not ascending index order
+    rs = [scored(0.0, 0, 2), scored(0.0, 2, 0), scored(1.0, 3, 3),
+          scored(0.5, 2, 0), scored(0.5, 0, 2), infeasible()]
+    expected = [[0, 1], [4, 3], [2], [5]]
+    assert pairwise_nondominated_sort(rs) == expected
+    assert fast_nondominated_sort(rs) == expected
+
+
+def test_crowding_fewer_than_three_feasible_all_inf():
+    rs = [scored(0.0, 0, 4), infeasible(), scored(0.5, 2, 0)]
+    assert crowding_distance([0, 1, 2], rs) == {0: float("inf"), 1: 0.0,
+                                                2: float("inf")}
+    assert crowding_distance([0], rs) == {0: float("inf")}
+
+
+def test_crowding_constant_objective_adds_nothing():
+    # p_fail is the same everywhere: its boundaries are inf, and the
+    # interior members get only the idle and travel terms
+    rs = [scored(0.5, 2 * k, 8 - 2 * k) for k in range(5)]
+    assert crowding_distance(list(range(5)), rs) == {
+        0: float("inf"), 1: 1.0, 2: 1.0, 3: 1.0, 4: float("inf"),
+    }
+
+
+def test_crowding_ties_depend_on_input_order():
+    # 1 and 2 are equal; the one listed first sits nearer 0 in p_fail and
+    # idle and nearer 3 in travel (stable sort)
+    rs = [scored(0.0, 0, 8), scored(0.25, 2, 6), scored(0.25, 2, 6),
+          scored(1.0, 8, 0)]
+    inf = float("inf")
+    assert crowding_distance([0, 1, 2, 3], rs) == {0: inf, 1: 1.25, 2: 1.75, 3: inf}
+    assert crowding_distance([0, 2, 1, 3], rs) == {0: inf, 2: 1.25, 1: 1.75, 3: inf}
+
+
+def test_crowding_infeasible_members_keep_zero():
+    rs = [scored(0.0, 0, 4), infeasible(), scored(0.5, 2, 2), infeasible(),
+          scored(1.0, 4, 0)]
+    assert crowding_distance(list(range(5)), rs) == {
+        0: float("inf"), 1: 0.0, 2: 3.0, 3: 0.0, 4: float("inf"),
+    }

@@ -3,10 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kanoa.cli import _FIELDS, _read_config, _resolve, build_parser
 from kanoa.cli import main as cli_main
 from kanoa.gantt import emit_gantt, format_gantt_text
 from kanoa.plans import Plan, PlanEvent
@@ -292,6 +297,45 @@ def test_cli_non_utf8_config_exit_one(fixtures_dir, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_BYTES = st.one_of(
+    # mostly objects over the known keys, so values reach _resolve
+    st.dictionaries(st.sampled_from(sorted(_FIELDS)), JSON_VALUES, max_size=6),
+    st.dictionaries(st.sampled_from(sorted(_FIELDS)) | st.text(), JSON_VALUES),
+    JSON_VALUES,
+).map(lambda value: json.dumps(value).encode()) | st.binary(max_size=40)
+# what os.environ can hold: no NUL, no lone surrogate
+ENV_TEXT = st.integers().map(str) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+)
+ENV_VALUES = st.dictionaries(
+    st.sampled_from([f"KANOA_{key.upper()}" for key in _FIELDS]), ENV_TEXT
+)
+
+
+PLAN_ARGS = build_parser().parse_args(["plan", "--input", "m", "--out", "o"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw=CONFIG_BYTES, env=ENV_VALUES)
+def test_config_inputs_build_or_raise_value_error(raw, env):
+    """A config file's bytes and KANOA_* values either build a
+    PipelineConfig or raise ValueError, which main reports as exit 1."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(raw)
+        try:
+            cfg = PipelineConfig(**_resolve(PLAN_ARGS, _read_config(path)))
+        except ValueError:
+            return
+    assert isinstance(cfg.seed, int) and cfg.population >= 4
+
+
 INVALID_MISSION = (
     "world { loc a (0,0) } tasks { atomic t robots 1 }"
     " robots { robot r at a velocity 1 { can t time 1 prob 1.7 } }"
@@ -318,16 +362,53 @@ def test_constraints_golden_artifacts(fixtures_dir, tmp_path, seed):
     """pareto.csv, pareto.json and plan_*.json of ``kanoa plan --input
     fixtures/constraints.kanoa --seed N`` at the default config, byte for
     byte.  Every golden plan has jointSync and idle events."""
-    golden = GOLDEN / f"constraints_seed{seed}"
     run(fixtures_dir / "constraints.kanoa", PipelineConfig(seed=seed), tmp_path)
+    assert_golden_artifacts(GOLDEN / f"constraints_seed{seed}", tmp_path)
+
+
+# Single-robot tasks only, so every model is a bare chain and the NSGA-II
+# ranking is most of the run.  Robot r3 cannot wipe, and a budget of 20
+# leaves many chromosomes infeasible.
+SOLO_TASKS = """
+world { loc depot (0,0) loc a (6,0) loc b (0,8) loc c (6,8) loc d (3,4) }
+tasks { atomic scan robots 1 atomic wipe robots 1 }
+robots {
+  robot r1 at depot velocity 1 { can scan time 2 prob 0.95 can wipe time 3 prob 0.9 }
+  robot r2 at depot velocity 2 { can scan time 3 prob 0.85 can wipe time 2 prob 0.97 }
+  robot r3 at c velocity 1 { can scan time 1 prob 0.8 }
+}
+mission {
+  task scan at a; task wipe at b; task scan at c; task wipe at d; task scan at d
+  time 20
+}
+"""
+
+
+def test_solo_tasks_golden_artifacts(tmp_path):
+    """The NSGA-II front of a 60-chromosome space searched by a population
+    of 40 for 6 generations: up to 8 fronts per ranking, and up to 70 of
+    the 80 members of a combined population repeat another's chromosome."""
+    mission = tmp_path / "solo.kanoa"
+    mission.write_text(SOLO_TASKS)
+    cfg = PipelineConfig(
+        allocations=10, permutations=6, population=40, generations=6, seed=0
+    )
+    out = tmp_path / "out"
+    run(mission, cfg, out)
+    assert_golden_artifacts(GOLDEN / "solo_tasks_seed0", out)
+
+
+def assert_golden_artifacts(golden, out):
+    """pareto.csv, pareto.json and every plan_*.json in ``out`` equal the
+    files in ``golden`` byte for byte, and no plan is missing or extra."""
     names = sorted(p.name for p in golden.iterdir())
     written = sorted(
-        [p.name for p in tmp_path.glob("pareto.*")]
-        + [p.name for p in tmp_path.glob("plan_*.json")]
+        [p.name for p in out.glob("pareto.*")]
+        + [p.name for p in out.glob("plan_*.json")]
     )
     assert written == names
     for name in names:
-        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_cli_env_override(hospital_path, tmp_path, monkeypatch):
