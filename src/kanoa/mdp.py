@@ -37,7 +37,6 @@ closed form, without building the model.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .allocation import Allocation
@@ -58,19 +57,26 @@ DEFAULT_STATE_CAP = 800_000
 _SLOTS = 4  # pos, arrived, idle, fail
 
 
-@dataclass(frozen=True)
 class ActionMeta:
     """What an action means in schedule terms; drives plan extraction.
 
+    ``kind`` is one of "task", "travel", "sync", "idle" and "recover";
     ``step`` is the schedule step the action works on (an idle action's is
     the step it waits to start); ``robot`` is None for a synchronized joint
     action, whose actors are the step's participants.  A stochastic
     action's success outcome is always its first branch.
     """
 
-    kind: str  # "task" | "travel" | "sync" | "idle" | "recover"
-    robot: str | None
-    step: _Step
+    __slots__ = ("kind", "robot", "step")
+
+    def __init__(self, kind: str, robot: str | None, step: _Step):
+        self.kind = kind
+        self.robot = robot
+        self.step = step
+
+
+# reward name -> the Choice attribute that carries it
+REWARD_ATTRS = {"travel": "travel_reward", "idle": "idle_reward"}
 
 
 class Choice:
@@ -79,7 +85,10 @@ class Choice:
     __slots__ = ("label", "branches", "travel_reward", "idle_reward", "meta")
 
     def __init__(self, label, branches, travel_reward=0, idle_reward=0, meta=None):
-        total = sum(p for p, _ in branches)
+        if len(branches) == 1:
+            total = branches[0][0]
+        else:
+            total = sum(p for p, _ in branches)
         if abs(total - 1.0) > 1e-12:
             raise InvariantViolation(f"distribution sums to {total}, not 1")
         self.label = label
@@ -87,13 +96,6 @@ class Choice:
         self.travel_reward = travel_reward
         self.idle_reward = idle_reward
         self.meta = meta
-
-    def reward(self, name: str) -> float:
-        if name == "travel":
-            return self.travel_reward
-        if name == "idle":
-            return self.idle_reward
-        raise KeyError(name)
 
 
 class Mdp:
@@ -105,6 +107,9 @@ class Mdp:
         self.labels = {name: frozenset(ids) for name, ids in labels.items()}
         self.initial = initial
         self.context = context
+        # filled by kanoa.solver on first use; a built model never changes
+        self.order_cache: list[int] | None = None
+        self.reach_cache: dict[str, list[float]] = {}
 
     @property
     def n_states(self) -> int:
@@ -218,14 +223,15 @@ class ClusterContext:
         return (0,) * (_SLOTS * self.nrobots + 1 + len(self.tracked))
 
     def robot_time(self, state: tuple, i: int) -> int:
-        pos, arrived, idle, fail = state[_SLOTS * i : _SLOTS * i + _SLOTS]
-        if fail:
+        b = _SLOTS * i
+        pos = state[b]
+        if state[b + 3]:  # failed
             base = self.cum[i][pos + 1]
-        elif arrived:
+        elif state[b + 1]:  # arrived
             base = self.cum[i][pos] + self.steps[i][pos].travel_time
         else:
             base = self.cum[i][pos]
-        return base + idle
+        return base + state[b + 2]
 
     def times(self, state: tuple) -> tuple[int, ...]:
         return tuple(self.robot_time(state, i) for i in range(self.nrobots))
@@ -507,13 +513,10 @@ def build_mdp(
     index: dict[tuple, int] = {init: 0}
     states: list[tuple] = [init]
     raw_choices: list[list[Choice]] = []
-    queue = deque([0])
 
-    while queue:
-        sid = queue.popleft()
-        state = states[sid]
-        resolved = []
-        for choice in _enumerate_choices(ctx, state):
+    for state in states:  # breadth-first: the loop reads what it appends
+        choices = _enumerate_choices(ctx, state)
+        for choice in choices:
             branches = []
             for prob, succ in choice.branches:
                 tid = index.get(succ)
@@ -528,11 +531,9 @@ def build_mdp(
                         )
                     index[succ] = tid
                     states.append(succ)
-                    queue.append(tid)
                 branches.append((prob, tid))
             choice.branches = tuple(branches)
-            resolved.append(choice)
-        raw_choices.append(resolved)
+        raw_choices.append(choices)
 
     done_ids = [i for i, s in enumerate(states) if ctx.is_done(s)]
     success_ids = [i for i in done_ids if not ctx.ever_failed(states[i])]

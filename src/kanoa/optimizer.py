@@ -76,7 +76,7 @@ class EvalResult:
     objectives: Objectives | None = None
     plan: Plan | None = None
     cluster_results: list[SchedulingResult] = field(default_factory=list)
-    diagnostic: str | None = None
+    diagnostic: StateExplosion | None = None  # the state cap tripped
 
 
 @dataclass
@@ -188,7 +188,8 @@ def evaluate(
             timelines.update(sched.plan.timelines)
     except StateExplosion as exc:
         result.feasible = False
-        result.diagnostic = str(exc)
+        # without its traceback, which holds the abandoned model's states
+        result.diagnostic = exc.with_traceback(None)
 
     if result.feasible:
         result.objectives = Objectives(1.0 - p_success, idle, travel)
@@ -352,9 +353,12 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
     if not front:
         evaluated = len(cache)
         infeasible = sum(1 for r in cache.values() if not r.feasible)
+        capped = sum(1 for r in cache.values() if r.diagnostic is not None)
+        why = f"{infeasible} infeasible"
+        if capped:
+            why += f"; {capped} exceeded the state cap of {space.state_cap}"
         raise NoFeasibleSolution(
-            f"no feasible chromosome among {evaluated} evaluated "
-            f"({infeasible} infeasible)",
+            f"no feasible chromosome among {evaluated} evaluated ({why})",
             evaluated=evaluated,
             infeasible=infeasible,
         )

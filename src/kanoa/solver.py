@@ -5,62 +5,85 @@ or a one-shot flag), so maximal reachability probabilities and minimal
 expected rewards are computed exactly by backward induction over a
 topological order.  A cyclic model is a builder bug and raises
 :class:`InvariantViolation`.
+
+A built model never changes, so its topological order and its reach
+values per label are computed once and cached on the model: the
+reachability guard and the policy query that follows it share one order
+and one reach sweep.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from operator import attrgetter
 
 from .errors import InvariantViolation, UndefinedReward
-from .mdp import Mdp
+from .mdp import REWARD_ATTRS, Mdp
 
 _PROB_ONE = 1.0 - 1e-9
 
 
 def topological_order(mdp: Mdp) -> list[int] | None:
     """Kahn's algorithm over the transition graph; None when cyclic."""
-    n = mdp.n_states
-    indeg = [0] * n
-    for choices in mdp.choices:
-        for c in choices:
-            for _, t in c.branches:
-                indeg[t] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    order = []
-    while queue:
-        s = queue.popleft()
-        order.append(s)
-        for c in mdp.choices[s]:
-            for _, t in c.branches:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-    return order if len(order) == n else None
+    succs = [[t for c in choices for _, t in c.branches] for choices in mdp.choices]
+    indeg = [0] * mdp.n_states
+    for ts in succs:
+        for t in ts:
+            indeg[t] += 1
+    order = [s for s, d in enumerate(indeg) if d == 0]
+    for s in order:  # a FIFO queue: the loop reads what it appends
+        for t in succs[s]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                order.append(t)
+    return order if len(order) == mdp.n_states else None
 
 
 def max_reach_probability(mdp: Mdp, label: str = "done") -> float:
     """Maximal probability, over all policies, of reaching a labeled state."""
-    return _max_reach_values(mdp, label, _acyclic_order(mdp))[mdp.initial]
+    return _reach_values(mdp, label)[mdp.initial]
 
 
 def _acyclic_order(mdp: Mdp) -> list[int]:
-    order = topological_order(mdp)
+    order = mdp.order_cache
     if order is None:
-        raise InvariantViolation(
-            f"model with {mdp.n_states} states has a cycle; "
-            "scheduling models must be acyclic"
-        )
+        order = topological_order(mdp)
+        if order is None:
+            raise InvariantViolation(
+                f"model with {mdp.n_states} states has a cycle; "
+                "scheduling models must be acyclic"
+            )
+        mdp.order_cache = order
     return order
+
+
+def _reach_values(mdp: Mdp, label: str) -> list[float]:
+    values = mdp.reach_cache.get(label)
+    if values is None:
+        values = _max_reach_values(mdp, label, _acyclic_order(mdp))
+        mdp.reach_cache[label] = values
+    return values
 
 
 def _max_reach_values(mdp, label, order):
     target = mdp.label_states(label)
+    choices = mdp.choices
     v = [0.0] * mdp.n_states
     for s in reversed(order):
         if s in target:
             v[s] = 1.0
-        elif mdp.choices[s]:
-            v[s] = max(sum(p * v[t] for p, t in c.branches) for c in mdp.choices[s])
+            continue
+        best = None
+        for c in choices[s]:
+            branches = c.branches
+            if len(branches) == 1:
+                p, t = branches[0]
+                val = p * v[t]
+            else:
+                val = sum(p * v[t] for p, t in branches)
+            if best is None or val > best:
+                best = val
+        if best is not None:
+            v[s] = best
     return v
 
 
@@ -84,8 +107,9 @@ def min_expected_reward_policy(
     where no almost-surely-reaching action exists).  Ties break toward the
     first action in enumeration order, keeping extraction deterministic.
     """
+    reward_of = attrgetter(REWARD_ATTRS[reward])
     order = _acyclic_order(mdp)
-    vmax = _max_reach_values(mdp, label, order)
+    vmax = _reach_values(mdp, label)
     if vmax[mdp.initial] < _PROB_ONE:
         raise UndefinedReward(
             f"label '{label}' is not almost-surely reachable "
@@ -93,6 +117,7 @@ def min_expected_reward_policy(
         )
     target = mdp.label_states(label)
     sure = [v >= _PROB_ONE for v in vmax]
+    choices = mdp.choices
 
     policy: list[int | None] = [None] * mdp.n_states
     cost = [0.0] * mdp.n_states
@@ -100,10 +125,17 @@ def min_expected_reward_policy(
         if s in target or not sure[s]:
             continue
         best, best_i = None, None
-        for i, c in enumerate(mdp.choices[s]):
-            if not all(sure[t] for _, t in c.branches):
-                continue
-            val = c.reward(reward) + sum(p * cost[t] for p, t in c.branches)
+        for i, c in enumerate(choices[s]):
+            branches = c.branches
+            if len(branches) == 1:
+                p, t = branches[0]
+                if not sure[t]:
+                    continue
+                val = reward_of(c) + p * cost[t]
+            else:
+                if not all(sure[t] for _, t in branches):
+                    continue
+                val = reward_of(c) + sum(p * cost[t] for p, t in branches)
             if best is None or val < best - 1e-12:
                 best, best_i = val, i
         cost[s] = best

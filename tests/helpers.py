@@ -12,7 +12,7 @@ from itertools import product
 
 from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
-from kanoa.mdp import Mdp, build_mdp
+from kanoa.mdp import REWARD_ATTRS, Mdp, build_mdp
 from kanoa.parser import parse_problem
 from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
 from kanoa.plans import extract_plan
@@ -123,7 +123,9 @@ def enumerate_policy_values(mdp: Mdp, reward="idle", label="done", limit=1 << 14
             if s in rew_memo:
                 return rew_memo[s]
             c = chosen(s)
-            val = c.reward(reward) + sum(p * expected(t) for p, t in c.branches)
+            val = getattr(c, REWARD_ATTRS[reward]) + sum(
+                p * expected(t) for p, t in c.branches
+            )
             rew_memo[s] = val
             return val
 

@@ -12,18 +12,23 @@ here compute the same results the slow, obvious way:
 * a cluster's minimum-idle plan, by simulating the earliest-start schedule
   of its fixed per-robot orders instead of building and solving a model;
 * NSGA-II's nondominated fronts, by comparing every pair of population
-  members instead of every pair of distinct objective vectors.
+  members instead of every pair of distinct objective vectors;
+* the solver's reach and minimum-reward queries, by the two-pass method:
+  each query sorts the model and sweeps its reach values again, and every
+  choice goes through generator sums and a reward looked up by name.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from kanoa.allocation import Allocation, eligible_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
-from kanoa.mdp import ClusterContext
+from kanoa.errors import InvariantViolation, UndefinedReward
+from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
 from kanoa.optimizer import EvalResult, dominates
 from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
@@ -241,3 +246,91 @@ def pairwise_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
         fronts.append(nxt)
     fronts.pop()
     return fronts
+
+
+# -- two-pass solver ------------------------------------------------------------
+
+_PROB_ONE = 1.0 - 1e-9
+
+
+def reference_topological_order(mdp: Mdp) -> list[int] | None:
+    """Kahn's algorithm over the transition graph; None when cyclic."""
+    n = mdp.n_states
+    indeg = [0] * n
+    for choices in mdp.choices:
+        for c in choices:
+            for _, t in c.branches:
+                indeg[t] += 1
+    queue = deque(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while queue:
+        s = queue.popleft()
+        order.append(s)
+        for c in mdp.choices[s]:
+            for _, t in c.branches:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    queue.append(t)
+    return order if len(order) == n else None
+
+
+def reference_max_reach_probability(mdp: Mdp, label: str = "done") -> float:
+    """Maximal probability, over all policies, of reaching a labeled state."""
+    return _reference_max_reach_values(mdp, label, _reference_acyclic_order(mdp))[
+        mdp.initial
+    ]
+
+
+def _reference_acyclic_order(mdp: Mdp) -> list[int]:
+    order = reference_topological_order(mdp)
+    if order is None:
+        raise InvariantViolation(
+            f"model with {mdp.n_states} states has a cycle; "
+            "scheduling models must be acyclic"
+        )
+    return order
+
+
+def _reference_max_reach_values(mdp, label, order):
+    target = mdp.label_states(label)
+    v = [0.0] * mdp.n_states
+    for s in reversed(order):
+        if s in target:
+            v[s] = 1.0
+        elif mdp.choices[s]:
+            v[s] = max(sum(p * v[t] for p, t in c.branches) for c in mdp.choices[s])
+    return v
+
+
+def reference_min_expected_reward_policy(
+    mdp: Mdp, reward: str, label: str = "done"
+) -> tuple[float, list[int | None]]:
+    """Minimum expected reward before reaching the label and its policy,
+    over the policies that reach the label with probability 1."""
+    order = _reference_acyclic_order(mdp)
+    vmax = _reference_max_reach_values(mdp, label, order)
+    if vmax[mdp.initial] < _PROB_ONE:
+        raise UndefinedReward(
+            f"label '{label}' is not almost-surely reachable "
+            f"(max probability {vmax[mdp.initial]})"
+        )
+    target = mdp.label_states(label)
+    sure = [v >= _PROB_ONE for v in vmax]
+
+    policy: list[int | None] = [None] * mdp.n_states
+    cost = [0.0] * mdp.n_states
+    for s in reversed(order):
+        if s in target or not sure[s]:
+            continue
+        best, best_i = None, None
+        for i, c in enumerate(mdp.choices[s]):
+            if not all(sure[t] for _, t in c.branches):
+                continue
+            val = getattr(c, REWARD_ATTRS[reward]) + sum(
+                p * cost[t] for p, t in c.branches
+            )
+            if best is None or val < best - 1e-12:
+                best, best_i = val, i
+        cost[s] = best
+        policy[s] = best_i
+    return cost[mdp.initial], policy

@@ -13,8 +13,8 @@ from helpers import (
 
 from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
-from kanoa.errors import StateExplosion, UndefinedReward
-from kanoa.mdp import build_mdp
+from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
+from kanoa.mdp import Choice, build_mdp
 from kanoa.permutations import PermutationSet, travel_cost
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
@@ -118,6 +118,22 @@ def test_distributions_sum_to_one_and_done_absorbing(hospital):
                 assert abs(sum(pr for pr, _ in c.branches) - 1.0) <= 1e-12
         for d in mdp.label_states("done"):
             assert mdp.choices[d] == []
+
+
+@pytest.mark.parametrize(
+    "branches",
+    [((0.5, 1),), ((0.6, 1), (0.3, 2))],
+    ids=["one_branch_half", "two_branches_0.9"],
+)
+def test_choice_rejects_distribution_not_summing_to_one(branches):
+    with pytest.raises(InvariantViolation, match="distribution sums to"):
+        Choice("a", branches)
+
+
+def test_choice_accepts_complementary_and_certain_branches():
+    for q in (0.9, 0.8, 0.7, 1 / 3, 0.123456789, 1e-9, 1.0 - 1e-9):
+        assert Choice("a", ((q, 1), (1.0 - q, 2))).branches == ((q, 1), (1.0 - q, 2))
+    assert Choice("a", ((1.0, 1),)).branches == ((1.0, 1),)
 
 
 def test_time_monotone_acyclic(hospital):

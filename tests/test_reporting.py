@@ -207,7 +207,20 @@ def test_cli_infeasible_exit_two(fixtures_dir, tmp_path, capsys):
         "--out", str(tmp_path),
     ])
     assert code == 2
-    assert "no feasible plan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "no feasible plan: no feasible chromosome among 20 evaluated (20 infeasible)\n"
+
+
+def test_cli_state_cap_exit_two_names_the_cap(fixtures_dir, tmp_path, capsys):
+    code = cli_main([
+        "plan", "--input", str(fixtures_dir / "minimal.kanoa"),
+        "--out", str(tmp_path), "--state-cap", "3",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "no feasible plan: no feasible chromosome among 20 evaluated "
+        "(20 infeasible; 20 exceeded the state cap of 3)\n"
+    )
 
 
 def test_cli_non_utf8_input_exit_one(tmp_path, capsys):

@@ -1,11 +1,20 @@
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
+from oracles import (
+    reference_max_reach_probability,
+    reference_min_expected_reward_policy,
+    reference_topological_order,
+)
 
-from kanoa.errors import InvariantViolation
+import kanoa.scheduling
+import kanoa.solver
+from kanoa.errors import InvariantViolation, UndefinedReward
 from kanoa.mdp import Choice, Mdp
+from kanoa.reporting import PipelineConfig, run
 from kanoa.solver import (
     max_reach_probability,
     min_expected_reward,
@@ -183,3 +192,120 @@ def test_min_reward_avoids_lossy_action():
     )
     assert max_reach_probability(mdp, "done") == 1.0  # via the sure action
     assert min_expected_reward(mdp, "idle", "done") == 7
+
+
+# -- one order and one reach sweep per model, held to the two-pass solver -------
+
+
+def _policy_outcome(query, mdp, reward):
+    """(value, policy), or the error's type and message."""
+    try:
+        return query(mdp, reward, "done")
+    except UndefinedReward as exc:
+        return type(exc), str(exc)
+
+
+def test_random_models_match_two_pass_reference():
+    # half the draws get dead ends, so some models reach done with a
+    # probability below 1 and some states are not surely reaching
+    rng = random.Random(12)
+    partial = 0
+    for k in range(500):
+        n = rng.randint(2, 40)
+        mdp = random_mdp(rng, n=n, cyclic=False)
+        if k % 2 and n > 2:
+            for s in rng.sample(range(1, n - 1), (n - 2) // 4):
+                mdp.choices[s] = []
+        # a second label: reach values are cached per label
+        mdp.labels["mid"] = frozenset(rng.sample(range(n), max(1, n // 3)))
+        reach = reference_max_reach_probability(mdp, "done")
+        mid = reference_max_reach_probability(mdp, "mid")
+        partial += reach < 1.0
+        expected = [
+            _policy_outcome(reference_min_expected_reward_policy, mdp, r)
+            for r in ("idle", "travel")
+        ]
+        assert topological_order(mdp) == reference_topological_order(mdp)
+        # the cached order and reach values serve whichever query comes first
+        if k % 4 < 2:
+            assert max_reach_probability(mdp, "done") == reach
+        got = [
+            _policy_outcome(min_expected_reward_policy, mdp, r)
+            for r in ("idle", "travel")
+        ]
+        assert got == expected
+        assert max_reach_probability(mdp, "done") == reach
+        assert max_reach_probability(mdp, "mid") == mid
+    assert partial >= 50
+
+
+def _counting(counts, key):
+    """Wrapper factory: the wrapped function counts its calls in ``counts[key]``."""
+    def wrap(real):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return counted
+    return wrap
+
+
+def _run_fixture(tmp_path, fixtures_dir, name, monkeypatch, **wrappers):
+    """Run ``kanoa plan`` on a fixture at the default config, GA seed 0,
+    with ``kanoa.scheduling`` functions replaced by ``wrappers``."""
+    for attr, wrap in wrappers.items():
+        monkeypatch.setattr(kanoa.scheduling, attr, wrap(getattr(kanoa.scheduling, attr)))
+    run(fixtures_dir / name, PipelineConfig(seed=0), tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", ["hospital.kanoa", "constraints.kanoa"])
+def test_fixture_models_match_two_pass_reference(tmp_path, fixtures_dir, monkeypatch, name):
+    checked = Counter()
+
+    def check_reach(real):
+        def reach(mdp, label="done"):
+            value = real(mdp, label)
+            assert value == reference_max_reach_probability(mdp, label)
+            checked["reach"] += 1
+            return value
+        return reach
+
+    def check_policy(real):
+        def policy(mdp, reward, label="done"):
+            value = real(mdp, reward, label)
+            assert value == reference_min_expected_reward_policy(mdp, reward, label)
+            assert topological_order(mdp) == reference_topological_order(mdp)
+            checked["policy"] += 1
+            return value
+        return policy
+
+    _run_fixture(
+        tmp_path, fixtures_dir, name, monkeypatch,
+        build_mdp=_counting(checked, "models"),
+        max_reach_probability=check_reach,
+        min_expected_reward_policy=check_policy,
+    )
+    models = checked["models"]
+    assert models > 0
+    assert checked == {"models": models, "reach": models, "policy": models}
+
+
+def test_hospital_run_sorts_and_sweeps_once_per_model(tmp_path, fixtures_dir, monkeypatch):
+    counts = Counter()
+    real_sweep = kanoa.solver._max_reach_values
+
+    def sweep(mdp, label, order):
+        counts[f"sweep {label}"] += 1
+        return real_sweep(mdp, label, order)
+
+    monkeypatch.setattr(
+        kanoa.solver, "topological_order",
+        _counting(counts, "order")(kanoa.solver.topological_order),
+    )
+    monkeypatch.setattr(kanoa.solver, "_max_reach_values", sweep)
+    _run_fixture(
+        tmp_path, fixtures_dir, "hospital.kanoa", monkeypatch,
+        build_mdp=_counting(counts, "models"),
+    )
+    models = counts["models"]
+    assert models > 0
+    assert counts == {"models": models, "order": models, "sweep done": models}
