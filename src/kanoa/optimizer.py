@@ -1,11 +1,12 @@
 """NSGA-II search over (allocation, permutation) chromosomes.
 
-A chromosome is a pair of small indices into pools prepared up front: the
-allocation list and, per allocation, a pool of whole-allocation task
-permutations.  Evaluation solves one scheduling model per robot cluster
-and aggregates the three objectives; infeasible chromosomes rank below
-every feasible one (constrained domination).  Everything is driven by a
-single seed and fully reproducible.
+A chromosome is a pair of small indices: into the allocation list, and
+into that allocation's pool of whole-allocation task permutations.  A pool
+entry is drawn, from its own seed, the first time it is used.  Evaluation
+solves one scheduling model per robot cluster and aggregates the three
+objectives; infeasible chromosomes rank below every feasible one
+(constrained domination).  Everything is driven by a single seed and fully
+reproducible.
 """
 
 from __future__ import annotations
@@ -88,14 +89,37 @@ class SearchSpace:
     pairs: list[PrecedencePair]
     allocations: list[Allocation]
     clusters: list[list[RobotCluster]]
-    permutations: list[list[PermutationSet]]
+    pool_size: int  # permutations per allocation
+    seed: int
     time_available: int
     state_cap: int = DEFAULT_STATE_CAP
+    _drawn: dict[tuple[int, int], PermutationSet] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def chromosomes(self):
         for a in range(len(self.allocations)):
-            for p in range(len(self.permutations[a])):
+            for p in range(self.pool_size):
                 yield Chromosome(a, p)
+
+    def permutation(self, a: int, p: int) -> PermutationSet:
+        """Pool entry ``p`` of allocation ``a``, drawn on first request and
+        kept.  Each entry has its own seed, ``f"{seed}:{a}:{p}"``, so it
+        does not depend on which entries were drawn before it."""
+        drawn = self._drawn.get((a, p))
+        if drawn is None:
+            if not (0 <= a < len(self.allocations) and 0 <= p < self.pool_size):
+                raise IndexError(f"no pool entry ({a}, {p})")
+            allocation = self.allocations[a]
+            whole = RobotCluster(
+                robots=allocation.used_robots,
+                instances=frozenset(allocation.assignments),
+            )
+            drawn = random_task_permutation(
+                allocation, whole, self.pairs, seed=f"{self.seed}:{a}:{p}"
+            )
+            self._drawn[(a, p)] = drawn
+        return drawn
 
 
 def prepare_search(
@@ -104,8 +128,8 @@ def prepare_search(
     ga_cfg: GaConfig,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SearchSpace:
-    """Expand the mission, enumerate allocations, cluster robots, and draw
-    the per-allocation permutation pools."""
+    """Expand the mission, enumerate allocations and cluster robots; the
+    permutation pools are drawn lazily by :meth:`SearchSpace.permutation`."""
     tree, pairs = expand_mission(v)
     leaves = tree.leaves
     instances = {inst.instance_id: inst for inst in leaves}
@@ -113,19 +137,6 @@ def prepare_search(
     allocations = enumerate_allocations(v, leaves, allocator_cfg)
 
     clusters = [cluster_robots(a, subtrees) for a in allocations]
-    permutations: list[list[PermutationSet]] = []
-    for a_idx, allocation in enumerate(allocations):
-        whole = RobotCluster(
-            robots=allocation.used_robots,
-            instances=frozenset(allocation.assignments),
-        )
-        pool = [
-            random_task_permutation(
-                allocation, whole, pairs, seed=f"{ga_cfg.seed}:{a_idx}:{p_idx}"
-            )
-            for p_idx in range(ga_cfg.permutations_per_allocation)
-        ]
-        permutations.append(pool)
 
     return SearchSpace(
         v=v,
@@ -133,7 +144,8 @@ def prepare_search(
         pairs=pairs,
         allocations=allocations,
         clusters=clusters,
-        permutations=permutations,
+        pool_size=ga_cfg.permutations_per_allocation,
+        seed=ga_cfg.seed,
         time_available=v.time_available,
         state_cap=state_cap,
     )
@@ -157,7 +169,7 @@ def evaluate(
         return hit
 
     allocation = space.allocations[ch.alloc_idx]
-    permutation = space.permutations[ch.alloc_idx][ch.perm_idx]
+    permutation = space.permutation(ch.alloc_idx, ch.perm_idx)
     result = EvalResult(feasible=True)
     p_success = 1.0
     idle = 0
@@ -292,7 +304,7 @@ def _initial_population(space: SearchSpace, cfg: GaConfig, rng) -> list[Chromoso
     return [
         Chromosome(
             rng.randrange(len(space.allocations)),
-            rng.randrange(len(space.permutations[0])),
+            rng.randrange(space.pool_size),
         )
         for _ in range(cfg.population_size)
     ]
@@ -370,7 +382,7 @@ def _mutate(ch: Chromosome, space: SearchSpace, rng) -> Chromosome:
         return ch
     if rng.random() < 0.5:
         return Chromosome(rng.randrange(len(space.allocations)), ch.perm_idx)
-    return Chromosome(ch.alloc_idx, rng.randrange(len(space.permutations[0])))
+    return Chromosome(ch.alloc_idx, rng.randrange(space.pool_size))
 
 
 def _environmental_selection(combined, results, cfg) -> list[Chromosome]:

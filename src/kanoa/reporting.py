@@ -196,7 +196,7 @@ def _dump_front_models(space, front: ParetoFront, out: Path):
         a = entry.chromosome.alloc_idx
         p = entry.chromosome.perm_idx
         allocation = space.allocations[a]
-        permutation = space.permutations[a][p]
+        permutation = space.permutation(a, p)
         for ci, cluster in enumerate(space.clusters[a]):
             restricted = PermutationSet(
                 {r: permutation.per_robot[r] for r in sorted(cluster.robots)}

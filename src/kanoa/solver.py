@@ -138,6 +138,16 @@ def min_expected_reward_policy(
                 val = reward_of(c) + sum(p * cost[t] for p, t in branches)
             if best is None or val < best - 1e-12:
                 best, best_i = val, i
+        if best_i is None:
+            # surely reaching only through successors that are not: no
+            # cost is defined here, so predecessors must avoid this state
+            sure[s] = False
+            continue
         cost[s] = best
         policy[s] = best_i
+    if not sure[mdp.initial]:
+        raise UndefinedReward(
+            f"no policy reaches label '{label}' surely "
+            f"(max probability {vmax[mdp.initial]})"
+        )
     return cost[mdp.initial], policy

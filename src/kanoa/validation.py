@@ -5,6 +5,11 @@ from __future__ import annotations
 from .errors import ValidationError
 from .problem import ProblemSpec, ValidatedProblem, euclidean_ceil
 
+# Deepest allowed chain of compound tasks under one mission task (a compound
+# of atomic tasks is 1 deep).  Expansion recurses once per level, so this
+# keeps it far from the interpreter's recursion limit; see docs/grammar.md.
+MAX_NESTING = 100
+
 
 def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     """Check every problem invariant and derive the complete distance table.
@@ -56,7 +61,8 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
                 errors.append(
                     f"compound task '{t.id}' references unknown subtask '{sub}'"
                 )
-    for cyc in _find_cycles(compound_by_id):
+    cycles = _find_cycles(compound_by_id)
+    for cyc in cycles:
         errors.append(f"cyclic task definition involving '{cyc}'")
 
     # robots
@@ -96,6 +102,18 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
             errors.append(f"mission references unknown location '{m.location_id}'")
     if not spec.mission_tasks:
         errors.append("mission has no tasks")
+    if not cycles:
+        depth = _nesting_depths(compound_by_id)
+        too_deep = {
+            m.task_id: depth[m.task_id]
+            for m in spec.mission_tasks
+            if depth.get(m.task_id, 0) > MAX_NESTING
+        }
+        for task_id, d in too_deep.items():
+            errors.append(
+                f"mission task '{task_id}' nests compound tasks {d} deep; "
+                f"the limit is {MAX_NESTING}"
+            )
 
     # constraints
     time_constraints = [c for c in spec.constraints if c.kind == "timeAvailable"]
@@ -145,28 +163,59 @@ def _duplicates(items):
 
 
 def _find_cycles(compound_by_id):
-    """Ids of compound tasks that participate in a reference cycle, sorted."""
+    """Ids of compound tasks on a reference cycle that a depth-first search
+    meets as a back edge, sorted.
+
+    The search keeps its own stack of subtask iterators, so no chain of
+    compounds, however deep, can exhaust the recursion limit.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {cid: WHITE for cid in compound_by_id}
     cyclic = set()
 
-    def visit(cid, stack):
-        color[cid] = GRAY
-        stack.append(cid)
-        for sub in compound_by_id[cid].subtasks:
-            if sub not in compound_by_id:
-                continue
-            if color[sub] == GRAY:
-                cyclic.update(stack[stack.index(sub):])
-            elif color[sub] == WHITE:
-                visit(sub, stack)
-        stack.pop()
-        color[cid] = BLACK
-
-    for cid in compound_by_id:
-        if color[cid] == WHITE:
-            visit(cid, [])
+    for root in compound_by_id:
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(compound_by_id[root].subtasks)]
+        while pending:
+            for sub in pending[-1]:
+                if sub not in compound_by_id:
+                    continue
+                if color[sub] == GRAY:
+                    cyclic.update(path[path.index(sub):])
+                elif color[sub] == WHITE:
+                    color[sub] = GRAY
+                    path.append(sub)
+                    pending.append(iter(compound_by_id[sub].subtasks))
+                    break
+            else:  # every subtask done: leave this compound
+                pending.pop()
+                color[path.pop()] = BLACK
     return sorted(cyclic)
+
+
+def _nesting_depths(compound_by_id):
+    """Compound levels from each compound task down to its deepest atomic
+    leaf, for an acyclic set of definitions, computed without recursion.
+    Unknown subtask ids count as leaves."""
+    depth: dict[str, int] = {}
+    for root in compound_by_id:
+        stack = [root]
+        while stack:
+            cid = stack[-1]
+            if cid in depth:
+                stack.pop()
+                continue
+            subs = compound_by_id[cid].subtasks
+            todo = [s for s in subs if s in compound_by_id and s not in depth]
+            if todo:
+                stack.extend(todo)
+                continue
+            depth[cid] = 1 + max((depth.get(s, 0) for s in subs), default=0)
+            stack.pop()
+    return depth
 
 
 def _reachable_atomics(spec, atomic_ids, compound_by_id):

@@ -206,6 +206,26 @@ def random_problem_text(rng: random.Random, idle_caps: bool = False):
     return "\n".join(lines)
 
 
+def compound_chain_text(depth: int, reverse: bool = False) -> str:
+    """A mission of one task nested ``depth`` compounds deep:
+    ``c0 = ordered { x, x }`` and ``c{i} = ordered { c{i-1}, x }``, defined
+    from c0 up, or from the top down with ``reverse``."""
+    defs = ["  compound c0 = ordered { x, x }"] + [
+        f"  compound c{i} = ordered {{ c{i - 1}, x }}" for i in range(1, depth)
+    ]
+    if reverse:
+        defs.reverse()
+    return "\n".join([
+        "world { loc a (0,0) }",
+        "tasks {",
+        "  atomic x robots 1",
+        *defs,
+        "}",
+        "robots { robot r at a velocity 1 { can x time 1 prob 1 } }",
+        f"mission {{ task c{depth - 1} at a; time {4 * depth} }}",
+    ]) + "\n"
+
+
 def random_clusters(rng: random.Random, idle_caps: bool = False, draws: int = 1):
     """Up to ``draws`` (v, allocation, cluster, permutation, pairs,
     instances) tuples from one random mission, each with its own allocation,

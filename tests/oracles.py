@@ -15,7 +15,8 @@ here compute the same results the slow, obvious way:
   members instead of every pair of distinct objective vectors;
 * the solver's reach and minimum-reward queries, by the two-pass method:
   each query sorts the model and sweeps its reach values again, and every
-  choice goes through generator sums and a reward looked up by name.
+  choice goes through generator sums and a reward looked up by name;
+* the cyclic compound definitions, by a recursive depth-first search.
 """
 
 from __future__ import annotations
@@ -331,6 +332,45 @@ def reference_min_expected_reward_policy(
             )
             if best is None or val < best - 1e-12:
                 best, best_i = val, i
+        if best_i is None:
+            # surely reaching only through successors that are not: no
+            # cost is defined here, so predecessors must avoid this state
+            sure[s] = False
+            continue
         cost[s] = best
         policy[s] = best_i
+    if not sure[mdp.initial]:
+        raise UndefinedReward(
+            f"no policy reaches label '{label}' surely "
+            f"(max probability {vmax[mdp.initial]})"
+        )
     return cost[mdp.initial], policy
+
+
+# -- cyclic compound definitions -------------------------------------------------
+
+
+def reference_find_cycles(compound_by_id) -> list[str]:
+    """Ids of compound tasks on a reference cycle that a recursive
+    depth-first search meets as a back edge, sorted."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {cid: WHITE for cid in compound_by_id}
+    cyclic = set()
+
+    def visit(cid, stack):
+        color[cid] = GRAY
+        stack.append(cid)
+        for sub in compound_by_id[cid].subtasks:
+            if sub not in compound_by_id:
+                continue
+            if color[sub] == GRAY:
+                cyclic.update(stack[stack.index(sub):])
+            elif color[sub] == WHITE:
+                visit(sub, stack)
+        stack.pop()
+        color[cid] = BLACK
+
+    for cid in compound_by_id:
+        if color[cid] == WHITE:
+            visit(cid, [])
+    return sorted(cyclic)

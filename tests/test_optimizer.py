@@ -1,10 +1,12 @@
 import random
 
 import pytest
-from helpers import load
+from helpers import load, random_problem_text
 from oracles import pairwise_nondominated_sort
 
+import kanoa.optimizer
 from kanoa.allocation import AllocatorConfig
+from kanoa.clustering import RobotCluster
 from kanoa.errors import NoFeasibleSolution
 from kanoa.optimizer import (
     Chromosome,
@@ -19,6 +21,8 @@ from kanoa.optimizer import (
     nsga2_run,
     prepare_search,
 )
+from kanoa.permutations import random_task_permutation
+from kanoa.reporting import PipelineConfig, run
 
 SMALL = """
 world { loc a (0,0) loc b (4,0) loc c (0,3) }
@@ -144,6 +148,81 @@ def test_no_feasible_solution_error():
         nsga2_run(space, cfg)
     assert info.value.evaluated > 0
     assert info.value.infeasible == info.value.evaluated
+
+
+# -- permutation pools drawn on first use ---------------------------------------
+
+
+def _pool_missions(fixtures_dir):
+    solo = random_problem_text(random.Random(0))
+    assert "robots 2" not in solo  # single-robot tasks only
+    return {
+        "hospital": (fixtures_dir / "hospital.kanoa").read_text(encoding="utf-8"),
+        "constraints": (fixtures_dir / "constraints.kanoa").read_text(encoding="utf-8"),
+        "solo_random": solo,
+    }
+
+
+@pytest.mark.parametrize("name", ["hospital", "constraints", "solo_random"])
+@pytest.mark.parametrize("order", ["index", "shuffled"])
+def test_lazy_pool_entries_equal_eager_draws(fixtures_dir, name, order):
+    v = load(_pool_missions(fixtures_dir)[name])
+    seed = 3
+    cfg = GaConfig(permutations_per_allocation=6, seed=seed)
+    space = prepare_search(v, AllocatorConfig(max_allocations=8), cfg)
+    keys = [(ch.alloc_idx, ch.perm_idx) for ch in space.chromosomes()]
+    assert len(keys) == len(space.allocations) * 6 > 6
+    if order == "shuffled":
+        random.Random(name).shuffle(keys)
+    for a, p in keys:
+        allocation = space.allocations[a]
+        whole = RobotCluster(allocation.used_robots, frozenset(allocation.assignments))
+        eager = random_task_permutation(allocation, whole, space.pairs, seed=f"{seed}:{a}:{p}")
+        assert space.permutation(a, p) == eager, (a, p)
+
+
+def test_lazy_pool_entry_drawn_once(monkeypatch):
+    space, _ = space_for(SMALL, allocations=2, perms=3)
+    draws = []
+    original = kanoa.optimizer.random_task_permutation
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs["seed"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kanoa.optimizer, "random_task_permutation", counting)
+    first = space.permutation(1, 2)
+    assert space.permutation(1, 2) is first
+    assert draws == ["0:1:2"]
+
+
+@pytest.mark.parametrize("a, p", [(4, 0), (0, 3), (-1, 0), (0, -1)])
+def test_lazy_pool_index_out_of_range_raises(a, p):
+    space, _ = space_for(SMALL, allocations=4, perms=3)
+    assert len(space.allocations) == 4
+    with pytest.raises(IndexError):
+        space.permutation(a, p)
+
+
+def test_hospital_run_draws_each_evaluated_entry_once(hospital_path, tmp_path, monkeypatch):
+    draws = []
+    evaluated = set()
+    draw, evaluate_ = kanoa.optimizer.random_task_permutation, kanoa.optimizer.evaluate
+
+    def counting_draw(*args, **kwargs):
+        draws.append(kwargs["seed"])
+        return draw(*args, **kwargs)
+
+    def recording_evaluate(space, ch, cache):
+        evaluated.add((ch.alloc_idx, ch.perm_idx))
+        return evaluate_(space, ch, cache)
+
+    monkeypatch.setattr(kanoa.optimizer, "random_task_permutation", counting_draw)
+    monkeypatch.setattr(kanoa.optimizer, "evaluate", recording_evaluate)
+    run(hospital_path, PipelineConfig(seed=0), tmp_path)
+    # the default pools hold 30 x 20 = 600 entries; the search uses 119
+    assert len(draws) == len(set(draws)) == len(evaluated) == 119
+    assert set(draws) == {f"0:{a}:{p}" for a, p in evaluated}
 
 
 def test_ga_config_validation():

@@ -8,6 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from helpers import compound_chain_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -368,6 +369,34 @@ def test_cli_rejected_input_leaves_no_out_dir(tmp_path, capsys, content):
     assert code == 1
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("depth, reverse", [(600, False), (1200, True)],
+                         ids=["600_upward", "1200_downward"])
+def test_cli_deep_nesting_exit_one(tmp_path, capsys, depth, reverse):
+    # the upward chain used to overflow the recursion of mission expansion,
+    # the downward one that of the cycle check
+    mission = tmp_path / "deep.kanoa"
+    mission.write_text(compound_chain_text(depth, reverse))
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(mission), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"{mission}: mission task 'c{depth - 1}' nests compound tasks {depth} "
+        "deep; the limit is 100\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_nesting_at_limit_plans(tmp_path, capsys):
+    mission = tmp_path / "deep.kanoa"
+    mission.write_text(compound_chain_text(100, reverse=True))
+    code = cli_main(["plan", "--input", str(mission), "--out", str(tmp_path / "out"),
+                     "--allocations", "1", "--permutations", "1", "--pop", "4",
+                     "--gens", "1"])
+    assert code == 0, capsys.readouterr().err
+    timeline = json.loads((tmp_path / "out" / "plan_0.json").read_text())["timelines"]["r"]
+    assert [ev["instance"] for ev in timeline] == [f"x_{i}" for i in range(101)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

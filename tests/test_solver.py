@@ -194,6 +194,45 @@ def test_min_reward_avoids_lossy_action():
     assert min_expected_reward(mdp, "idle", "done") == 7
 
 
+def _nearly_sure_model(front=False, detour=False):
+    """State 0 reaches the target 1 directly or through state 2, half each;
+    state 2 reaches it with 1 - 1.5e-9, else dead end 3.  So state 0
+    counts as surely reaching (1 - 0.75e-9) but has no action whose
+    successors all do.  ``front`` puts state 4 before state 0, and
+    ``detour`` gives state 4 a costlier sure action straight to the target."""
+    choices = [
+        [Choice("split", ((0.5, 1), (0.5, 2)), idle_reward=1)],
+        [],
+        [Choice("leak", ((1.0 - 1.5e-9, 1), (1.5e-9, 3)), idle_reward=1)],
+        [],
+    ]
+    if front:
+        choices.append([Choice("enter", ((1.0, 0),), idle_reward=1)])
+        if detour:
+            choices[4].append(Choice("detour", ((1.0, 1),), idle_reward=9))
+    return Mdp(states=list(range(len(choices))), choices=choices,
+               labels={"done": {1}}, initial=4 if front else 0)
+
+
+@pytest.mark.parametrize("front", [False, True], ids=["four_states", "five_states"])
+@pytest.mark.parametrize("query", [min_expected_reward_policy,
+                                   reference_min_expected_reward_policy],
+                         ids=["solver", "reference"])
+def test_min_reward_undefined_when_sure_only_in_the_limit(front, query):
+    mdp = _nearly_sure_model(front)
+    assert max_reach_probability(mdp, "done") >= 1.0 - 1e-9
+    with pytest.raises(UndefinedReward, match="no policy reaches label 'done' surely"):
+        query(mdp, "idle", "done")
+
+
+@pytest.mark.parametrize("query", [min_expected_reward_policy,
+                                   reference_min_expected_reward_policy],
+                         ids=["solver", "reference"])
+def test_min_reward_avoids_state_sure_only_in_the_limit(query):
+    value, policy = query(_nearly_sure_model(front=True, detour=True), "idle", "done")
+    assert (value, policy) == (9, [None, None, None, None, 1])
+
+
 # -- one order and one reach sweep per model, held to the two-pass solver -------
 
 

@@ -1,8 +1,14 @@
-import pytest
+import random
 
+import pytest
+from helpers import compound_chain_text
+from oracles import reference_find_cycles
+
+import kanoa.validation
 from kanoa.errors import ValidationError
 from kanoa.parser import parse_problem
-from kanoa.validation import validate_problem
+from kanoa.problem import CompoundTaskDef
+from kanoa.validation import MAX_NESTING, _find_cycles, validate_problem
 
 BASE = """
 world {{ loc a (0, 0) loc b (3, 4) {world} }}
@@ -40,6 +46,52 @@ def test_mutual_cycle():
     spec = make(tasks="compound c1 = { c2 } compound c2 = { c1 }")
     msgs = errors_of(spec)
     assert any("cyclic" in e and "c1" in e for e in msgs)
+
+
+def test_find_cycles_matches_recursive_reference():
+    rng = random.Random("find-cycles")
+    found = 0
+    for _ in range(1000):
+        ids = [f"c{i}" for i in range(rng.randint(1, 8))]
+        pool = ids + ["t", "unknown"]
+        compound_by_id = {}
+        for cid in ids:
+            subtasks = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+            compound_by_id[cid] = CompoundTaskDef(cid, subtasks, False)
+        expected = reference_find_cycles(compound_by_id)
+        assert _find_cycles(compound_by_id) == expected
+        found += bool(expected)
+    assert 100 < found < 900
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["upward", "downward"])
+def test_nesting_up_to_limit_accepted(reverse):
+    v = validate_problem(parse_problem(compound_chain_text(MAX_NESTING, reverse)))
+    assert v.problem.mission_tasks[0].task_id == f"c{MAX_NESTING - 1}"
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["upward", "downward"])
+def test_nesting_beyond_limit_rejected(reverse):
+    spec = parse_problem(compound_chain_text(MAX_NESTING + 1, reverse))
+    assert errors_of(spec) == [
+        f"mission task 'c{MAX_NESTING}' nests compound tasks {MAX_NESTING + 1} "
+        f"deep; the limit is {MAX_NESTING}"
+    ]
+
+
+def test_nesting_depth_follows_deepest_branch(monkeypatch):
+    # c3 reaches an atomic task through c2 and c1 on its longest branch;
+    # a mission task named twice is reported once
+    monkeypatch.setattr(kanoa.validation, "MAX_NESTING", 2)
+    spec = make(
+        tasks="compound c1 = { t } compound c2 = ordered { c1, t } "
+              "compound c3 = { t, c2, c1 }",
+        mission_task="c3",
+        constraints="task c3 at b; task c2 at b; task c1 at a; time 10",
+    )
+    assert errors_of(spec) == [
+        "mission task 'c3' nests compound tasks 3 deep; the limit is 2"
+    ]
 
 
 def test_probability_out_of_range():
