@@ -18,6 +18,7 @@ from .errors import (
     DslSyntaxError,
     InfeasibleAllocation,
     NoFeasibleSolution,
+    StateExplosion,
     ValidationError,
 )
 from .reporting import PipelineConfig, run
@@ -132,6 +133,9 @@ def main(argv=None) -> int:
         return 1
     except UnicodeDecodeError as exc:
         print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
+    except StateExplosion as exc:  # only --dump-mdp lets one escape
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InfeasibleAllocation, NoFeasibleSolution) as exc:
         print(f"no feasible plan: {exc}", file=sys.stderr)

@@ -31,6 +31,22 @@ Rewards: ``travel`` carries the hop distance of task/travel actions,
 states where every robot finished; ``success`` additionally requires that
 no failure ever occurred.
 
+With ``failures=False``, :func:`build_mdp` builds the failure-lumped
+quotient of this model: every task and synchronized action keeps only its
+success outcome, with probability 1, so no failure flag or bit is ever set
+and no recovery action exists.  A failed task takes as long as a
+successful one and recovery takes no time, so a failure outcome and the
+success outcome lead to states with the same robot clocks, the same
+``done`` states ahead and the same idle rewards: the two are
+probabilistically bisimilar for the ``done`` reachability query and the
+minimum-idle query (Larsen & Skou 1991; Baier & Katoen, *Principles of
+Model Checking*, ch. 10).  The lumped states are exactly the full model's
+states with no failure flag and no failure bit, with the same choices in
+the same order, so both models give the same reach and idle values and
+the same minimum-idle policy.  The lumped model carries only the ``done``
+label: its success probability would be 1, so it has no ``success``
+query.
+
 :func:`earliest_start_feasible` answers the ``done`` reachability query in
 closed form, without building the model.
 """
@@ -46,10 +62,13 @@ from .permutations import PermutationSet
 from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
 
-# A model costs about 2.3 KB per state while it is built and solved
-# (tracemalloc peak on the largest model of the bundled hospital mission:
-# five robots, 7,448 states).  At this cap a model needs about 1.9 GB, so
-# the cap trips with a StateExplosion before an ordinary machine runs out
+# The cap bounds the failure-lumped model that the search solves and the
+# full model that --dump-mdp writes.  Built and solved, the largest model of
+# either kind over the bundled hospital mission at the default config, GA
+# seeds 0-3, costs (tracemalloc peak) about 1.2 KB per state lumped (942
+# states, five robots) and 1.7 KB per state full (8,570 states, the same
+# cluster).  At this cap a model needs about 1.0 GB lumped or 1.4 GB full,
+# so the cap trips with a StateExplosion before an ordinary machine runs out
 # of memory.  State tuples grow with the robot count, so larger clusters
 # cost more per state.
 DEFAULT_STATE_CAP = 800_000
@@ -298,7 +317,11 @@ def _sync_status(ctx, state, instance):
     return ready, common, target
 
 
-def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
+def _enumerate_choices(
+    ctx: ClusterContext, state: tuple, failures: bool
+) -> list[Choice]:
+    """Every action of ``state``; without ``failures``, each stochastic
+    action keeps only its success outcome, with probability 1."""
     choices: list[Choice] = []
     tt = ctx.tt
     # joint instance -> _sync_status, made on the first arrived participant
@@ -355,7 +378,7 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
                 if step.tracked_idx >= 0:
                     ok = _with_done_time(ctx, ok, step.tracked_idx, done_t)
                 q = step.success_prob
-                if q >= 1.0:
+                if q >= 1.0 or not failures:
                     branches = ((1.0, ok),)
                 else:
                     bad = _with_flag(
@@ -402,19 +425,19 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple) -> list[Choice]:
             continue
         done_t = common + step0.duration
         ok = state
-        bad = state
         prob = 1.0
         for ri, k in members:
-            idle_r = state[_SLOTS * ri + 2]
-            ok = _with_robot(ok, ri, k + 1, 0, idle_r, 0)
-            bad = _with_robot(bad, ri, k, 1, idle_r, 1)
+            ok = _with_robot(ok, ri, k + 1, 0, state[_SLOTS * ri + 2], 0)
             prob *= ctx.steps[ri][k].success_prob
-        bad = _with_flag(bad, ctx.fail_slot, 1)
         if step0.tracked_idx >= 0:
             ok = _with_done_time(ctx, ok, step0.tracked_idx, done_t)
-        if prob >= 1.0:
+        if prob >= 1.0 or not failures:
             branches = ((1.0, ok),)
         else:
+            bad = state
+            for ri, k in members:
+                bad = _with_robot(bad, ri, k, 1, state[_SLOTS * ri + 2], 1)
+            bad = _with_flag(bad, ctx.fail_slot, 1)
             branches = ((prob, ok), (1.0 - prob, bad))
         choices.append(
             Choice(
@@ -498,12 +521,17 @@ def build_mdp(
     time_available: int | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
     ctx: ClusterContext | None = None,
+    *,
+    failures: bool = True,
 ) -> Mdp:
     """Forward-reachable model for one (allocation, cluster, permutation).
 
     ``ctx``, when given, is the :class:`ClusterContext` of these same
-    arguments, already built.  Raises :class:`StateExplosion` when more
-    than ``state_cap`` states are discovered.
+    arguments, already built.  With ``failures`` (the default) this is the
+    full model, with failure outcomes, recovery and the ``success`` label;
+    without, it is the failure-lumped model described in the module
+    docstring, labeled ``done`` only.  Raises :class:`StateExplosion` when
+    more than ``state_cap`` states are discovered.
     """
     if ctx is None:
         tt = v.time_available if time_available is None else time_available
@@ -515,7 +543,7 @@ def build_mdp(
     raw_choices: list[list[Choice]] = []
 
     for state in states:  # breadth-first: the loop reads what it appends
-        choices = _enumerate_choices(ctx, state)
+        choices = _enumerate_choices(ctx, state, failures)
         for choice in choices:
             branches = []
             for prob, succ in choice.branches:
@@ -536,11 +564,13 @@ def build_mdp(
         raw_choices.append(choices)
 
     done_ids = [i for i, s in enumerate(states) if ctx.is_done(s)]
-    success_ids = [i for i in done_ids if not ctx.ever_failed(states[i])]
+    labels = {"done": done_ids}
+    if failures:
+        labels["success"] = [i for i in done_ids if not ctx.ever_failed(states[i])]
     return Mdp(
         states=states,
         choices=raw_choices,
-        labels={"done": done_ids, "success": success_ids},
+        labels=labels,
         initial=0,
         context=ctx,
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocation import AllocatorConfig
-from .errors import InvariantViolation
+from .errors import InvariantViolation, StateExplosion
 from .gantt import emit_gantt, format_gantt_text
 from .mdp import DEFAULT_STATE_CAP, build_mdp
 from .mdp_export import write_mdp_text
@@ -86,9 +86,10 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     """Plan a mission file and write artifacts into ``out_dir``.
 
     Writes pareto.csv / pareto.json, one plan_<k>.json and plan_<k>.svg per
-    front entry, instances.json, and report.txt.  Raises the underlying
-    error on bad input or an empty feasible set; the CLI maps those to
-    exit codes.  ``out_dir`` is created only once the mission validates.
+    front entry, instances.json, and report.txt, then the ``--dump-mdp``
+    models.  Raises the underlying error on bad input, an empty feasible
+    set or a dumped model over the state cap; the CLI maps those to exit
+    codes.  ``out_dir`` is created only once the mission validates.
     """
     timings: dict[str, float] = {}
 
@@ -167,9 +168,6 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
             emit_gantt(entry.plan, title=f"plan_{k}"), encoding="utf-8"
         )
 
-    if cfg.dump_mdp:
-        _dump_front_models(space, front, out)
-
     cluster_summary = [
         f"allocation {i}: "
         + ", ".join(
@@ -188,10 +186,18 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     (out / "pareto.csv").write_text(render_csv(report), encoding="utf-8")
     (out / "pareto.json").write_text(render_json(report), encoding="utf-8")
     (out / "report.txt").write_text(render_text(report, front), encoding="utf-8")
+    if cfg.dump_mdp:
+        _dump_front_models(space, front, out)
     return report
 
 
 def _dump_front_models(space, front: ParetoFront, out: Path):
+    """Write the paper's full model of every cluster of every front entry.
+
+    The search solves failure-lumped models, which are smaller, so a full
+    model can exceed a state cap that the search stayed under: that raises
+    :class:`StateExplosion` naming the file, the cluster and the cap.
+    """
     for entry in front.entries:
         a = entry.chromosome.alloc_idx
         p = entry.chromosome.perm_idx
@@ -201,17 +207,27 @@ def _dump_front_models(space, front: ParetoFront, out: Path):
             restricted = PermutationSet(
                 {r: permutation.per_robot[r] for r in sorted(cluster.robots)}
             )
-            mdp = build_mdp(
-                space.v,
-                allocation,
-                cluster,
-                restricted,
-                space.pairs,
-                space.instances,
-                time_available=space.time_available,
-                state_cap=space.state_cap,
-            )
-            (out / f"mdp_{a}_{p}_{ci}.txt").write_text(
+            name = f"mdp_{a}_{p}_{ci}.txt"
+            try:
+                mdp = build_mdp(
+                    space.v,
+                    allocation,
+                    cluster,
+                    restricted,
+                    space.pairs,
+                    space.instances,
+                    time_available=space.time_available,
+                    state_cap=space.state_cap,
+                )
+            except StateExplosion as exc:
+                raise StateExplosion(
+                    f"cannot write {name}: the full model of cluster "
+                    f"{{{','.join(sorted(cluster.robots))}}} exceeds the state "
+                    f"cap of {space.state_cap}",
+                    exc.cluster_size,
+                    exc.state_count,
+                ) from exc
+            (out / name).write_text(
                 write_mdp_text(mdp), encoding="utf-8"
             )
 

@@ -59,14 +59,19 @@ def schedule_cluster(
     time_available: int | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SchedulingResult:
-    """Build and solve one cluster's model.
+    """Build and solve one cluster's failure-lumped model.
 
-    Feasible when the done label is reachable (probability exactly 1 on
-    these models); the attached plan realizes the minimum-idle policy.
-    Travel is permutation-determined and equals the model's travel reward
-    along any completing policy.  Infeasible clusters are rejected in
-    closed form by :func:`earliest_start_feasible` before any model is
-    built; :class:`InvariantViolation` is raised when the model disagrees.
+    The model is :func:`build_mdp` with ``failures=False``: the exact
+    quotient of the paper's model that keeps only success outcomes (see
+    :mod:`kanoa.mdp`), with the same reach and minimum-idle values and the
+    same minimum-idle policy.  Feasible when the done label is reachable
+    (probability exactly 1 on these models); the attached plan realizes the
+    minimum-idle policy.  The success probability is the closed-form
+    :func:`success_probability`, and travel is permutation-determined and
+    equals the model's travel reward along any completing policy.
+    Infeasible clusters are rejected in closed form by
+    :func:`earliest_start_feasible` before any model is built;
+    :class:`InvariantViolation` is raised when the model disagrees.
     """
     tt = v.time_available if time_available is None else time_available
     ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances, tt)
@@ -75,7 +80,7 @@ def schedule_cluster(
 
     mdp = build_mdp(
         v, allocation, cluster, permutation, pairs, instances,
-        time_available=tt, state_cap=state_cap, ctx=ctx,
+        time_available=tt, state_cap=state_cap, ctx=ctx, failures=False,
     )
     reach = max_reach_probability(mdp, "done")
     if reach < 1.0:

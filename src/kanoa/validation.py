@@ -10,6 +10,15 @@ from .problem import ProblemSpec, ValidatedProblem, euclidean_ceil
 # keeps it far from the interpreter's recursion limit; see docs/grammar.md.
 MAX_NESTING = 100
 
+# Most task instances a mission may expand to.  Drawing a robot's task order
+# records, for each of its instances, every instance that must precede it,
+# so memory grows with the square of the count.  A fully ordered chain of one
+# robot's task, planned with one allocation, one permutation, population 4
+# and one generation, peaked at 43 MB resident with 1,024 instances and at
+# 156 MB with 2,048; one of 16,384 ran out of a 2 GB address-space limit.
+# See docs/grammar.md.
+MAX_INSTANCES = 2000
+
 
 def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     """Check every problem invariant and derive the complete distance table.
@@ -103,16 +112,22 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     if not spec.mission_tasks:
         errors.append("mission has no tasks")
     if not cycles:
-        depth = _nesting_depths(compound_by_id)
+        shape = _compound_shapes(compound_by_id)
         too_deep = {
-            m.task_id: depth[m.task_id]
+            m.task_id: shape[m.task_id][0]
             for m in spec.mission_tasks
-            if depth.get(m.task_id, 0) > MAX_NESTING
+            if shape.get(m.task_id, (0, 1))[0] > MAX_NESTING
         }
         for task_id, d in too_deep.items():
             errors.append(
                 f"mission task '{task_id}' nests compound tasks {d} deep; "
                 f"the limit is {MAX_NESTING}"
+            )
+        total = sum(shape.get(m.task_id, (0, 1))[1] for m in spec.mission_tasks)
+        if not too_deep and total > MAX_INSTANCES:
+            errors.append(
+                f"mission expands to {total} task instances; "
+                f"the limit is {MAX_INSTANCES}"
             )
 
     # constraints
@@ -163,59 +178,83 @@ def _duplicates(items):
 
 
 def _find_cycles(compound_by_id):
-    """Ids of compound tasks on a reference cycle that a depth-first search
-    meets as a back edge, sorted.
+    """Ids of the compound tasks that reach themselves through their
+    subtasks, sorted.
 
-    The search keeps its own stack of subtask iterators, so no chain of
-    compounds, however deep, can exhaust the recursion limit.
+    These are the members of every strongly connected component with more
+    than one compound, or with a compound listing itself (Tarjan's
+    algorithm).  The search keeps its own stack of subtask iterators, so no
+    chain of compounds, however deep, can exhaust the recursion limit.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in compound_by_id}
-    cyclic = set()
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: list[str] = []  # visited compounds not yet in a component
+    open_ids: set[str] = set()
+    cyclic: list[str] = []
 
     for root in compound_by_id:
-        if color[root] != WHITE:
+        if root in index:
             continue
-        color[root] = GRAY
-        path = [root]
-        pending = [iter(compound_by_id[root].subtasks)]
-        while pending:
-            for sub in pending[-1]:
+        index[root] = low[root] = len(index)
+        component.append(root)
+        open_ids.add(root)
+        path = [(root, iter(compound_by_id[root].subtasks))]
+        while path:
+            cid, pending = path[-1]
+            for sub in pending:
                 if sub not in compound_by_id:
                     continue
-                if color[sub] == GRAY:
-                    cyclic.update(path[path.index(sub):])
-                elif color[sub] == WHITE:
-                    color[sub] = GRAY
-                    path.append(sub)
-                    pending.append(iter(compound_by_id[sub].subtasks))
+                if sub not in index:
+                    index[sub] = low[sub] = len(index)
+                    component.append(sub)
+                    open_ids.add(sub)
+                    path.append((sub, iter(compound_by_id[sub].subtasks)))
                     break
+                if sub in open_ids:
+                    low[cid] = min(low[cid], index[sub])
             else:  # every subtask done: leave this compound
-                pending.pop()
-                color[path.pop()] = BLACK
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[cid])
+                if low[cid] == index[cid]:  # cid roots a component
+                    members = [component.pop()]
+                    while members[-1] != cid:
+                        members.append(component.pop())
+                    open_ids.difference_update(members)
+                    if len(members) > 1 or cid in compound_by_id[cid].subtasks:
+                        cyclic.extend(members)
     return sorted(cyclic)
 
 
-def _nesting_depths(compound_by_id):
-    """Compound levels from each compound task down to its deepest atomic
-    leaf, for an acyclic set of definitions, computed without recursion.
-    Unknown subtask ids count as leaves."""
-    depth: dict[str, int] = {}
+def _compound_shapes(compound_by_id):
+    """(nesting depth, leaf instance count) of each compound task, for an
+    acyclic set of definitions, computed without recursion or expansion.
+
+    The depth counts compound levels down to the deepest atomic leaf; the
+    count is the number of atomic instances expansion makes, every listed
+    subtask expanding once.  Unknown subtask ids count as one leaf.
+    """
+    shape: dict[str, tuple[int, int]] = {}
     for root in compound_by_id:
         stack = [root]
         while stack:
             cid = stack[-1]
-            if cid in depth:
+            if cid in shape:
                 stack.pop()
                 continue
             subs = compound_by_id[cid].subtasks
-            todo = [s for s in subs if s in compound_by_id and s not in depth]
+            todo = [s for s in subs if s in compound_by_id and s not in shape]
             if todo:
                 stack.extend(todo)
                 continue
-            depth[cid] = 1 + max((depth.get(s, 0) for s in subs), default=0)
+            below = [shape.get(s, (0, 1)) for s in subs]
+            shape[cid] = (
+                1 + max((d for d, _ in below), default=0),
+                sum(n for _, n in below),
+            )
             stack.pop()
-    return depth
+    return shape
 
 
 def _reachable_atomics(spec, atomic_ids, compound_by_id):

@@ -12,7 +12,7 @@ from itertools import product
 
 from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
-from kanoa.mdp import REWARD_ATTRS, Mdp, build_mdp
+from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, Mdp, build_mdp
 from kanoa.parser import parse_problem
 from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
 from kanoa.plans import extract_plan
@@ -268,13 +268,15 @@ def random_scheduling_model(rng: random.Random, max_decision=12):
 
 
 def reference_schedule(
-    v, allocation, cluster, permutation, pairs, instances, time_available=None
+    v, allocation, cluster, permutation, pairs, instances, time_available=None,
+    state_cap=DEFAULT_STATE_CAP,
 ):
-    """``schedule_cluster`` without its closed-form rejections: always build
-    the model, then reach, minimum-idle policy and plan extraction."""
+    """``schedule_cluster`` without its closed-form rejections and on the
+    paper's full model: always build it, then reach, minimum-idle policy
+    and plan extraction."""
     mdp = build_mdp(
         v, allocation, cluster, permutation, pairs, instances,
-        time_available=time_available,
+        time_available=time_available, state_cap=state_cap,
     )
     if max_reach_probability(mdp, "done") < 1.0:
         return SchedulingResult(False, 0.0, None, None, None)
@@ -285,4 +287,24 @@ def reference_schedule(
         idle=round(idle),
         travel=travel_cost(permutation, v, instances),
         plan=extract_plan(mdp, policy),
+    )
+
+
+# -- artifacts ------------------------------------------------------------------
+
+
+def assert_golden_artifacts(golden, out):
+    """pareto.csv, pareto.json and every plan_*.json in ``out`` equal the
+    files in ``golden`` byte for byte, and no plan is missing or extra."""
+    names = front_artifacts(golden)
+    assert front_artifacts(out) == names
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def front_artifacts(directory):
+    """Sorted names of the pareto tables and plan_*.json in ``directory``."""
+    return sorted(
+        [p.name for p in directory.glob("pareto.*")]
+        + [p.name for p in directory.glob("plan_*.json")]
     )

@@ -16,7 +16,8 @@ here compute the same results the slow, obvious way:
 * the solver's reach and minimum-reward queries, by the two-pass method:
   each query sorts the model and sweeps its reach values again, and every
   choice goes through generator sums and a reward looked up by name;
-* the cyclic compound definitions, by a recursive depth-first search.
+* the cyclic compound definitions, by a reachability search from each
+  compound.
 """
 
 from __future__ import annotations
@@ -351,26 +352,18 @@ def reference_min_expected_reward_policy(
 
 
 def reference_find_cycles(compound_by_id) -> list[str]:
-    """Ids of compound tasks on a reference cycle that a recursive
-    depth-first search meets as a back edge, sorted."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in compound_by_id}
-    cyclic = set()
-
-    def visit(cid, stack):
-        color[cid] = GRAY
-        stack.append(cid)
-        for sub in compound_by_id[cid].subtasks:
-            if sub not in compound_by_id:
-                continue
-            if color[sub] == GRAY:
-                cyclic.update(stack[stack.index(sub):])
-            elif color[sub] == WHITE:
-                visit(sub, stack)
-        stack.pop()
-        color[cid] = BLACK
-
+    """Ids of the compound tasks that reach themselves, sorted: a plain
+    reachability search from each compound's subtasks."""
+    cyclic = []
     for cid in compound_by_id:
-        if color[cid] == WHITE:
-            visit(cid, [])
+        seen = set()
+        frontier = list(compound_by_id[cid].subtasks)
+        while frontier:
+            sub = frontier.pop()
+            if sub in seen or sub not in compound_by_id:
+                continue
+            seen.add(sub)
+            frontier.extend(compound_by_id[sub].subtasks)
+        if cid in seen:
+            cyclic.append(cid)
     return sorted(cyclic)

@@ -4,11 +4,12 @@
 earliest-start schedule of the cluster's fixed per-robot orders does not
 fit.  These tests hold the check to the model's verdict, and the whole
 ``SchedulingResult`` to a reference that always builds and solves the
-model, on random clusters, on hand-built edge cases and on every cluster
-solved by a default hospital run.  The plan and idle of every feasible
-cluster are also held to ``oracles.earliest_start_plan``, which simulates
-the schedule without a model.  Last, the tests guard the two preconditions
-the check rests on: outcome-independent durations and zero-time recovery.
+full model, on random clusters, on hand-built edge cases and on every
+cluster solved by a default hospital run.  The plan and idle of every
+feasible cluster are also held to ``oracles.earliest_start_plan``, which
+simulates the schedule without a model.  Last, the tests guard the two
+preconditions that the check and the failure-lumped model rest on:
+outcome-independent durations and zero-time recovery.
 """
 
 import random
@@ -17,15 +18,12 @@ import pytest
 from helpers import expanded, load, random_clusters, reference_schedule
 from oracles import earliest_start_plan, min_completion
 
-import kanoa.optimizer
 import kanoa.scheduling
-from kanoa.allocation import Allocation, AllocatorConfig
+from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation
 from kanoa.mdp import ClusterContext, build_mdp, earliest_start_feasible
-from kanoa.optimizer import nsga2_run, prepare_search
 from kanoa.permutations import PermutationSet
-from kanoa.reporting import PipelineConfig
 from kanoa.scheduling import schedule_cluster
 
 RELAY = """
@@ -175,43 +173,15 @@ def test_model_disagreeing_with_check_raises(monkeypatch):
 # -- every cluster of a default hospital run ------------------------------------
 
 
-@pytest.fixture(scope="module")
-def hospital_calls(hospital):
-    """(args, kwargs, reference result) of every ``schedule_cluster`` call
-    of a hospital run at the default config, GA seed 0.  The run is driven
-    by the reference results, so it takes the same path as a real run
-    exactly when the two agree."""
-    calls = []
-
-    def record(*args, **kwargs):
-        ref = reference_schedule(*args, time_available=kwargs["time_available"])
-        calls.append((args, kwargs, ref))
-        return ref
-
-    cfg = PipelineConfig(seed=0)
-    real = kanoa.optimizer.schedule_cluster
-    kanoa.optimizer.schedule_cluster = record
-    try:
-        space = prepare_search(
-            hospital, AllocatorConfig(max_allocations=cfg.allocations), cfg.ga(),
-            state_cap=cfg.state_cap,
-        )
-        nsga2_run(space, cfg.ga())
-    finally:
-        kanoa.optimizer.schedule_cluster = real
-    return calls
-
-
 def test_hospital_calls_match_reference(hospital_calls):
+    # a rejected call builds no model, and a feasible one solves the
+    # failure-lumped model where the reference solves the full one
     rejected = 0
     for args, kwargs, ref in hospital_calls:
         tt = kwargs["time_available"]
         assert check(args, tt) == ref.feasible
-        # a feasible call runs the reference's own build -> reach -> policy
-        # -> extract; only the rejections take a different path
-        if not ref.feasible:
-            assert schedule_cluster(*args, **kwargs) == ref
-            rejected += chains_fit(args, tt)
+        assert schedule_cluster(*args, **kwargs) == ref
+        rejected += not ref.feasible and chains_fit(args, tt)
     assert rejected > len(hospital_calls) / 2
     assert any(ref.feasible for *_, ref in hospital_calls)
 
@@ -246,9 +216,8 @@ def test_random_clusters_match_plan_oracle(idle_caps):
 
 
 def test_hospital_calls_match_plan_oracle(hospital_calls):
-    # each reference result is what schedule_cluster returns on that call:
-    # rejections are compared above, and a feasible call runs the
-    # reference's own build -> reach -> policy -> extract
+    # each reference result equals what schedule_cluster returns on that
+    # call (test_hospital_calls_match_reference)
     feasible = sum(
         matches_plan_oracle(ref, context(args, kwargs["time_available"]))
         for args, kwargs, ref in hospital_calls

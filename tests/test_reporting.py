@@ -1,14 +1,16 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from helpers import compound_chain_text
+from helpers import assert_golden_artifacts, compound_chain_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from kanoa.cli import main as cli_main
 from kanoa.gantt import emit_gantt, format_gantt_text
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
+from kanoa.validation import MAX_INSTANCES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,15 +216,32 @@ def test_cli_infeasible_exit_two(fixtures_dir, tmp_path, capsys):
 
 
 def test_cli_state_cap_exit_two_names_the_cap(fixtures_dir, tmp_path, capsys):
+    # the search's failure-lumped model of minimal.kanoa has 2 states
     code = cli_main([
         "plan", "--input", str(fixtures_dir / "minimal.kanoa"),
-        "--out", str(tmp_path), "--state-cap", "3",
+        "--out", str(tmp_path), "--state-cap", "1",
     ])
     assert code == 2
     assert capsys.readouterr().err == (
         "no feasible plan: no feasible chromosome among 20 evaluated "
-        "(20 infeasible; 20 exceeded the state cap of 3)\n"
+        "(20 infeasible; 20 exceeded the state cap of 1)\n"
     )
+
+
+def test_cli_dump_over_state_cap_exit_one(fixtures_dir, tmp_path, capsys):
+    # the search fits its 2-state models under the cap, but --dump-mdp
+    # writes the full model, which has 4
+    code = cli_main([
+        "plan", "--input", str(fixtures_dir / "minimal.kanoa"),
+        "--out", str(tmp_path), "--state-cap", "3", "--dump-mdp",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: cannot write mdp_0_0_0.txt: the full model of cluster {r1} "
+        "exceeds the state cap of 3\n"
+    )
+    assert (tmp_path / "pareto.csv").exists()
+    assert not list(tmp_path.glob("mdp_*.txt"))
 
 
 def test_cli_non_utf8_input_exit_one(tmp_path, capsys):
@@ -388,6 +408,40 @@ def test_cli_deep_nesting_exit_one(tmp_path, capsys, depth, reverse):
     assert not out.exists()
 
 
+def test_cli_instance_limit_exit_one_quickly(tmp_path):
+    # 14 levels of c{i} = ordered { c{i-1}, c{i-1} } expand to 16,384
+    # instances; the limit must reject them before anything expands.  The
+    # child gets 1 GB of address space, so a broken limit fails the test
+    # instead of exhausting the machine.
+    defs = ["compound c0 = ordered { x, x }"] + [
+        f"compound c{i} = ordered {{ c{i - 1}, c{i - 1} }}" for i in range(1, 14)
+    ]
+    mission = tmp_path / "doubling.kanoa"
+    mission.write_text(
+        "world { loc a (0,0) } tasks { atomic x robots 1 " + " ".join(defs) + " }"
+        " robots { robot r at a velocity 1 { can x time 1 prob 1 } }"
+        " mission { task c13 at a; time 40000 }"
+    )
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kanoa.cli", "plan", "--input", str(mission),
+         "--out", str(out), "--allocations", "1", "--permutations", "1",
+         "--pop", "4", "--gens", "1"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)
+        ),
+    )
+    assert time.perf_counter() - started < 10
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"{mission}: mission expands to 16384 task instances; "
+        f"the limit is {MAX_INSTANCES}\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_nesting_at_limit_plans(tmp_path, capsys):
     mission = tmp_path / "deep.kanoa"
     mission.write_text(compound_chain_text(100, reverse=True))
@@ -438,19 +492,6 @@ def test_solo_tasks_golden_artifacts(tmp_path):
     out = tmp_path / "out"
     run(mission, cfg, out)
     assert_golden_artifacts(GOLDEN / "solo_tasks_seed0", out)
-
-
-def assert_golden_artifacts(golden, out):
-    """pareto.csv, pareto.json and every plan_*.json in ``out`` equal the
-    files in ``golden`` byte for byte, and no plan is missing or extra."""
-    names = sorted(p.name for p in golden.iterdir())
-    written = sorted(
-        [p.name for p in out.glob("pareto.*")]
-        + [p.name for p in out.glob("plan_*.json")]
-    )
-    assert written == names
-    for name in names:
-        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_cli_env_override(hospital_path, tmp_path, monkeypatch):

@@ -8,7 +8,12 @@ import kanoa.validation
 from kanoa.errors import ValidationError
 from kanoa.parser import parse_problem
 from kanoa.problem import CompoundTaskDef
-from kanoa.validation import MAX_NESTING, _find_cycles, validate_problem
+from kanoa.validation import (
+    MAX_INSTANCES,
+    MAX_NESTING,
+    _find_cycles,
+    validate_problem,
+)
 
 BASE = """
 world {{ loc a (0, 0) loc b (3, 4) {world} }}
@@ -48,7 +53,18 @@ def test_mutual_cycle():
     assert any("cyclic" in e and "c1" in e for e in msgs)
 
 
-def test_find_cycles_matches_recursive_reference():
+def test_cycle_reports_every_compound_on_it():
+    # c3 lies on c1 -> c3 -> c2 -> c1, off the path a depth-first search
+    # takes to its first back edge
+    spec = make(tasks="compound c1 = { c2, c3 } compound c2 = { c1 } "
+                      "compound c3 = { c2 }",
+                mission_task="c1")
+    assert [e for e in errors_of(spec) if "cyclic" in e] == [
+        f"cyclic task definition involving '{c}'" for c in ("c1", "c2", "c3")
+    ]
+
+
+def test_find_cycles_matches_reachability_reference():
     rng = random.Random("find-cycles")
     found = 0
     for _ in range(1000):
@@ -91,6 +107,30 @@ def test_nesting_depth_follows_deepest_branch(monkeypatch):
     )
     assert errors_of(spec) == [
         "mission task 'c3' nests compound tasks 3 deep; the limit is 2"
+    ]
+
+
+def test_instance_count_follows_expansion(monkeypatch):
+    # d expands to 3 instances, e to 2 * 3 and f to 3 * 3 + 2; the mission
+    # adds two atomic tasks
+    monkeypatch.setattr(kanoa.validation, "MAX_INSTANCES", 10)
+    tasks = ("compound d = ordered { t, t, t } compound e = { d, d } "
+             "compound f = ordered { d, t, d, t, d }")
+    mission = "task t at b; task t at b; time 10"
+    validate_problem(make(tasks=tasks, mission_task="e", constraints=mission))
+    assert errors_of(make(tasks=tasks, mission_task="f", constraints=mission)) == [
+        "mission expands to 13 task instances; the limit is 10"
+    ]
+
+
+def test_instance_limit_rejects_doubling_chain():
+    # c13 expands to 2 ** 14 instances in only 14 levels
+    defs = ["compound c0 = ordered { t, t }"] + [
+        f"compound c{i} = ordered {{ c{i - 1}, c{i - 1} }}" for i in range(1, 14)
+    ]
+    spec = make(tasks=" ".join(defs), mission_task="c13")
+    assert errors_of(spec) == [
+        f"mission expands to 16384 task instances; the limit is {MAX_INSTANCES}"
     ]
 
 
