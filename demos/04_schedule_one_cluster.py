@@ -20,7 +20,7 @@ from kanoa import (
 )
 from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
-from kanoa.mdp import build_mdp
+from kanoa.mdp import ClusterContext, build_mdp
 from kanoa.permutations import PermutationSet
 from kanoa.scheduling import schedule_cluster
 
@@ -49,7 +49,8 @@ permutation = PermutationSet({
     "r2": ("at1_move_0", "at1_move_1"),
 })
 
-mdp = build_mdp(v, allocation, movers, permutation, pairs, instances)
+ctx = ClusterContext(v, allocation, movers, permutation, pairs, instances)
+mdp = build_mdp(ctx)
 print(f"model: {mdp.n_states} states, "
       f"{sum(len(c) for c in mdp.choices)} action choices")
 print(f"feasible (max reachability of done): "
@@ -57,8 +58,7 @@ print(f"feasible (max reachability of done): "
 print(f"minimum expected idle: {min_expected_reward(mdp, 'idle', 'done')}")
 print(f"maximum success probability: "
       f"{max_reach_probability(mdp, 'success'):.4f}")
-lumped = build_mdp(v, allocation, movers, permutation, pairs, instances,
-                   failures=False)
+lumped = build_mdp(ctx, failures=False)
 print(f"failure-lumped model: {lumped.n_states} states, minimum expected "
       f"idle {min_expected_reward(lumped, 'idle', 'done')}")
 

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .gantt import emit_gantt, format_gantt_text
-from .mdp import Mdp, build_mdp
+from .mdp import ClusterContext, Mdp, build_mdp
 from .mdp_export import write_mdp_text
 from .optimizer import (
     Chromosome,

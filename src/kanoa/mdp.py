@@ -1,17 +1,20 @@
 """Explicit-state MDP for scheduling one robot cluster.
 
-States compose, per robot, its task position, a travel/arrival phase for
-joint tasks, idle units spent, and a failure flag; plus one global
-has-ever-failed bit and the recorded completion times of instances that
-later tasks on other robots must wait for.  Each robot's clock is derived
-from (position, phase, idle, failure), so time never appears in the state
-tuple itself.
+A state holds three slots per robot, ``(pos, phase, clock)``: the position
+in its task order, the phase of the step at that position (before, arrived,
+failed) and its clock; then one global has-ever-failed bit and the recorded
+completion times of instances that later tasks on other robots must wait
+for.  ``arrived`` marks a joint step's participant that has travelled to
+the task; ``failed`` marks a step whose execution failed and awaits
+recovery.  A robot's idle time so far is derived from its clock where the
+idle cap is checked: the clock minus the travel and execution its finished
+steps (and an arrived robot's hop) take.
 
 Transitions follow the scheduling semantics:
 
 * a task action travels to the task location and executes it in one step,
-  succeeding with the robot's capability probability and otherwise raising
-  the failure flag while consuming the same duration;
+  succeeding with the robot's capability probability and otherwise failing
+  while consuming the same duration;
 * a recovery action (probability 1) clears the failure and moves on to the
   next task at no time cost;
 * joint tasks split into a solo travel action and a synchronized action
@@ -33,15 +36,15 @@ no failure ever occurred.
 
 With ``failures=False``, :func:`build_mdp` builds the failure-lumped
 quotient of this model: every task and synchronized action keeps only its
-success outcome, with probability 1, so no failure flag or bit is ever set
-and no recovery action exists.  A failed task takes as long as a
-successful one and recovery takes no time, so a failure outcome and the
-success outcome lead to states with the same robot clocks, the same
-``done`` states ahead and the same idle rewards: the two are
+success outcome, with probability 1, so no robot enters the failed phase,
+the failure bit is never set and no recovery action exists.  A failed task
+takes as long as a successful one and recovery takes no time, so a failure
+outcome and the success outcome lead to states with the same robot clocks,
+the same ``done`` states ahead and the same idle rewards: the two are
 probabilistically bisimilar for the ``done`` reachability query and the
 minimum-idle query (Larsen & Skou 1991; Baier & Katoen, *Principles of
 Model Checking*, ch. 10).  The lumped states are exactly the full model's
-states with no failure flag and no failure bit, with the same choices in
+states with no failed phase and no failure bit, with the same choices in
 the same order, so both models give the same reach and idle values and
 the same minimum-idle policy.  The lumped model carries only the ``done``
 label: its success probability would be 1, so it has no ``success``
@@ -65,45 +68,41 @@ from .taskgraph import PrecedencePair, TaskInstance
 # The cap bounds the failure-lumped model that the search solves and the
 # full model that --dump-mdp writes.  Built and solved, the largest model of
 # either kind over the bundled hospital mission at the default config, GA
-# seeds 0-3, costs (tracemalloc peak) about 1.2 KB per state lumped (942
-# states, five robots) and 1.7 KB per state full (8,570 states, the same
-# cluster).  At this cap a model needs about 1.0 GB lumped or 1.4 GB full,
+# seeds 0-3, costs (tracemalloc peak) about 1.3 KB per state lumped (942
+# states, five robots) and 1.5 KB per state full (8,570 states, the same
+# cluster).  At this cap a model needs about 1.0 GB lumped or 1.2 GB full,
 # so the cap trips with a StateExplosion before an ordinary machine runs out
 # of memory.  State tuples grow with the robot count, so larger clusters
 # cost more per state.
 DEFAULT_STATE_CAP = 800_000
 
-_SLOTS = 4  # pos, arrived, idle, fail
-
-
-class ActionMeta:
-    """What an action means in schedule terms; drives plan extraction.
-
-    ``kind`` is one of "task", "travel", "sync", "idle" and "recover";
-    ``step`` is the schedule step the action works on (an idle action's is
-    the step it waits to start); ``robot`` is None for a synchronized joint
-    action, whose actors are the step's participants.  A stochastic
-    action's success outcome is always its first branch.
-    """
-
-    __slots__ = ("kind", "robot", "step")
-
-    def __init__(self, kind: str, robot: str | None, step: _Step):
-        self.kind = kind
-        self.robot = robot
-        self.step = step
-
+_SLOTS = 3  # pos, phase, clock
+BEFORE, ARRIVED, FAILED = 0, 1, 2  # phases of the step at pos
 
 # reward name -> the Choice attribute that carries it
 REWARD_ATTRS = {"travel": "travel_reward", "idle": "idle_reward"}
 
 
 class Choice:
-    """One action available in a state: a distribution plus rewards."""
+    """One action available in a state: a distribution plus rewards.
 
-    __slots__ = ("label", "branches", "travel_reward", "idle_reward", "meta")
+    ``kind``, ``robot`` and ``step`` say what the action means in schedule
+    terms and drive plan extraction.  ``kind`` is one of "task", "travel",
+    "sync", "idle" and "recover"; ``step`` is the schedule step the action
+    works on (an idle action's is the step it waits to start); ``robot`` is
+    None for a synchronized joint action, whose actors are the step's
+    participants.  A stochastic action's success outcome is always its
+    first branch.
+    """
 
-    def __init__(self, label, branches, travel_reward=0, idle_reward=0, meta=None):
+    __slots__ = (
+        "label", "branches", "travel_reward", "idle_reward", "kind", "robot", "step"
+    )
+
+    def __init__(
+        self, label, branches, travel_reward=0, idle_reward=0,
+        kind=None, robot=None, step=None,
+    ):
         if len(branches) == 1:
             total = branches[0][0]
         else:
@@ -114,7 +113,9 @@ class Choice:
         self.branches = tuple(branches)
         self.travel_reward = travel_reward
         self.idle_reward = idle_reward
-        self.meta = meta
+        self.kind = kind
+        self.robot = robot
+        self.step = step
 
 
 class Mdp:
@@ -154,9 +155,17 @@ class _Step:
 
 
 class ClusterContext:
-    """Static data shared by every state of one cluster model."""
+    """Static data shared by every state of one cluster model: the cluster's
+    robots, their fixed task orders under ``permutation``, and the time
+    budget ``tt`` (the mission's, by default)."""
 
-    def __init__(self, v, allocation, cluster, permutation, pairs, instances, tt):
+    def __init__(
+        self, v: ValidatedProblem, allocation: Allocation, cluster: RobotCluster,
+        permutation: PermutationSet, pairs: list[PrecedencePair],
+        instances: dict[str, TaskInstance], tt: int | None = None,
+    ):
+        if tt is None:
+            tt = v.time_available
         self.v = v
         self.tt = tt
         self.robots = tuple(sorted(cluster.robots))
@@ -242,18 +251,7 @@ class ClusterContext:
         return (0,) * (_SLOTS * self.nrobots + 1 + len(self.tracked))
 
     def robot_time(self, state: tuple, i: int) -> int:
-        b = _SLOTS * i
-        pos = state[b]
-        if state[b + 3]:  # failed
-            base = self.cum[i][pos + 1]
-        elif state[b + 1]:  # arrived
-            base = self.cum[i][pos] + self.steps[i][pos].travel_time
-        else:
-            base = self.cum[i][pos]
-        return base + state[b + 2]
-
-    def times(self, state: tuple) -> tuple[int, ...]:
-        return tuple(self.robot_time(state, i) for i in range(self.nrobots))
+        return state[_SLOTS * i + 2]
 
     def is_done(self, state: tuple) -> bool:
         return all(
@@ -268,9 +266,9 @@ class ClusterContext:
         return raw - 1 if raw else None
 
 
-def _with_robot(state, i, pos, arrived, idle, fail):
+def _with_robot(state, i, pos, phase, clock):
     base = _SLOTS * i
-    return state[:base] + (pos, arrived, idle, fail) + state[base + _SLOTS :]
+    return state[:base] + (pos, phase, clock) + state[base + _SLOTS :]
 
 
 def _with_flag(state, slot, value):
@@ -305,10 +303,10 @@ def _sync_status(ctx, state, instance):
     """
     times = []
     for ri, k in ctx.joint_positions[instance]:
-        pos, arrived, _, fail = state[_SLOTS * ri : _SLOTS * ri + _SLOTS]
-        if pos != k or not arrived or fail:
+        pos, phase, clock = state[_SLOTS * ri : _SLOTS * ri + _SLOTS]
+        if pos != k or phase != ARRIVED:
             return False, None, None
-        times.append(ctx.robot_time(state, ri))
+        times.append(clock)
     target = _pred_target(ctx, state, ctx.steps[ri][k], max(times))
     if target is None:
         return False, None, None
@@ -328,23 +326,21 @@ def _enumerate_choices(
     statuses = None
 
     for i in range(ctx.nrobots):
-        pos, arrived, idle, fail = state[_SLOTS * i : _SLOTS * i + _SLOTS]
+        pos, phase, clock = state[_SLOTS * i : _SLOTS * i + _SLOTS]
         row = ctx.steps[i]
         if pos >= len(row):
             continue
         rid = ctx.robots[i]
         step = row[pos]
-        my_time = ctx.robot_time(state, i)
 
-        if fail:
-            succ = _with_robot(state, i, pos + 1, 0, idle, 0)
+        if phase == FAILED:  # the clock already stands at the step's end
+            succ = _with_robot(state, i, pos + 1, BEFORE, clock)
             if step.tracked_idx >= 0:
-                succ = _with_done_time(ctx, succ, step.tracked_idx, my_time)
+                succ = _with_done_time(ctx, succ, step.tracked_idx, clock)
             choices.append(
                 Choice(
-                    f"recover_{rid}",
-                    ((1.0, succ),),
-                    meta=ActionMeta("recover", rid, step),
+                    f"recover_{rid}", ((1.0, succ),),
+                    kind="recover", robot=rid, step=step,
                 )
             )
             continue
@@ -352,7 +348,7 @@ def _enumerate_choices(
         # the clock this robot must wait for before it can act, if any
         target = None
         if step.joint:
-            if arrived:
+            if phase == ARRIVED:
                 if statuses is None:
                     statuses = {}
                 status = statuses.get(step.instance)
@@ -360,21 +356,20 @@ def _enumerate_choices(
                     status = _sync_status(ctx, state, step.instance)
                     statuses[step.instance] = status
                 target = status[2]
-            elif my_time + step.travel_time <= tt:
-                succ = _with_robot(state, i, pos, 1, idle, 0)
+            elif clock + step.travel_time <= tt:
+                succ = _with_robot(state, i, pos, ARRIVED, clock + step.travel_time)
                 choices.append(
                     Choice(
-                        f"goto_{rid}_{step.instance}",
-                        ((1.0, succ),),
+                        f"goto_{rid}_{step.instance}", ((1.0, succ),),
                         travel_reward=step.hop_dist,
-                        meta=ActionMeta("travel", rid, step),
+                        kind="travel", robot=rid, step=step,
                     )
                 )
         else:
             target = _pred_target(ctx, state, step)
-            done_t = my_time + step.travel_time + step.duration
-            if target is not None and target <= my_time and done_t <= tt:
-                ok = _with_robot(state, i, pos + 1, 0, idle, 0)
+            done_t = clock + step.travel_time + step.duration
+            if target is not None and target <= clock and done_t <= tt:
+                ok = _with_robot(state, i, pos + 1, BEFORE, done_t)
                 if step.tracked_idx >= 0:
                     ok = _with_done_time(ctx, ok, step.tracked_idx, done_t)
                 q = step.success_prob
@@ -382,32 +377,32 @@ def _enumerate_choices(
                     branches = ((1.0, ok),)
                 else:
                     bad = _with_flag(
-                        _with_robot(state, i, pos, arrived, idle, 1),
-                        ctx.fail_slot,
-                        1,
+                        _with_robot(state, i, pos, FAILED, done_t), ctx.fail_slot, 1
                     )
                     branches = ((q, ok), (1.0 - q, bad))
                 choices.append(
                     Choice(
-                        f"do_{rid}_{step.instance}",
-                        branches,
+                        f"do_{rid}_{step.instance}", branches,
                         travel_reward=step.hop_dist,
-                        meta=ActionMeta("task", rid, step),
+                        kind="task", robot=rid, step=step,
                     )
                 )
 
         # wait: only while catching up to a joint partner or a predecessor,
-        # and then in one jump (the waiting target cannot move)
-        if target is not None and my_time < target:
-            wait = target - my_time
-            if target <= tt and idle + wait <= ctx.idle_caps[i]:
-                succ = _with_robot(state, i, pos, arrived, idle + wait, 0)
+        # and then in one jump (the waiting target cannot move).  The
+        # robot's total wait once there is its target minus the travel and
+        # execution of its finished steps, and of the hop once arrived.
+        if target is not None and clock < target <= tt:
+            waited = target - ctx.cum[i][pos]
+            if phase == ARRIVED:
+                waited -= step.travel_time
+            if waited <= ctx.idle_caps[i]:
+                succ = _with_robot(state, i, pos, phase, target)
                 choices.append(
                     Choice(
-                        f"idle_{rid}",
-                        ((1.0, succ),),
-                        idle_reward=wait,
-                        meta=ActionMeta("idle", rid, step),
+                        f"idle_{rid}", ((1.0, succ),),
+                        idle_reward=target - clock,
+                        kind="idle", robot=rid, step=step,
                     )
                 )
 
@@ -427,7 +422,7 @@ def _enumerate_choices(
         ok = state
         prob = 1.0
         for ri, k in members:
-            ok = _with_robot(ok, ri, k + 1, 0, state[_SLOTS * ri + 2], 0)
+            ok = _with_robot(ok, ri, k + 1, BEFORE, done_t)
             prob *= ctx.steps[ri][k].success_prob
         if step0.tracked_idx >= 0:
             ok = _with_done_time(ctx, ok, step0.tracked_idx, done_t)
@@ -436,15 +431,11 @@ def _enumerate_choices(
         else:
             bad = state
             for ri, k in members:
-                bad = _with_robot(bad, ri, k, 1, state[_SLOTS * ri + 2], 1)
+                bad = _with_robot(bad, ri, k, FAILED, done_t)
             bad = _with_flag(bad, ctx.fail_slot, 1)
             branches = ((prob, ok), (1.0 - prob, bad))
         choices.append(
-            Choice(
-                f"sync_{instance}",
-                branches,
-                meta=ActionMeta("sync", None, step0),
-            )
+            Choice(f"sync_{instance}", branches, kind="sync", step=step0)
         )
 
     return choices
@@ -512,31 +503,17 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
 
 
 def build_mdp(
-    v: ValidatedProblem,
-    allocation: Allocation,
-    cluster: RobotCluster,
-    permutation: PermutationSet,
-    pairs: list[PrecedencePair],
-    instances: dict[str, TaskInstance],
-    time_available: int | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-    ctx: ClusterContext | None = None,
-    *,
-    failures: bool = True,
+    ctx: ClusterContext, state_cap: int = DEFAULT_STATE_CAP, *, failures: bool = True
 ) -> Mdp:
-    """Forward-reachable model for one (allocation, cluster, permutation).
+    """Forward-reachable model of one cluster context, that is one
+    (allocation, cluster, permutation) under a time budget.
 
-    ``ctx``, when given, is the :class:`ClusterContext` of these same
-    arguments, already built.  With ``failures`` (the default) this is the
-    full model, with failure outcomes, recovery and the ``success`` label;
-    without, it is the failure-lumped model described in the module
-    docstring, labeled ``done`` only.  Raises :class:`StateExplosion` when
-    more than ``state_cap`` states are discovered.
+    With ``failures`` (the default) this is the full model, with failure
+    outcomes, recovery and the ``success`` label; without, it is the
+    failure-lumped model described in the module docstring, labeled
+    ``done`` only.  Raises :class:`StateExplosion` when more than
+    ``state_cap`` states are discovered.
     """
-    if ctx is None:
-        tt = v.time_available if time_available is None else time_available
-        ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances, tt)
-
     init = ctx.initial_state()
     index: dict[tuple, int] = {init: 0}
     states: list[tuple] = [init]

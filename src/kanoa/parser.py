@@ -73,6 +73,10 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
                 col += 1
             lexeme = text[start:i]
+            if lexeme.count(".") > 1:
+                raise DslSyntaxError(
+                    f"malformed number {lexeme!r}", line, start_col, ("number",)
+                )
             kind = "number" if "." in lexeme else "int"
             tokens.append(Token(kind, lexeme, line, start_col))
             continue

@@ -64,7 +64,7 @@ def extract_plan(mdp: Mdp, policy: list[int | None]) -> Plan:
         if action_idx is None:
             raise InvariantViolation("policy undefined before reaching the target")
         choice = mdp.choices[s][action_idx]
-        kind, robot, step = choice.meta.kind, choice.meta.robot, choice.meta.step
+        kind, robot, step = choice.kind, choice.robot, choice.step
         if kind == "sync":
             t0 = ctx.robot_time(mdp.states[s], ctx.robot_index[step.participants[0]])
             for r in step.participants:

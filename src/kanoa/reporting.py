@@ -12,7 +12,7 @@ from pathlib import Path
 from .allocation import AllocatorConfig
 from .errors import InvariantViolation, StateExplosion
 from .gantt import emit_gantt, format_gantt_text
-from .mdp import DEFAULT_STATE_CAP, build_mdp
+from .mdp import DEFAULT_STATE_CAP, ClusterContext, build_mdp
 from .mdp_export import write_mdp_text
 from .optimizer import GaConfig, ParetoFront, nsga2_run, prepare_search
 from .parser import parse_problem
@@ -208,17 +208,12 @@ def _dump_front_models(space, front: ParetoFront, out: Path):
                 {r: permutation.per_robot[r] for r in sorted(cluster.robots)}
             )
             name = f"mdp_{a}_{p}_{ci}.txt"
+            ctx = ClusterContext(
+                space.v, allocation, cluster, restricted, space.pairs,
+                space.instances, space.time_available,
+            )
             try:
-                mdp = build_mdp(
-                    space.v,
-                    allocation,
-                    cluster,
-                    restricted,
-                    space.pairs,
-                    space.instances,
-                    time_available=space.time_available,
-                    state_cap=space.state_cap,
-                )
+                mdp = build_mdp(ctx, space.state_cap)
             except StateExplosion as exc:
                 raise StateExplosion(
                     f"cannot write {name}: the full model of cluster "

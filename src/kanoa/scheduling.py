@@ -73,15 +73,13 @@ def schedule_cluster(
     :func:`earliest_start_feasible` before any model is built;
     :class:`InvariantViolation` is raised when the model disagrees.
     """
-    tt = v.time_available if time_available is None else time_available
-    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances, tt)
+    ctx = ClusterContext(
+        v, allocation, cluster, permutation, pairs, instances, time_available
+    )
     if not earliest_start_feasible(ctx):
         return SchedulingResult(False, 0.0, None, None, None)
 
-    mdp = build_mdp(
-        v, allocation, cluster, permutation, pairs, instances,
-        time_available=tt, state_cap=state_cap, ctx=ctx, failures=False,
-    )
+    mdp = build_mdp(ctx, state_cap, failures=False)
     reach = max_reach_probability(mdp, "done")
     if reach < 1.0:
         raise InvariantViolation(

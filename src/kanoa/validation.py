@@ -70,7 +70,8 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
                 errors.append(
                     f"compound task '{t.id}' references unknown subtask '{sub}'"
                 )
-    cycles = _find_cycles(compound_by_id)
+    shape: dict[str, tuple[int, int]] = {}
+    cycles = _find_cycles(compound_by_id, shape)
     for cyc in cycles:
         errors.append(f"cyclic task definition involving '{cyc}'")
 
@@ -112,7 +113,6 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     if not spec.mission_tasks:
         errors.append("mission has no tasks")
     if not cycles:
-        shape = _compound_shapes(compound_by_id)
         too_deep = {
             m.task_id: shape[m.task_id][0]
             for m in spec.mission_tasks
@@ -177,7 +177,7 @@ def _duplicates(items):
     return dups
 
 
-def _find_cycles(compound_by_id):
+def _find_cycles(compound_by_id, shape=None):
     """Ids of the compound tasks that reach themselves through their
     subtasks, sorted.
 
@@ -185,7 +185,16 @@ def _find_cycles(compound_by_id):
     than one compound, or with a compound listing itself (Tarjan's
     algorithm).  The search keeps its own stack of subtask iterators, so no
     chain of compounds, however deep, can exhaust the recursion limit.
+
+    ``shape``, when given, receives the (nesting depth, leaf instance count)
+    of every compound that reaches no cycle, computed when the compound
+    closes as a component of its own, after every compound it lists.  The
+    depth counts compound levels down to the deepest atomic leaf; the count
+    is the number of atomic instances expansion makes, every listed subtask
+    expanding once.  Unknown subtask ids count as one leaf.
     """
+    if shape is None:
+        shape = {}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     component: list[str] = []  # visited compounds not yet in a component
@@ -222,39 +231,16 @@ def _find_cycles(compound_by_id):
                     while members[-1] != cid:
                         members.append(component.pop())
                     open_ids.difference_update(members)
-                    if len(members) > 1 or cid in compound_by_id[cid].subtasks:
+                    subs = compound_by_id[cid].subtasks
+                    if len(members) > 1 or cid in subs:
                         cyclic.extend(members)
+                    elif all(s in shape for s in subs if s in compound_by_id):
+                        below = [shape.get(s, (0, 1)) for s in subs]
+                        shape[cid] = (
+                            1 + max((d for d, _ in below), default=0),
+                            sum(n for _, n in below),
+                        )
     return sorted(cyclic)
-
-
-def _compound_shapes(compound_by_id):
-    """(nesting depth, leaf instance count) of each compound task, for an
-    acyclic set of definitions, computed without recursion or expansion.
-
-    The depth counts compound levels down to the deepest atomic leaf; the
-    count is the number of atomic instances expansion makes, every listed
-    subtask expanding once.  Unknown subtask ids count as one leaf.
-    """
-    shape: dict[str, tuple[int, int]] = {}
-    for root in compound_by_id:
-        stack = [root]
-        while stack:
-            cid = stack[-1]
-            if cid in shape:
-                stack.pop()
-                continue
-            subs = compound_by_id[cid].subtasks
-            todo = [s for s in subs if s in compound_by_id and s not in shape]
-            if todo:
-                stack.extend(todo)
-                continue
-            below = [shape.get(s, (0, 1)) for s in subs]
-            shape[cid] = (
-                1 + max((d for d, _ in below), default=0),
-                sum(n for _, n in below),
-            )
-            stack.pop()
-    return shape
 
 
 def _reachable_atomics(spec, atomic_ids, compound_by_id):

@@ -12,7 +12,7 @@ from itertools import product
 
 from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
-from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, Mdp, build_mdp
+from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, build_mdp
 from kanoa.parser import parse_problem
 from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
 from kanoa.plans import extract_plan
@@ -55,8 +55,14 @@ def build_single_cluster_mdp(v, seed=0, permutation=None):
     cluster = clusters[0]
     if permutation is None:
         permutation = random_task_permutation(allocation, cluster, pairs, seed=seed)
-    mdp = build_mdp(v, allocation, cluster, permutation, pairs, instances)
+    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
+    mdp = build_mdp(ctx)
     return mdp, allocation, cluster, permutation
+
+
+def times(ctx: ClusterContext, state: tuple) -> tuple[int, ...]:
+    """Every robot's clock in ``state``."""
+    return tuple(ctx.robot_time(state, i) for i in range(ctx.nrobots))
 
 
 # -- policy enumeration oracle ------------------------------------------------
@@ -261,7 +267,8 @@ def random_scheduling_model(rng: random.Random, max_decision=12):
     if not made:
         return None
     v, allocation, cluster, permutation, pairs, instances = made[0]
-    mdp = build_mdp(v, allocation, cluster, permutation, pairs, instances)
+    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
+    mdp = build_mdp(ctx)
     if len(decision_states(mdp)) > max_decision:
         return None
     return v, allocation, cluster, permutation, mdp
@@ -274,10 +281,10 @@ def reference_schedule(
     """``schedule_cluster`` without its closed-form rejections and on the
     paper's full model: always build it, then reach, minimum-idle policy
     and plan extraction."""
-    mdp = build_mdp(
-        v, allocation, cluster, permutation, pairs, instances,
-        time_available=time_available, state_cap=state_cap,
+    ctx = ClusterContext(
+        v, allocation, cluster, permutation, pairs, instances, time_available
     )
+    mdp = build_mdp(ctx, state_cap)
     if max_reach_probability(mdp, "done") < 1.0:
         return SchedulingResult(False, 0.0, None, None, None)
     idle, policy = min_expected_reward_policy(mdp, "idle", "done")

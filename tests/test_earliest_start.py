@@ -15,7 +15,7 @@ outcome-independent durations and zero-time recovery.
 import random
 
 import pytest
-from helpers import expanded, load, random_clusters, reference_schedule
+from helpers import expanded, load, random_clusters, reference_schedule, times
 from oracles import earliest_start_plan, min_completion
 
 import kanoa.scheduling
@@ -93,8 +93,7 @@ def crossed_orders_case(crossed):
 
 
 def context(case, tt=None):
-    v = case[0]
-    return ClusterContext(*case, v.time_available if tt is None else tt)
+    return ClusterContext(*case, tt)
 
 
 def check(case, tt=None):
@@ -232,16 +231,16 @@ def assert_outcome_independent(mdp):
     """Both branches of a choice reach equal robot clocks, and recovery
     moves no clock; returns how many such choices were seen."""
     seen = 0
-    times = [mdp.context.times(state) for state in mdp.states]
+    clocks = [times(mdp.context, state) for state in mdp.states]
     for s, choices in enumerate(mdp.choices):
         for c in choices:
             if len(c.branches) == 2:
                 (_, ok), (_, bad) = c.branches
-                assert times[ok] == times[bad]
+                assert clocks[ok] == clocks[bad]
                 seen += 1
-            elif c.meta.kind == "recover":
+            elif c.kind == "recover":
                 [(_, t)] = c.branches
-                assert times[t] == times[s]
+                assert clocks[t] == clocks[s]
                 seen += 1
     return seen
 
@@ -252,7 +251,7 @@ def test_preconditions_on_random_models():
     while built < 150:
         for case in random_clusters(rng, idle_caps=built % 2 == 1):
             seen += assert_outcome_independent(
-                build_mdp(*case, time_available=rng.randint(4, 24))
+                build_mdp(context(case, rng.randint(4, 24)))
             )
             built += 1
     assert seen > built
@@ -262,6 +261,6 @@ def test_preconditions_on_hospital_clusters(hospital_calls):
     seen = 0
     for args, kwargs, _ in hospital_calls[::12]:
         seen += assert_outcome_independent(
-            build_mdp(*args, time_available=kwargs["time_available"])
+            build_mdp(context(args, kwargs["time_available"]))
         )
     assert seen > 0

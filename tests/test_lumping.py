@@ -2,7 +2,7 @@
 paper's full model that ``--dump-mdp`` writes.
 
 The lumped model keeps only the success outcome of every stochastic action
-(``build_mdp(..., failures=False)``).  These tests hold it to the full
+(``build_mdp(ctx, failures=False)``).  These tests hold it to the full
 model state by state, on random clusters and on every cluster of a default
 hospital run, and hold whole runs to runs whose every scheduling call
 builds and solves the full model.
@@ -16,7 +16,7 @@ import pytest
 from helpers import assert_golden_artifacts, random_clusters, reference_schedule
 
 import kanoa.optimizer
-from kanoa.mdp import _SLOTS, build_mdp
+from kanoa.mdp import _SLOTS, FAILED, ClusterContext, build_mdp
 from kanoa.plans import extract_plan
 from kanoa.reporting import PipelineConfig, run
 from kanoa.solver import min_expected_reward_policy, topological_order
@@ -54,13 +54,13 @@ def plan_of(mdp, reach):
 
 def assert_lumped_matches_full(case, tt):
     """Returns whether the cluster is feasible."""
-    full = build_mdp(*case, time_available=tt)
-    lumped = build_mdp(*case, time_available=tt, failures=False)
-    ctx = full.context
+    ctx = ClusterContext(*case, tt)
+    full = build_mdp(ctx)
+    lumped = build_mdp(ctx, failures=False)
     unfailed = [
         s for s in full.states
         if not ctx.ever_failed(s)
-        and not any(s[_SLOTS * i + 3] for i in range(ctx.nrobots))
+        and not any(s[_SLOTS * i + 1] == FAILED for i in range(ctx.nrobots))
     ]
     assert sorted(lumped.states) == sorted(unfailed)
     assert set(lumped.labels) == {"done"}

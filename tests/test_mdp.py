@@ -9,12 +9,13 @@ from helpers import (
     load,
     random_scheduling_model,
     single_robot_problem,
+    times,
 )
 
 from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
-from kanoa.mdp import Choice, build_mdp
+from kanoa.mdp import Choice, ClusterContext, build_mdp
 from kanoa.permutations import PermutationSet, travel_cost
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
@@ -51,7 +52,7 @@ def test_single_path_hand_enumeration():
     assert len(mdp.choices[0]) == 1
     assert mdp.choices[0][0].branches == ((1.0, 1),)
     (done,) = mdp.label_states("done")
-    assert mdp.context.times(mdp.states[done]) == (5,)
+    assert times(mdp.context, mdp.states[done]) == (5,)
     assert max_reach_probability(mdp, "done") == 1.0
 
 
@@ -81,7 +82,7 @@ def test_failure_branch_and_recovery():
 
 def test_joint_requires_idle():
     v, allocation, cluster, p, pairs, instances = joint_case()
-    mdp = build_mdp(v, allocation, cluster, p, pairs, instances)
+    mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
     assert max_reach_probability(mdp, "done") == 1.0
     assert min_expected_reward(mdp, "idle", "done") == 2
     value, policy = min_expected_reward_policy(mdp, "idle", "done")
@@ -100,7 +101,7 @@ def test_joint_requires_idle():
 
 def test_joint_infeasible_without_enough_time():
     v, allocation, cluster, p, pairs, instances = joint_case(tt=8)
-    mdp = build_mdp(v, allocation, cluster, p, pairs, instances)
+    mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
     # sync needs both at clock 5 plus 4 units of work: 9 > 8
     assert max_reach_probability(mdp, "done") == 0.0
 
@@ -112,7 +113,8 @@ def test_distributions_sum_to_one_and_done_absorbing(hospital):
 
     for cluster in clusters:
         p = random_task_permutation(allocation, cluster, pairs, seed=5)
-        mdp = build_mdp(hospital, allocation, cluster, p, pairs, instances)
+        ctx = ClusterContext(hospital, allocation, cluster, p, pairs, instances)
+        mdp = build_mdp(ctx)
         for s, choices in enumerate(mdp.choices):
             for c in choices:
                 assert abs(sum(pr for pr, _ in c.branches) - 1.0) <= 1e-12
@@ -143,7 +145,8 @@ def test_time_monotone_acyclic(hospital):
 
     for cluster in clusters:
         p = random_task_permutation(allocation, cluster, pairs, seed=1)
-        mdp = build_mdp(hospital, allocation, cluster, p, pairs, instances)
+        ctx = ClusterContext(hospital, allocation, cluster, p, pairs, instances)
+        mdp = build_mdp(ctx)
         assert topological_order(mdp) is not None
 
 
@@ -163,7 +166,8 @@ mission { task t at b; task u at a; task w at b; time 60 }
     cluster = clusters[0]
     p = random_task_permutation(allocation, cluster, pairs, seed=0)
     with pytest.raises(StateExplosion) as info:
-        build_mdp(v, allocation, cluster, p, pairs, instances, state_cap=3)
+        ctx = ClusterContext(v, allocation, cluster, p, pairs, instances)
+        build_mdp(ctx, state_cap=3)
     assert info.value.cluster_size >= 1
 
 
@@ -270,7 +274,7 @@ mission { task c at room; time 30 }
     })
     cluster = cluster_robots(allocation, subtrees)[0]
     p = PermutationSet({"talker": ("notify_0",), "wiper": ("clean_0",)})
-    mdp = build_mdp(v, allocation, cluster, p, pairs, instances)
+    mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
     assert max_reach_probability(mdp, "done") == 1.0
     # talker finishes notify at 4+6=10; wiper idles 0->10 then cleans
     assert min_expected_reward(mdp, "idle", "done") == 10

@@ -74,6 +74,17 @@ def test_fractional_and_decimal_velocity():
     assert spec.robots[1].velocity == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("old, literal, column", [
+    ("0.9", "0.9.5", 63), ("velocity 1", "velocity 1.2.3", 37),
+], ids=["prob", "velocity"])
+def test_number_with_two_dots_reports_position(old, literal, column):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_problem(MINIMAL.replace(old, literal))
+    number = literal.split()[-1]
+    assert str(info.value) == f"4:{column}: malformed number {number!r}"
+    assert (info.value.line, info.value.column) == (4, column)
+
+
 def test_negative_coordinates():
     spec = parse_problem(
         "world { loc a (-3, -4) } tasks { atomic t robots 1 }"

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from helpers import compound_chain_text
@@ -78,6 +79,34 @@ def test_find_cycles_matches_reachability_reference():
         assert _find_cycles(compound_by_id) == expected
         found += bool(expected)
     assert 100 < found < 900
+
+
+@pytest.mark.parametrize("tasks, cyclic", [
+    ("compound c = { c }", ["c"]),
+    ("compound c1 = { c2, t } compound c2 = { c1 }", ["c1", "c2"]),
+], ids=["self", "pair"])
+def test_cyclic_definitions_return_promptly(tasks, cyclic):
+    # d reaches the cycle, so it gets no shape; e reaches none
+    spec = make(
+        tasks=f"{tasks} compound d = {{ {cyclic[0]} }} compound e = {{ t, t }}",
+        mission_task="d",
+    )
+
+    def hung(signum, frame):
+        raise TimeoutError("cycle check did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        compound_by_id = {c.id: c for c in spec.compound_tasks}
+        shape = {}
+        assert _find_cycles(compound_by_id, shape) == cyclic
+        msgs = errors_of(spec)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert shape == {"e": (1, 2)}
+    assert msgs == [f"cyclic task definition involving '{c}'" for c in cyclic]
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["upward", "downward"])
