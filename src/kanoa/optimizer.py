@@ -7,6 +7,13 @@ solves one scheduling model per robot cluster and aggregates the three
 objectives; infeasible chromosomes rank below every feasible one
 (constrained domination).  Everything is driven by a single seed and fully
 reproducible.
+
+Two memos keep the search from repeating work.  ``evaluate`` keeps each
+chromosome's result, and each :class:`SearchSpace` keeps each cluster
+schedule, keyed on the cluster's per-robot task orders.  Distinct
+chromosomes often give a cluster the same orders: a robot with few tasks
+has few orders to draw, and allocations that differ only in other robots'
+tasks share the cluster.  Such a cluster is solved once per search.
 """
 
 from __future__ import annotations
@@ -82,7 +89,19 @@ class EvalResult:
 
 @dataclass
 class SearchSpace:
-    """Pools and cached structure shared by every evaluation."""
+    """Pools and cached structure shared by every evaluation.
+
+    ``_schedules`` memoizes :func:`schedule_cluster` on a cluster's
+    per-robot orders, ``((robot, order), ...)`` in robot order.  Within one
+    space, ``v``, ``pairs``, ``instances``, the time budget and the state
+    cap are fixed.  Every robot's order lists every instance allocated to
+    it, and every instance's team lies inside one cluster, so the orders
+    determine the cluster's instances and each instance's team, which are
+    the only parts of the allocation and the cluster that a schedule
+    reads.  Equal keys therefore give equal results.  Only returned
+    results are kept, feasible or not; a cluster whose model exceeds the
+    state cap raises :class:`StateExplosion` each time it is scheduled.
+    """
 
     v: ValidatedProblem
     instances: dict[str, TaskInstance]
@@ -94,6 +113,9 @@ class SearchSpace:
     time_available: int
     state_cap: int = DEFAULT_STATE_CAP
     _drawn: dict[tuple[int, int], PermutationSet] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _schedules: dict[tuple, SchedulingResult] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -177,19 +199,22 @@ def evaluate(
     timelines: dict[str, tuple] = {}
     try:
         for cluster in space.clusters[ch.alloc_idx]:
-            restricted = PermutationSet(
-                {r: permutation.per_robot[r] for r in sorted(cluster.robots)}
+            orders = tuple(
+                (r, permutation.per_robot[r]) for r in sorted(cluster.robots)
             )
-            sched = schedule_cluster(
-                space.v,
-                allocation,
-                cluster,
-                restricted,
-                space.pairs,
-                space.instances,
-                time_available=space.time_available,
-                state_cap=space.state_cap,
-            )
+            sched = space._schedules.get(orders)
+            if sched is None:
+                sched = schedule_cluster(
+                    space.v,
+                    allocation,
+                    cluster,
+                    PermutationSet(dict(orders)),
+                    space.pairs,
+                    space.instances,
+                    time_available=space.time_available,
+                    state_cap=space.state_cap,
+                )
+                space._schedules[orders] = sched
             result.cluster_results.append(sched)
             if not sched.feasible:
                 result.feasible = False

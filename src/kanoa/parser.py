@@ -73,7 +73,7 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
                 col += 1
             lexeme = text[start:i]
-            if lexeme.count(".") > 1:
+            if lexeme.count(".") > 1 or lexeme.endswith("."):
                 raise DslSyntaxError(
                     f"malformed number {lexeme!r}", line, start_col, ("number",)
                 )

@@ -8,7 +8,9 @@ problem text is assembled by string formatting rather than the printer.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
@@ -16,10 +18,14 @@ from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, buil
 from kanoa.parser import parse_problem
 from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
 from kanoa.plans import extract_plan
+from kanoa.reporting import PipelineConfig
 from kanoa.scheduling import SchedulingResult, success_probability
 from kanoa.solver import max_reach_probability, min_expected_reward_policy
 from kanoa.taskgraph import expand_mission, prune_subtrees
 from kanoa.validation import validate_problem
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def load(text):
@@ -314,4 +320,23 @@ def front_artifacts(directory):
     return sorted(
         [p.name for p in directory.glob("pareto.*")]
         + [p.name for p in directory.glob("plan_*.json")]
+    )
+
+
+# -- benchmark missions ---------------------------------------------------------
+
+
+def perfbench_mission(workload, seed=1):
+    """Mission text and pipeline config of sub-instance 0 of the benchmark's
+    ``--seed`` basket for ``workload``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import missions
+    finally:
+        sys.path.pop(0)
+    text, ga_seed = missions.basket(workload, seed, ROOT)[0]
+    alloc, perms, pop, gens = missions.CONFIGS[workload]
+    return text, PipelineConfig(
+        allocations=alloc, permutations=perms, population=pop,
+        generations=gens, seed=ga_seed,
     )

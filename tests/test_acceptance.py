@@ -305,31 +305,58 @@ CLEANER = """  robot r{i} at dock velocity 1 {{
   }}"""
 
 
+SCALING_REPEATS = 5
+
+
 def test_criterion_8_scaling_smoke(tmp_path):
-    means = []
-    details = []
+    cfg = GaConfig(
+        population_size=8, generations=2, permutations_per_allocation=5, seed=0
+    )
+    missions = []
     for nrobots in (1, 2, 3):
         robots = "\n".join(CLEANER.format(i=i + 3) for i in range(nrobots))
-        v = load(CLEANING_VARIANT.format(robots=robots))
-        cfg = GaConfig(
-            population_size=8, generations=2, permutations_per_allocation=5, seed=0
-        )
+        missions.append((nrobots, load(CLEANING_VARIANT.format(robots=robots))))
+
+    def timed(v):
+        """Seconds per chromosome of one evaluation pass, the space and the
+        chromosome count.  The space is fresh, so that no cluster schedule
+        is already memoized."""
         space = prepare_search(v, AllocatorConfig(max_allocations=5), cfg)
         cache = {}
         t0 = time.perf_counter()
         for ch in space.chromosomes():
             evaluate(space, ch, cache)
-        per = (time.perf_counter() - t0) / len(cache)
+        return (time.perf_counter() - t0) / len(cache), space, len(cache)
+
+    # untimed warm-up: the first calls of a process pay one-off costs that
+    # would otherwise land on the 1-robot case
+    for _, v in missions:
+        timed(v)
+
+    # a pass takes a few milliseconds, so keep the fastest of a few,
+    # interleaved across robot counts
+    best = {}
+    for _ in range(SCALING_REPEATS):
+        for nrobots, v in missions:
+            per, space, evaluated = timed(v)
+            if nrobots not in best or per < best[nrobots][0]:
+                best[nrobots] = (per, space, evaluated)
+
+    means = []
+    details = []
+    for nrobots, _ in missions:
+        per, space, evaluated = best[nrobots]
         biggest = max(
             (len(c.robots) for cl in space.clusters for c in cl), default=0
         )
         means.append(per)
         details.append(
             f"{nrobots} robot(s): {per * 1000:.2f} ms/chromosome over "
-            f"{len(cache)} chromosomes (largest cluster {biggest})"
+            f"{evaluated} chromosomes (largest cluster {biggest})"
         )
     report = "\n".join(
-        ["scaling smoke test: mean evaluation time per chromosome"] + details
+        ["scaling smoke test: mean evaluation time per chromosome, "
+         f"fastest of {SCALING_REPEATS} passes"] + details
     )
     (tmp_path / "benchmark_report.txt").write_text(report + "\n")
     print(report)

@@ -9,11 +9,15 @@ builds and solves the full model.
 """
 
 import random
-import sys
 from pathlib import Path
 
 import pytest
-from helpers import assert_golden_artifacts, random_clusters, reference_schedule
+from helpers import (
+    assert_golden_artifacts,
+    perfbench_mission,
+    random_clusters,
+    reference_schedule,
+)
 
 import kanoa.optimizer
 from kanoa.mdp import _SLOTS, FAILED, ClusterContext, build_mdp
@@ -102,22 +106,6 @@ def test_hospital_lumped_models_match_full(hospital_calls):
         for args, kwargs, _ in hospital_calls
     )
     assert 0 < feasible < len(hospital_calls)
-
-
-def perfbench_mission(workload):
-    """Mission text and GA seed of sub-instance 0 of the benchmark's
-    ``--seed 1`` basket."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import missions
-    finally:
-        sys.path.pop(0)
-    text, ga_seed = missions.basket(workload, 1, ROOT)[0]
-    alloc, perms, pop, gens = missions.CONFIGS[workload]
-    return text, PipelineConfig(
-        allocations=alloc, permutations=perms, population=pop,
-        generations=gens, seed=ga_seed,
-    )
 
 
 @pytest.mark.parametrize("name", ["hospital_0", "hospital_1", "relay", "fleet"])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import load, random_problem_text
+from helpers import load, perfbench_mission, random_problem_text
 from oracles import pairwise_nondominated_sort
 
 import kanoa.optimizer
@@ -21,8 +21,9 @@ from kanoa.optimizer import (
     nsga2_run,
     prepare_search,
 )
-from kanoa.permutations import random_task_permutation
+from kanoa.permutations import PermutationSet, random_task_permutation
 from kanoa.reporting import PipelineConfig, run
+from kanoa.scheduling import schedule_cluster
 
 SMALL = """
 world { loc a (0,0) loc b (4,0) loc c (0,3) }
@@ -148,6 +149,115 @@ def test_no_feasible_solution_error():
         nsga2_run(space, cfg)
     assert info.value.evaluated > 0
     assert info.value.infeasible == info.value.evaluated
+
+
+# -- cluster schedules memoized per search space ---------------------------------
+
+
+def _count_schedules(monkeypatch):
+    calls = []
+    original = kanoa.optimizer.schedule_cluster
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kanoa.optimizer, "schedule_cluster", counting)
+    return calls
+
+
+def _cluster_orders(space, a, p):
+    permutation = space.permutation(a, p)
+    return [
+        tuple((r, permutation.per_robot[r]) for r in sorted(cluster.robots))
+        for cluster in space.clusters[a]
+    ]
+
+
+@pytest.mark.parametrize("pair, distinct", [
+    # allocation 0 is one cluster; entries 0 and 2 order its robot alike
+    (((0, 0), (0, 2)), 1),
+    # allocation 1 is two one-task clusters, ordered alike by every entry
+    (((1, 0), (1, 2)), 2),
+])
+def test_equal_cluster_orders_scheduled_once(monkeypatch, pair, distinct):
+    space, _ = space_for(SMALL, allocations=4, perms=3)
+    (a1, p1), (a2, p2) = pair
+    assert _cluster_orders(space, a1, p1) == _cluster_orders(space, a2, p2)
+    calls = _count_schedules(monkeypatch)
+    cache = {}
+    first = evaluate(space, Chromosome(a1, p1), cache)
+    second = evaluate(space, Chromosome(a2, p2), cache)
+    assert len(cache) == 2 and first.feasible and second.feasible
+    assert len(calls) == distinct
+    assert all(x is y for x, y in zip(first.cluster_results, second.cluster_results))
+
+
+def test_state_explosion_not_memoized(monkeypatch):
+    space, _ = space_for(SMALL, allocations=4, perms=3)
+    space.state_cap = 1
+    calls = _count_schedules(monkeypatch)
+    cache = {}
+    for p in (0, 2):  # equal orders, as in test_equal_cluster_orders_scheduled_once
+        res = evaluate(space, Chromosome(0, p), cache)
+        assert not res.feasible and res.diagnostic is not None
+    assert len(calls) == 2 and space._schedules == {}
+
+
+def test_fresh_space_starts_with_empty_memo(monkeypatch):
+    space, _ = space_for(SMALL, allocations=4, perms=3)
+    assert space._schedules == {}
+    calls = _count_schedules(monkeypatch)
+    evaluate(space, Chromosome(1, 0), {})
+    assert len(space._schedules) == len(calls) == 2
+    again, _ = space_for(SMALL, allocations=4, perms=3)
+    assert again._schedules == {}
+    evaluate(again, Chromosome(1, 0), {})
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name", ["fleet", "hospital"])
+def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
+    """Every cluster result of every chromosome a whole search evaluated
+    equals a direct ``schedule_cluster`` call on that cluster."""
+    if name == "hospital":
+        text = (fixtures_dir / "hospital.kanoa").read_text(encoding="utf-8")
+        run_cfg = PipelineConfig(seed=0)
+    else:
+        text, run_cfg = perfbench_mission(name)
+    cfg = run_cfg.ga()
+    space = prepare_search(
+        load(text), AllocatorConfig(max_allocations=run_cfg.allocations), cfg,
+        state_cap=run_cfg.state_cap,
+    )
+    caches = []
+    original = kanoa.optimizer.evaluate
+
+    def capturing(space, ch, cache):
+        if not caches or caches[-1] is not cache:
+            caches.append(cache)
+        return original(space, ch, cache)
+
+    monkeypatch.setattr(kanoa.optimizer, "evaluate", capturing)
+    nsga2_run(space, cfg)
+    (cache,) = caches
+    assert len(space._schedules) > 0
+    results = 0
+    for (a, p), res in cache.items():
+        allocation = space.allocations[a]
+        permutation = space.permutation(a, p)
+        for cluster, sched in zip(space.clusters[a], res.cluster_results):
+            restricted = PermutationSet(
+                {r: permutation.per_robot[r] for r in sorted(cluster.robots)}
+            )
+            direct = schedule_cluster(
+                space.v, allocation, cluster, restricted, space.pairs,
+                space.instances, time_available=space.time_available,
+                state_cap=space.state_cap,
+            )
+            assert sched == direct, (a, p, sorted(cluster.robots))
+            results += 1
+    assert results > len(cache)
 
 
 # -- permutation pools drawn on first use ---------------------------------------

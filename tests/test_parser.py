@@ -85,6 +85,18 @@ def test_number_with_two_dots_reports_position(old, literal, column):
     assert (info.value.line, info.value.column) == (4, column)
 
 
+@pytest.mark.parametrize("old, literal, column", [
+    ("0.9", "0.", 63), ("velocity 1", "velocity 2.", 37),
+], ids=["prob", "velocity"])
+def test_number_ending_in_dot_reports_position(old, literal, column):
+    # docs/grammar.md: NUMBER = INT | INT "." digit { digit }
+    with pytest.raises(DslSyntaxError) as info:
+        parse_problem(MINIMAL.replace(old, literal))
+    number = literal.split()[-1]
+    assert str(info.value) == f"4:{column}: malformed number {number!r}"
+    assert (info.value.line, info.value.column) == (4, column)
+
+
 def test_negative_coordinates():
     spec = parse_problem(
         "world { loc a (-3, -4) } tasks { atomic t robots 1 }"

@@ -406,6 +406,21 @@ def test_cli_number_with_two_dots_exit_one(fixtures_dir, tmp_path, capsys, old, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("prob 0.9", "prob 0."), ("velocity 1", "velocity 2."),
+], ids=["prob", "velocity"])
+def test_cli_number_ending_in_dot_exit_one(fixtures_dir, tmp_path, capsys, old, new):
+    mission = tmp_path / "mission.kanoa"
+    text = (fixtures_dir / "minimal.kanoa").read_text(encoding="utf-8")
+    mission.write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(mission), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"malformed number {new.split()[-1]!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("depth, reverse", [(600, False), (1200, True)],
                          ids=["600_upward", "1200_downward"])
 def test_cli_deep_nesting_exit_one(tmp_path, capsys, depth, reverse):
