@@ -157,17 +157,14 @@ class _Step:
 class ClusterContext:
     """Static data shared by every state of one cluster model: the cluster's
     robots, their fixed task orders under ``permutation``, and the time
-    budget ``tt`` (the mission's, by default)."""
+    budget ``tt``, which is the mission's ``time`` constraint."""
 
     def __init__(
         self, v: ValidatedProblem, allocation: Allocation, cluster: RobotCluster,
         permutation: PermutationSet, pairs: list[PrecedencePair],
-        instances: dict[str, TaskInstance], tt: int | None = None,
+        instances: dict[str, TaskInstance],
     ):
-        if tt is None:
-            tt = v.time_available
-        self.v = v
-        self.tt = tt
+        self.tt = tt = v.time_available
         self.robots = tuple(sorted(cluster.robots))
         self.robot_index = {r: i for i, r in enumerate(self.robots)}
         self.idle_caps = [

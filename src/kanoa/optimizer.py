@@ -83,7 +83,6 @@ class EvalResult:
     feasible: bool
     objectives: Objectives | None = None
     plan: Plan | None = None
-    cluster_results: list[SchedulingResult] = field(default_factory=list)
     diagnostic: StateExplosion | None = None  # the state cap tripped
 
 
@@ -93,12 +92,13 @@ class SearchSpace:
 
     ``_schedules`` memoizes :func:`schedule_cluster` on a cluster's
     per-robot orders, ``((robot, order), ...)`` in robot order.  Within one
-    space, ``v``, ``pairs``, ``instances``, the time budget and the state
-    cap are fixed.  Every robot's order lists every instance allocated to
-    it, and every instance's team lies inside one cluster, so the orders
-    determine the cluster's instances and each instance's team, which are
-    the only parts of the allocation and the cluster that a schedule
-    reads.  Equal keys therefore give equal results.  Only returned
+    space, ``v``, ``pairs``, ``instances`` and the state cap are fixed, and
+    so is the time budget, which every schedule reads from the mission's
+    ``time`` constraint in ``v``.  Every robot's order lists every instance
+    allocated to it, and every instance's team lies inside one cluster, so
+    the orders determine the cluster's instances and each instance's team,
+    which are the only parts of the allocation and the cluster that a
+    schedule reads.  Equal keys therefore give equal results.  Only returned
     results are kept, feasible or not; a cluster whose model exceeds the
     state cap raises :class:`StateExplosion` each time it is scheduled.
     """
@@ -110,7 +110,6 @@ class SearchSpace:
     clusters: list[list[RobotCluster]]
     pool_size: int  # permutations per allocation
     seed: int
-    time_available: int
     state_cap: int = DEFAULT_STATE_CAP
     _drawn: dict[tuple[int, int], PermutationSet] = field(
         default_factory=dict, init=False, repr=False
@@ -168,7 +167,6 @@ def prepare_search(
         clusters=clusters,
         pool_size=ga_cfg.permutations_per_allocation,
         seed=ga_cfg.seed,
-        time_available=v.time_available,
         state_cap=state_cap,
     )
 
@@ -211,11 +209,9 @@ def evaluate(
                     PermutationSet(dict(orders)),
                     space.pairs,
                     space.instances,
-                    time_available=space.time_available,
                     state_cap=space.state_cap,
                 )
                 space._schedules[orders] = sched
-            result.cluster_results.append(sched)
             if not sched.feasible:
                 result.feasible = False
                 break

@@ -50,7 +50,9 @@ def extract_plan(mdp: Mdp, policy: list[int | None]) -> Plan:
 
     Requires a model built by :func:`kanoa.mdp.build_mdp` (it carries the
     scheduling context).  Every stochastic action is followed through its
-    success outcome, which is where the synthesized schedule lives.
+    success outcome, which is where the synthesized schedule lives.  The
+    model takes each wait in one step, and every task ends in an execution
+    or a synchronized action, so a robot's idle events never abut.
     """
     ctx = mdp.context
     if ctx is None:
@@ -87,30 +89,20 @@ def extract_plan(mdp: Mdp, policy: list[int | None]) -> Plan:
                 )
         s = choice.branches[0][1]
 
-    return Plan({r: tuple(_merge_idles(evs)) for r, evs in events.items()})
-
-
-def _merge_idles(events: list[PlanEvent]) -> list[PlanEvent]:
-    out: list[PlanEvent] = []
-    for ev in events:
-        if out and ev.kind == "idle" and out[-1].kind == "idle" and out[-1].end == ev.start:
-            out[-1] = PlanEvent("idle", out[-1].start, ev.end)
-        else:
-            out.append(ev)
-    return out
+    return Plan({r: tuple(evs) for r, evs in events.items()})
 
 
 def check_plan(
     plan: Plan,
-    pairs: list[PrecedencePair] | None = None,
-    time_available: int | None = None,
-    idle_caps: dict[str, int] | None = None,
+    pairs: list[PrecedencePair],
+    time_available: int,
+    idle_caps: dict[str, int],
 ) -> list[str]:
     """All invariant violations of a plan (empty list when it is sound).
 
     Checks per-robot contiguity, joint start alignment, precedence between
-    instance completions and starts, the mission time budget, and per-robot
-    idle budgets.
+    instance completions and starts, the mission time budget, and the idle
+    budgets of the robots named in ``idle_caps``.
     """
     problems = []
     exec_window: dict[str, tuple[int, int]] = {}
@@ -136,9 +128,9 @@ def check_plan(
                         f"instance {ev.instance} executed over differing windows"
                     )
                 exec_window[ev.instance] = window
-        if time_available is not None and clock > time_available:
+        if clock > time_available:
             problems.append(f"{robot}: timeline ends at {clock} > budget {time_available}")
-        if idle_caps is not None and robot in idle_caps:
+        if robot in idle_caps:
             idle_total = sum(
                 ev.end - ev.start for ev in timeline if ev.kind == "idle"
             )
@@ -151,7 +143,7 @@ def check_plan(
         if len(windows) > 1:
             problems.append(f"joint instance {instance} is not synchronized")
 
-    for p in pairs or ():
+    for p in pairs:
         if p.before in exec_window and p.after in exec_window:
             if exec_window[p.before][1] > exec_window[p.after][0]:
                 problems.append(

@@ -134,15 +134,25 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     front = nsga2_run(space, cfg.ga())
     timings["optimize"] = time.perf_counter() - t0
 
+    cluster_summary = [
+        f"allocation {i}: "
+        + ", ".join(
+            "{" + ",".join(sorted(c.robots)) + "}" for c in space.clusters[i]
+        )
+        for i in range(len(space.allocations))
+    ]
+    allocation_count = len(space.allocations)
+    models = _front_models(space, front) if cfg.dump_mdp else []
+    # release the schedule memo and the drawn pool entries before writing
+    del space
+
     idle_caps = {
         r.id: v.max_idle(r.id)
         for r in v.problem.robots
         if v.max_idle(r.id) is not None
     }
     for k, entry in enumerate(front.entries):
-        problems = check_plan(
-            entry.plan, space.pairs, v.time_available, idle_caps
-        )
+        problems = check_plan(entry.plan, pairs, v.time_available, idle_caps)
         if problems:
             raise InvariantViolation(
                 f"front entry {k} produced an unsound plan: {problems}"
@@ -168,16 +178,9 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
             emit_gantt(entry.plan, title=f"plan_{k}"), encoding="utf-8"
         )
 
-    cluster_summary = [
-        f"allocation {i}: "
-        + ", ".join(
-            "{" + ",".join(sorted(c.robots)) + "}" for c in space.clusters[i]
-        )
-        for i in range(len(space.allocations))
-    ]
     report = RunReport(
         config=cfg.echo(),
-        allocation_count=len(space.allocations),
+        allocation_count=allocation_count,
         cluster_summary=cluster_summary,
         front=front,
         timings=timings,
@@ -186,45 +189,48 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     (out / "pareto.csv").write_text(render_csv(report), encoding="utf-8")
     (out / "pareto.json").write_text(render_json(report), encoding="utf-8")
     (out / "report.txt").write_text(render_text(report, front), encoding="utf-8")
-    if cfg.dump_mdp:
-        _dump_front_models(space, front, out)
+    for name, ctx in models:
+        _dump_model(name, ctx, cfg.state_cap, out)
     return report
 
 
-def _dump_front_models(space, front: ParetoFront, out: Path):
-    """Write the paper's full model of every cluster of every front entry.
-
-    The search solves failure-lumped models, which are smaller, so a full
-    model can exceed a state cap that the search stayed under: that raises
-    :class:`StateExplosion` naming the file, the cluster and the cap.
-    """
+def _front_models(space, front: ParetoFront) -> list[tuple[str, ClusterContext]]:
+    """The ``--dump-mdp`` file name and the context of every cluster of
+    every front entry."""
+    models = []
     for entry in front.entries:
         a = entry.chromosome.alloc_idx
         p = entry.chromosome.perm_idx
-        allocation = space.allocations[a]
         permutation = space.permutation(a, p)
         for ci, cluster in enumerate(space.clusters[a]):
             restricted = PermutationSet(
                 {r: permutation.per_robot[r] for r in sorted(cluster.robots)}
             )
-            name = f"mdp_{a}_{p}_{ci}.txt"
             ctx = ClusterContext(
-                space.v, allocation, cluster, restricted, space.pairs,
-                space.instances, space.time_available,
+                space.v, space.allocations[a], cluster, restricted, space.pairs,
+                space.instances,
             )
-            try:
-                mdp = build_mdp(ctx, space.state_cap)
-            except StateExplosion as exc:
-                raise StateExplosion(
-                    f"cannot write {name}: the full model of cluster "
-                    f"{{{','.join(sorted(cluster.robots))}}} exceeds the state "
-                    f"cap of {space.state_cap}",
-                    exc.cluster_size,
-                    exc.state_count,
-                ) from exc
-            (out / name).write_text(
-                write_mdp_text(mdp), encoding="utf-8"
-            )
+            models.append((f"mdp_{a}_{p}_{ci}.txt", ctx))
+    return models
+
+
+def _dump_model(name: str, ctx: ClusterContext, state_cap: int, out: Path):
+    """Write the paper's full model of one cluster.
+
+    The search solves failure-lumped models, which are smaller, so a full
+    model can exceed a state cap that the search stayed under: that raises
+    :class:`StateExplosion` naming the file, the cluster and the cap.
+    """
+    try:
+        mdp = build_mdp(ctx, state_cap)
+    except StateExplosion as exc:
+        raise StateExplosion(
+            f"cannot write {name}: the full model of cluster "
+            f"{{{','.join(ctx.robots)}}} exceeds the state cap of {state_cap}",
+            exc.cluster_size,
+            exc.state_count,
+        ) from exc
+    (out / name).write_text(write_mdp_text(mdp), encoding="utf-8")
 
 
 def render_csv(report: RunReport) -> str:

@@ -10,7 +10,6 @@ from .errors import InvariantViolation
 from .mdp import (
     DEFAULT_STATE_CAP,
     ClusterContext,
-    Mdp,
     build_mdp,
     earliest_start_feasible,
 )
@@ -56,10 +55,10 @@ def schedule_cluster(
     permutation: PermutationSet,
     pairs: list[PrecedencePair],
     instances: dict[str, TaskInstance],
-    time_available: int | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SchedulingResult:
-    """Build and solve one cluster's failure-lumped model.
+    """Build and solve one cluster's failure-lumped model under the
+    mission's time budget.
 
     The model is :func:`build_mdp` with ``failures=False``: the exact
     quotient of the paper's model that keeps only success outcomes (see
@@ -73,9 +72,7 @@ def schedule_cluster(
     :func:`earliest_start_feasible` before any model is built;
     :class:`InvariantViolation` is raised when the model disagrees.
     """
-    ctx = ClusterContext(
-        v, allocation, cluster, permutation, pairs, instances, time_available
-    )
+    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
     if not earliest_start_feasible(ctx):
         return SchedulingResult(False, 0.0, None, None, None)
 

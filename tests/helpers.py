@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, buil
 from kanoa.parser import parse_problem
 from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
 from kanoa.plans import extract_plan
+from kanoa.problem import ValidatedProblem
 from kanoa.reporting import PipelineConfig
 from kanoa.scheduling import SchedulingResult, success_probability
 from kanoa.solver import max_reach_probability, min_expected_reward_policy
@@ -280,16 +282,26 @@ def random_scheduling_model(rng: random.Random, max_decision=12):
     return v, allocation, cluster, permutation, mdp
 
 
+def with_time_available(case, tt):
+    """``case``, a (v, allocation, cluster, permutation, pairs, instances)
+    tuple, with the mission's time constraint rewritten to ``tt``."""
+    v, *rest = case
+    constraints = tuple(
+        replace(c, budget=tt) if c.kind == "timeAvailable" else c
+        for c in v.problem.constraints
+    )
+    problem = replace(v.problem, constraints=constraints)
+    return (ValidatedProblem(problem, v.distance_table), *rest)
+
+
 def reference_schedule(
-    v, allocation, cluster, permutation, pairs, instances, time_available=None,
+    v, allocation, cluster, permutation, pairs, instances,
     state_cap=DEFAULT_STATE_CAP,
 ):
     """``schedule_cluster`` without its closed-form rejections and on the
     paper's full model: always build it, then reach, minimum-idle policy
     and plan extraction."""
-    ctx = ClusterContext(
-        v, allocation, cluster, permutation, pairs, instances, time_available
-    )
+    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx, state_cap)
     if max_reach_probability(mdp, "done") < 1.0:
         return SchedulingResult(False, 0.0, None, None, None)

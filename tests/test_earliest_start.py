@@ -15,7 +15,14 @@ outcome-independent durations and zero-time recovery.
 import random
 
 import pytest
-from helpers import expanded, load, random_clusters, reference_schedule, times
+from helpers import (
+    expanded,
+    load,
+    random_clusters,
+    reference_schedule,
+    times,
+    with_time_available,
+)
 from oracles import earliest_start_plan, min_completion
 
 import kanoa.scheduling
@@ -92,27 +99,27 @@ def crossed_orders_case(crossed):
     return v, allocation, cluster, p, pairs, instances
 
 
-def context(case, tt=None):
-    return ClusterContext(*case, tt)
+def context(case):
+    return ClusterContext(*case)
 
 
-def check(case, tt=None):
-    return earliest_start_feasible(context(case, tt))
+def check(case):
+    return earliest_start_feasible(context(case))
 
 
-def chains_fit(case, tt=None):
+def chains_fit(case):
     """Whether every robot's bare chain of travel and execution fits the
     budget, so that only waiting can make the cluster infeasible."""
-    ctx = context(case, tt)
+    ctx = context(case)
     return all(min_completion(ctx, i) <= ctx.tt for i in range(ctx.nrobots))
 
 
-def verdicts(case, tt=None):
+def verdicts(case):
     """(check verdict, model verdict), after asserting that the whole
     result equals the reference's."""
-    ref = reference_schedule(*case, time_available=tt)
-    assert schedule_cluster(*case, time_available=tt) == ref
-    return check(case, tt), ref.feasible
+    ref = reference_schedule(*case)
+    assert schedule_cluster(*case) == ref
+    return check(case), ref.feasible
 
 
 # -- random clusters ----------------------------------------------------------
@@ -124,12 +131,12 @@ def test_random_clusters_match_reference(idle_caps):
     checked = feasible = waits_reject = 0
     while checked < 1000:
         for case in random_clusters(rng, idle_caps, draws=3):
-            tt = rng.randint(4, 24)
-            check, model = verdicts(case, tt)
+            case = with_time_available(case, rng.randint(4, 24))
+            check, model = verdicts(case)
             assert check == model
             checked += 1
             feasible += model
-            waits_reject += not model and chains_fit(case, tt)
+            waits_reject += not model and chains_fit(case)
     # both verdicts occur, and the check rejects clusters the chains pass
     assert 0.2 * checked < feasible < 0.8 * checked
     assert waits_reject > 0.02 * checked
@@ -177,10 +184,9 @@ def test_hospital_calls_match_reference(hospital_calls):
     # failure-lumped model where the reference solves the full one
     rejected = 0
     for args, kwargs, ref in hospital_calls:
-        tt = kwargs["time_available"]
-        assert check(args, tt) == ref.feasible
+        assert check(args) == ref.feasible
         assert schedule_cluster(*args, **kwargs) == ref
-        rejected += not ref.feasible and chains_fit(args, tt)
+        rejected += not ref.feasible and chains_fit(args)
     assert rejected > len(hospital_calls) / 2
     assert any(ref.feasible for *_, ref in hospital_calls)
 
@@ -204,9 +210,9 @@ def test_random_clusters_match_plan_oracle(idle_caps):
     checked = feasible = waited = 0
     while checked < 1000:
         for case in random_clusters(rng, idle_caps, draws=3):
-            tt = rng.randint(4, 24)
-            result = schedule_cluster(*case, time_available=tt)
-            feasible += matches_plan_oracle(result, context(case, tt))
+            case = with_time_available(case, rng.randint(4, 24))
+            result = schedule_cluster(*case)
+            feasible += matches_plan_oracle(result, context(case))
             waited += bool(result.idle)
             checked += 1
     # both verdicts occur, and many plans wait
@@ -218,8 +224,7 @@ def test_hospital_calls_match_plan_oracle(hospital_calls):
     # each reference result equals what schedule_cluster returns on that
     # call (test_hospital_calls_match_reference)
     feasible = sum(
-        matches_plan_oracle(ref, context(args, kwargs["time_available"]))
-        for args, kwargs, ref in hospital_calls
+        matches_plan_oracle(ref, context(args)) for args, _, ref in hospital_calls
     )
     assert feasible > 0
 
@@ -250,17 +255,14 @@ def test_preconditions_on_random_models():
     seen = built = 0
     while built < 150:
         for case in random_clusters(rng, idle_caps=built % 2 == 1):
-            seen += assert_outcome_independent(
-                build_mdp(context(case, rng.randint(4, 24)))
-            )
+            case = with_time_available(case, rng.randint(4, 24))
+            seen += assert_outcome_independent(build_mdp(context(case)))
             built += 1
     assert seen > built
 
 
 def test_preconditions_on_hospital_clusters(hospital_calls):
     seen = 0
-    for args, kwargs, _ in hospital_calls[::12]:
-        seen += assert_outcome_independent(
-            build_mdp(context(args, kwargs["time_available"]))
-        )
+    for args, _, _ in hospital_calls[::12]:
+        seen += assert_outcome_independent(build_mdp(context(args)))
     assert seen > 0

@@ -17,6 +17,7 @@ from helpers import (
     perfbench_mission,
     random_clusters,
     reference_schedule,
+    with_time_available,
 )
 
 import kanoa.optimizer
@@ -56,9 +57,9 @@ def plan_of(mdp, reach):
     return round(idle), extract_plan(mdp, policy)
 
 
-def assert_lumped_matches_full(case, tt):
+def assert_lumped_matches_full(case):
     """Returns whether the cluster is feasible."""
-    ctx = ClusterContext(*case, tt)
+    ctx = ClusterContext(*case)
     full = build_mdp(ctx)
     lumped = build_mdp(ctx, failures=False)
     unfailed = [
@@ -95,15 +96,16 @@ def test_random_lumped_models_match_full(idle_caps):
     checked = feasible = 0
     while checked < 300:
         for case in random_clusters(rng, idle_caps, draws=3):
-            feasible += assert_lumped_matches_full(case, rng.randint(4, 24))
+            feasible += assert_lumped_matches_full(
+                with_time_available(case, rng.randint(4, 24))
+            )
             checked += 1
     assert 0.2 * checked < feasible < 0.8 * checked
 
 
 def test_hospital_lumped_models_match_full(hospital_calls):
     feasible = sum(
-        assert_lumped_matches_full(args, kwargs["time_available"])
-        for args, kwargs, _ in hospital_calls
+        assert_lumped_matches_full(args) for args, _, _ in hospital_calls
     )
     assert 0 < feasible < len(hospital_calls)
 

@@ -283,7 +283,7 @@ mission { task c at room; time 30 }
     [clean] = [e for e in plan.timelines["wiper"] if e.kind == "execute"]
     [notify] = [e for e in plan.timelines["talker"] if e.kind == "execute"]
     assert notify.end <= clean.start
-    assert check_plan(plan, pairs, 30) == []
+    assert check_plan(plan, pairs, 30, {}) == []
 
 
 def test_monolithic_equals_cluster_split():

@@ -63,7 +63,8 @@ def test_single_chromosome_passthrough():
     # single allocation, clusters solved directly: aggregate equals parts
     p = 1.0
     idle = travel = 0
-    for sched in res.cluster_results:
+    for orders in _cluster_orders(space, 0, 0):
+        sched = space._schedules[orders]
         p *= sched.p_success
         idle += sched.idle
         travel += sched.travel
@@ -189,8 +190,12 @@ def test_equal_cluster_orders_scheduled_once(monkeypatch, pair, distinct):
     first = evaluate(space, Chromosome(a1, p1), cache)
     second = evaluate(space, Chromosome(a2, p2), cache)
     assert len(cache) == 2 and first.feasible and second.feasible
-    assert len(calls) == distinct
-    assert all(x is y for x, y in zip(first.cluster_results, second.cluster_results))
+    assert len(calls) == len(space._schedules) == distinct
+    # the second chromosome's plan is made of the first one's cluster results
+    assert all(
+        first.plan.timelines[r] is second.plan.timelines[r]
+        for r in first.plan.timelines
+    )
 
 
 def test_state_explosion_not_memoized(monkeypatch):
@@ -219,7 +224,9 @@ def test_fresh_space_starts_with_empty_memo(monkeypatch):
 @pytest.mark.parametrize("name", ["fleet", "hospital"])
 def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
     """Every cluster result of every chromosome a whole search evaluated
-    equals a direct ``schedule_cluster`` call on that cluster."""
+    equals a direct ``schedule_cluster`` call on that cluster, up to the
+    first infeasible cluster, and that cluster decides the chromosome's
+    verdict."""
     if name == "hospital":
         text = (fixtures_dir / "hospital.kanoa").read_text(encoding="utf-8")
         run_cfg = PipelineConfig(seed=0)
@@ -245,18 +252,18 @@ def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
     results = 0
     for (a, p), res in cache.items():
         allocation = space.allocations[a]
-        permutation = space.permutation(a, p)
-        for cluster, sched in zip(space.clusters[a], res.cluster_results):
-            restricted = PermutationSet(
-                {r: permutation.per_robot[r] for r in sorted(cluster.robots)}
-            )
+        feasible = True
+        for cluster, orders in zip(space.clusters[a], _cluster_orders(space, a, p)):
             direct = schedule_cluster(
-                space.v, allocation, cluster, restricted, space.pairs,
-                space.instances, time_available=space.time_available,
-                state_cap=space.state_cap,
+                space.v, allocation, cluster, PermutationSet(dict(orders)),
+                space.pairs, space.instances, state_cap=space.state_cap,
             )
-            assert sched == direct, (a, p, sorted(cluster.robots))
+            assert space._schedules[orders] == direct, (a, p, sorted(cluster.robots))
             results += 1
+            if not direct.feasible:
+                feasible = False
+                break
+        assert res.feasible == feasible, (a, p)
     assert results > len(cache)
 
 

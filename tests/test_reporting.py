@@ -1,11 +1,14 @@
 import csv
+import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -368,6 +371,64 @@ def test_config_inputs_build_or_raise_value_error(raw, env):
         except ValueError:
             return
     assert isinstance(cfg.seed, int) and cfg.population >= 4
+
+
+FIXTURE_TEXTS = {
+    p.name: p.read_text(encoding="utf-8")
+    for p in sorted((Path(__file__).parent.parent / "fixtures").glob("*.kanoa"))
+}
+TOKEN = re.compile(r"[A-Za-z_]\w*|\d+(?:\.\d+)?|\S")
+# numbers that no fixture holds, malformed ones among them
+ODD_NUMBERS = ["-1", "0", "0.0", "1.5", "99999", "1e3", "2.", "0.", "1.2.3", "0.9.5"]
+VOCAB = sorted(
+    {m.group() for text in FIXTURE_TEXTS.values() for m in TOKEN.finditer(text)}
+    | set(ODD_NUMBERS)
+)
+
+
+@st.composite
+def mutated_missions(draw):
+    """A fixture's text with one token replaced or deleted, or one line
+    duplicated.  Half the draws aim at a number, half the replacements
+    are odd numbers: number literals are where hand-found bugs were."""
+    text = FIXTURE_TEXTS[draw(st.sampled_from(sorted(FIXTURE_TEXTS)))]
+    kind = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if kind == "duplicate":
+        lines = text.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[: i + 1] + lines[i:])
+    tokens = list(TOKEN.finditer(text))
+    numbers = [t for t in tokens if t.group()[0].isdigit()]
+    token = draw(st.sampled_from(numbers) | st.sampled_from(tokens))
+    new = ""
+    if kind == "replace":
+        new = draw(st.sampled_from(ODD_NUMBERS) | st.sampled_from(VOCAB))
+    return text[: token.start()] + new + text[token.end():]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=mutated_missions())
+def test_mutated_missions_end_in_exit_code_and_diagnostics(text):
+    """A mutated mission plans (exit 0, silent stderr) or is refused
+    (exit 1 or 2) with diagnostics only: no traceback reaches the user."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mission = Path(tmp) / "mission.kanoa"
+        mission.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli_main([
+                "plan", "--input", str(mission), "--out", str(Path(tmp) / "out"),
+                "--allocations", "2", "--permutations", "2", "--pop", "4",
+                "--gens", "1", "--seed", "0", "--state-cap", "20000",
+            ])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert lines == []
+    else:
+        assert lines
+        for line in lines:
+            assert line.startswith((str(mission), "error:", "no feasible plan:")), line
 
 
 INVALID_MISSION = (
