@@ -15,7 +15,7 @@ v = validate_problem(
 )
 
 tree, pairs = expand_mission(v)
-leaves = tree.leaves
+leaves = tree.leaves()
 print(f"{len(leaves)} atomic instances:")
 for inst in leaves:
     joint = f" (joint, {inst.robots_needed} robots)" if inst.robots_needed > 1 else ""
@@ -27,5 +27,5 @@ for p in pairs:
 
 subtrees = prune_subtrees(tree)
 print(f"\n{len(subtrees)} constraint subtrees:")
-for s in subtrees:
-    print(f"  subtree {s.id}: {sorted(s.leaf_instances)}")
+for k, s in enumerate(subtrees):
+    print(f"  subtree {k}: {sorted(s)}")

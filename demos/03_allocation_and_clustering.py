@@ -24,7 +24,7 @@ v = validate_problem(
     parse_problem((HERE.parent / "fixtures" / "hospital.kanoa").read_text())
 )
 tree, pairs = expand_mission(v)
-leaves = tree.leaves
+leaves = tree.leaves()
 subtrees = prune_subtrees(tree)
 
 total = count_feasible(v, leaves)

@@ -21,7 +21,6 @@ from kanoa import (
 from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import ClusterContext, build_mdp
-from kanoa.permutations import PermutationSet
 from kanoa.scheduling import schedule_cluster
 
 HERE = Path(__file__).parent
@@ -29,14 +28,14 @@ v = validate_problem(
     parse_problem((HERE.parent / "fixtures" / "hospital.kanoa").read_text())
 )
 tree, pairs = expand_mission(v)
-instances = {l.instance_id: l for l in tree.leaves}
+instances = {l.instance_id: l for l in tree.leaves()}
 subtrees = prune_subtrees(tree)
 
 # hand-pick an allocation: movers take both joint tasks, cleaners split rooms
 assignments = {"at1_move_0": frozenset({"r1", "r2"}),
                "at1_move_1": frozenset({"r1", "r2"})}
 cleaners = ["r3", "r4", "r5"]
-for i, leaf in enumerate(l for l in tree.leaves if l.type_id != "at1_move"):
+for i, leaf in enumerate(l for l in tree.leaves() if l.type_id != "at1_move"):
     assignments[leaf.instance_id] = frozenset({cleaners[i % 3]})
 allocation = Allocation(0, assignments)
 
@@ -44,10 +43,10 @@ movers = next(
     c for c in cluster_robots(allocation, subtrees)
     if c.robots == frozenset({"r1", "r2"})
 )
-permutation = PermutationSet({
+permutation = {
     "r1": ("at1_move_0", "at1_move_1"),
     "r2": ("at1_move_0", "at1_move_1"),
-})
+}
 
 ctx = ClusterContext(v, allocation, movers, permutation, pairs, instances)
 mdp = build_mdp(ctx)

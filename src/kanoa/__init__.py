@@ -42,7 +42,7 @@ from .optimizer import (
     prepare_search,
 )
 from .parser import parse_problem
-from .permutations import PermutationSet, random_task_permutation, travel_cost
+from .permutations import random_task_permutation, travel_cost
 from .plans import Plan, PlanEvent, check_plan, extract_plan
 from .printer import pretty_print
 from .problem import ProblemSpec, ValidatedProblem
@@ -51,9 +51,8 @@ from .scheduling import SchedulingResult, schedule_cluster, success_probability
 from .solver import max_reach_probability, min_expected_reward
 from .taskgraph import (
     PrecedencePair,
-    Subtree,
     TaskInstance,
-    TaskInstanceTree,
+    TreeNode,
     expand_mission,
     prune_subtrees,
 )

@@ -34,13 +34,6 @@ class Allocation:
             out |= robots
         return frozenset(out)
 
-    def key(self) -> tuple:
-        """Canonical hashable form of the assignment map."""
-        return tuple(
-            (inst, tuple(sorted(robots)))
-            for inst, robots in sorted(self.assignments.items())
-        )
-
 
 @dataclass(frozen=True)
 class AllocatorConfig:

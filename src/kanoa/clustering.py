@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .allocation import Allocation
-from .taskgraph import Subtree
 
 
 @dataclass(frozen=True)
@@ -20,10 +19,10 @@ class RobotCluster:
     instances: frozenset[str]
 
 
-def robots_of_subtree(allocation: Allocation, subtree: Subtree) -> frozenset[str]:
+def robots_of_subtree(allocation: Allocation, subtree: frozenset[str]) -> frozenset[str]:
     """Union of the robot teams assigned to the subtree's leaf instances."""
     out = set()
-    for inst_id in subtree.leaf_instances:
+    for inst_id in subtree:
         out |= allocation.assignments[inst_id]
     return frozenset(out)
 
@@ -47,7 +46,7 @@ class UnionFind:
 
 
 def cluster_robots(
-    allocation: Allocation, subtrees: list[Subtree]
+    allocation: Allocation, subtrees: list[frozenset[str]]
 ) -> list[RobotCluster]:
     """Production clustering: union-find over subtree robot sets."""
     robots = sorted(allocation.used_robots)

@@ -16,6 +16,9 @@ _BAR_H = 18
 _LEFT = 90
 _TOP = 46
 _PX_PER_UNIT = 9
+# widest text chart: it spends one column per time unit, so a long makespan
+# would take memory and report.txt size in proportion
+_TEXT_MAX_SPAN = 1000
 
 
 def emit_gantt(plan: Plan, title: str = "Schedule") -> str:
@@ -78,9 +81,12 @@ def _pick_tick(span: int) -> int:
 
 
 def format_gantt_text(plan: Plan) -> str:
-    """Monospace fallback: one character column per time unit."""
+    """Monospace fallback: one character column per time unit, or one line
+    naming the makespan when that exceeds ``_TEXT_MAX_SPAN`` columns."""
     glyph = {"travel": "-", "execute": "#", "jointSync": "J", "idle": "."}
     span = plan.makespan
+    if span > _TEXT_MAX_SPAN:
+        return f"makespan {span} is too wide for a text chart of {_TEXT_MAX_SPAN} columns\n"
     lines = []
     for robot in sorted(plan.timelines):
         row = [" "] * span

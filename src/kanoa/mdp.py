@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from .allocation import Allocation
 from .clustering import RobotCluster
 from .errors import InvariantViolation, StateExplosion
-from .permutations import PermutationSet
 from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
 
@@ -161,7 +160,7 @@ class ClusterContext:
 
     def __init__(
         self, v: ValidatedProblem, allocation: Allocation, cluster: RobotCluster,
-        permutation: PermutationSet, pairs: list[PrecedencePair],
+        permutation: dict[str, tuple[str, ...]], pairs: list[PrecedencePair],
         instances: dict[str, TaskInstance],
     ):
         self.tt = tt = v.time_available
@@ -197,7 +196,7 @@ class ClusterContext:
             here = robot.initial_loc
             row: list[_Step] = []
             cum = [0]
-            for inst_id in permutation.per_robot[rid]:
+            for inst_id in permutation[rid]:
                 inst: TaskInstance = instances[inst_id]
                 participants = tuple(sorted(team[inst_id]))
                 joint = inst.robots_needed >= 2

@@ -3,9 +3,10 @@
 A chromosome is a pair of small indices: into the allocation list, and
 into that allocation's pool of whole-allocation task permutations.  A pool
 entry is drawn, from its own seed, the first time it is used.  Evaluation
-solves one scheduling model per robot cluster and aggregates the three
-objectives; infeasible chromosomes rank below every feasible one
-(constrained domination).  Everything is driven by a single seed and fully
+schedules each robot cluster and aggregates the three objectives; a
+cluster that fails the closed-form feasibility check builds no model.
+Infeasible chromosomes rank below every feasible one (constrained
+domination).  Everything is driven by a single seed and fully
 reproducible.
 
 Two memos keep the search from repeating work.  ``evaluate`` keeps each
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .allocation import Allocation, AllocatorConfig, enumerate_allocations
 from .clustering import RobotCluster, cluster_robots
 from .errors import NoFeasibleSolution, StateExplosion
 from .mdp import DEFAULT_STATE_CAP
-from .permutations import PermutationSet, random_task_permutation
+from .permutations import random_task_permutation
 from .plans import Plan
 from .problem import ValidatedProblem
 from .scheduling import SchedulingResult, schedule_cluster
@@ -40,26 +42,24 @@ CROSSOVER_RATE = 0.9  # chance that a selected pair swaps genes
 MUTATION_RATE = 0.2  # chance that an offspring redraws one gene
 
 
-@dataclass(frozen=True)
-class Chromosome:
+class Chromosome(NamedTuple):
     alloc_idx: int
     perm_idx: int
 
 
-@dataclass(frozen=True)
-class Objectives:
+class Objectives(NamedTuple):
     p_fail: float
     idle: int
     travel: int
 
-    def as_tuple(self) -> tuple[float, int, int]:
-        return (self.p_fail, self.idle, self.travel)
+    def as_tuple(self) -> Objectives:
+        """The record itself, which is already a tuple."""
+        return self
 
 
 def dominates(a: Objectives, b: Objectives) -> bool:
     """Pareto dominance: no worse everywhere, strictly better somewhere."""
-    at, bt = a.as_tuple(), b.as_tuple()
-    return all(x <= y for x, y in zip(at, bt)) and at != bt
+    return all(x <= y for x, y in zip(a, b)) and a != b
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class SearchSpace:
     pool_size: int  # permutations per allocation
     seed: int
     state_cap: int = DEFAULT_STATE_CAP
-    _drawn: dict[tuple[int, int], PermutationSet] = field(
+    _drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = field(
         default_factory=dict, init=False, repr=False
     )
     _schedules: dict[tuple, SchedulingResult] = field(
@@ -123,7 +123,7 @@ class SearchSpace:
             for p in range(self.pool_size):
                 yield Chromosome(a, p)
 
-    def permutation(self, a: int, p: int) -> PermutationSet:
+    def permutation(self, a: int, p: int) -> dict[str, tuple[str, ...]]:
         """Pool entry ``p`` of allocation ``a``, drawn on first request and
         kept.  Each entry has its own seed, ``f"{seed}:{a}:{p}"``, so it
         does not depend on which entries were drawn before it."""
@@ -151,10 +151,10 @@ def prepare_search(
 ) -> SearchSpace:
     """Expand the mission, enumerate allocations and cluster robots; the
     permutation pools are drawn lazily by :meth:`SearchSpace.permutation`."""
-    tree, pairs = expand_mission(v)
-    leaves = tree.leaves
+    root, pairs = expand_mission(v)
+    leaves = root.leaves()
     instances = {inst.instance_id: inst for inst in leaves}
-    subtrees = prune_subtrees(tree)
+    subtrees = prune_subtrees(root)
     allocations = enumerate_allocations(v, leaves, allocator_cfg)
 
     clusters = [cluster_robots(a, subtrees) for a in allocations]
@@ -174,7 +174,7 @@ def prepare_search(
 def evaluate(
     space: SearchSpace,
     ch: Chromosome,
-    cache: dict[tuple[int, int], EvalResult],
+    cache: dict[Chromosome, EvalResult],
 ) -> EvalResult:
     """Solve every cluster of the chromosome's allocation; memoized.
 
@@ -183,13 +183,12 @@ def evaluate(
     the chromosome infeasible; a state-space blowup is reported as
     infeasibility with a diagnostic rather than an error.
     """
-    key = (ch.alloc_idx, ch.perm_idx)
-    hit = cache.get(key)
+    hit = cache.get(ch)
     if hit is not None:
         return hit
 
     allocation = space.allocations[ch.alloc_idx]
-    permutation = space.permutation(ch.alloc_idx, ch.perm_idx)
+    permutation = space.permutation(*ch)
     result = EvalResult(feasible=True)
     p_success = 1.0
     idle = 0
@@ -197,16 +196,14 @@ def evaluate(
     timelines: dict[str, tuple] = {}
     try:
         for cluster in space.clusters[ch.alloc_idx]:
-            orders = tuple(
-                (r, permutation.per_robot[r]) for r in sorted(cluster.robots)
-            )
+            orders = tuple((r, permutation[r]) for r in sorted(cluster.robots))
             sched = space._schedules.get(orders)
             if sched is None:
                 sched = schedule_cluster(
                     space.v,
                     allocation,
                     cluster,
-                    PermutationSet(dict(orders)),
+                    dict(orders),
                     space.pairs,
                     space.instances,
                     state_cap=space.state_cap,
@@ -227,7 +224,7 @@ def evaluate(
     if result.feasible:
         result.objectives = Objectives(1.0 - p_success, idle, travel)
         result.plan = Plan(timelines)
-    cache[key] = result
+    cache[ch] = result
     return result
 
 
@@ -247,13 +244,13 @@ def fast_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
     counts reach zero while the previous front is walked, ascending index
     among members that the same member releases.
     """
-    members: dict[tuple | None, list[int]] = {}
+    members: dict[Objectives | None, list[int]] = {}
     key_of = []
     for i, r in enumerate(results):
-        key = r.objectives.as_tuple() if r.feasible else None
+        key = r.objectives if r.feasible else None
         members.setdefault(key, []).append(i)
         key_of.append(key)
-    beats: dict[tuple | None, list] = {key: [] for key in members}
+    beats: dict[Objectives | None, list] = {key: [] for key in members}
     count = dict.fromkeys(members, 0)
     feasible = [key for key in members if key is not None]
     for a in feasible:
@@ -290,15 +287,15 @@ def crowding_distance(front: list[int], results: list[EvalResult]) -> dict[int, 
             dist[i] = float("inf")
         return dist
     for m in range(3):
-        ordered = sorted(scored, key=lambda i: results[i].objectives.as_tuple()[m])
-        lo = results[ordered[0]].objectives.as_tuple()[m]
-        hi = results[ordered[-1]].objectives.as_tuple()[m]
+        ordered = sorted(scored, key=lambda i: results[i].objectives[m])
+        lo = results[ordered[0]].objectives[m]
+        hi = results[ordered[-1]].objectives[m]
         dist[ordered[0]] = dist[ordered[-1]] = float("inf")
         if hi == lo:
             continue
         for k in range(1, len(ordered) - 1):
-            prev = results[ordered[k - 1]].objectives.as_tuple()[m]
-            nxt = results[ordered[k + 1]].objectives.as_tuple()[m]
+            prev = results[ordered[k - 1]].objectives[m]
+            nxt = results[ordered[k + 1]].objectives[m]
             dist[ordered[k]] += (nxt - prev) / (hi - lo)
     return dist
 
@@ -316,8 +313,11 @@ class ParetoFront:
 
 
 def _initial_population(space: SearchSpace, cfg: GaConfig, rng) -> list[Chromosome]:
-    everything = list(space.chromosomes())
-    if len(everything) <= cfg.population_size:
+    """Every chromosome, topped up with random repeats, when the space fits
+    in the population; otherwise uniform random draws.  The space is listed
+    only when it fits."""
+    if len(space.allocations) * space.pool_size <= cfg.population_size:
+        everything = list(space.chromosomes())
         pop = list(everything)
         while len(pop) < cfg.population_size:
             pop.append(everything[rng.randrange(len(everything))])
@@ -341,7 +341,7 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
     if not space.allocations:
         raise NoFeasibleSolution("no allocations to search", 0, 0)
     rng = random.Random(f"nsga2:{cfg.seed}")
-    cache: dict[tuple[int, int], EvalResult] = {}
+    cache: dict[Chromosome, EvalResult] = {}
 
     population = _initial_population(space, cfg, rng)
     for generation in range(cfg.generations):
@@ -368,8 +368,7 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
             b = better(rng.randrange(len(population)), rng.randrange(len(population)))
             c1, c2 = population[a], population[b]
             if rng.random() < CROSSOVER_RATE:
-                g1 = [c1.alloc_idx, c1.perm_idx]
-                g2 = [c2.alloc_idx, c2.perm_idx]
+                g1, g2 = list(c1), list(c2)
                 for g in range(2):
                     if rng.random() < 0.5:
                         g1[g], g2[g] = g2[g], g1[g]
@@ -419,18 +418,17 @@ def _environmental_selection(combined, results, cfg) -> list[Chromosome]:
         def sort_key(i):
             return (
                 -dist[i],
-                results[i].objectives.as_tuple() if results[i].feasible else (2.0, 0, 0),
-                (combined[i].alloc_idx, combined[i].perm_idx),
+                results[i].objectives if results[i].feasible else (2.0, 0, 0),
+                combined[i],
             )
 
         # fill with distinct chromosomes first: a duplicate copy must never
         # crowd out the only copy of another front member
-        seen: set[tuple[int, int]] = set()
+        seen: set[Chromosome] = set()
         uniques, copies = [], []
         for i in sorted(front):
-            key = (combined[i].alloc_idx, combined[i].perm_idx)
-            (copies if key in seen else uniques).append(i)
-            seen.add(key)
+            (copies if combined[i] in seen else uniques).append(i)
+            seen.add(combined[i])
         ordered = sorted(uniques, key=sort_key) + sorted(copies, key=sort_key)
         chosen.extend(ordered[:room])
         break
@@ -441,9 +439,8 @@ def _feasible_front(population, results) -> list[ParetoEntry]:
     seen = set()
     candidates = []
     for ch, res in zip(population, results):
-        key = (ch.alloc_idx, ch.perm_idx)
-        if res.feasible and key not in seen:
-            seen.add(key)
+        if res.feasible and ch not in seen:
+            seen.add(ch)
             candidates.append((ch, res))
     return _nondominated(candidates)
 
@@ -456,7 +453,7 @@ def _nondominated(feasible) -> list[ParetoEntry]:
         for ch, res in feasible
         if not any(dominates(o.objectives, res.objectives) for _, o in feasible)
     ]
-    front.sort(key=lambda e: (e[1].objectives.as_tuple(), e[0].alloc_idx, e[0].perm_idx))
+    front.sort(key=lambda e: (e[1].objectives, e[0]))
     return [ParetoEntry(ch, res.objectives, res.plan) for ch, res in front]
 
 

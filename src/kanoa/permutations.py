@@ -1,22 +1,17 @@
-"""Per-robot task orders and the travel cost they induce."""
+"""Per-robot task orders and the travel cost they induce.
+
+A permutation maps each robot to its ordered tuple of instance ids; a
+joint instance appears in every participant's order.
+"""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .allocation import Allocation
 from .clustering import RobotCluster
 from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
-
-
-@dataclass(frozen=True)
-class PermutationSet:
-    """One ordered task list per robot (joint instances appear in every
-    participant's list)."""
-
-    per_robot: dict[str, tuple[str, ...]]
 
 
 def _instances_of(allocation: Allocation, cluster: RobotCluster, robot: str) -> list[str]:
@@ -61,7 +56,7 @@ def random_task_permutation(
     cluster: RobotCluster,
     pairs: list[PrecedencePair],
     seed,
-) -> PermutationSet:
+) -> dict[str, tuple[str, ...]]:
     """Seeded random topological order of each robot's assigned instances.
 
     At every step one of the currently unconstrained tasks is drawn
@@ -84,11 +79,11 @@ def random_task_permutation(
             placed.add(pick)
             del remaining[pick]
         per_robot[robot] = tuple(order)
-    return PermutationSet(per_robot)
+    return per_robot
 
 
 def travel_cost(
-    p: PermutationSet,
+    p: dict[str, tuple[str, ...]],
     v: ValidatedProblem,
     instances: dict[str, TaskInstance],
 ) -> int:
@@ -98,7 +93,7 @@ def travel_cost(
     consecutive stops contribute zero.
     """
     total = 0
-    for robot_id, order in p.per_robot.items():
+    for robot_id, order in p.items():
         here = v.robot(robot_id).initial_loc
         for inst_id in order:
             there = instances[inst_id].location

@@ -16,7 +16,6 @@ from .mdp import DEFAULT_STATE_CAP, ClusterContext, build_mdp
 from .mdp_export import write_mdp_text
 from .optimizer import GaConfig, ParetoFront, nsga2_run, prepare_search
 from .parser import parse_problem
-from .permutations import PermutationSet
 from .plans import check_plan
 from .taskgraph import debug_report, expand_mission
 from .validation import validate_problem
@@ -106,9 +105,9 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    tree, pairs = expand_mission(v)
+    root, pairs = expand_mission(v)
     (out / "instances.json").write_text(
-        json.dumps(debug_report(tree, pairs), indent=2) + "\n", encoding="utf-8"
+        json.dumps(debug_report(root, pairs), indent=2) + "\n", encoding="utf-8"
     )
     timings["expand"] = time.perf_counter() - t0
 
@@ -203,11 +202,8 @@ def _front_models(space, front: ParetoFront) -> list[tuple[str, ClusterContext]]
         p = entry.chromosome.perm_idx
         permutation = space.permutation(a, p)
         for ci, cluster in enumerate(space.clusters[a]):
-            restricted = PermutationSet(
-                {r: permutation.per_robot[r] for r in sorted(cluster.robots)}
-            )
             ctx = ClusterContext(
-                space.v, space.allocations[a], cluster, restricted, space.pairs,
+                space.v, space.allocations[a], cluster, permutation, space.pairs,
                 space.instances,
             )
             models.append((f"mdp_{a}_{p}_{ci}.txt", ctx))

@@ -13,7 +13,7 @@ from .mdp import (
     build_mdp,
     earliest_start_feasible,
 )
-from .permutations import PermutationSet, travel_cost
+from .permutations import travel_cost
 from .plans import Plan, extract_plan
 from .problem import ValidatedProblem
 from .solver import max_reach_probability, min_expected_reward_policy
@@ -52,7 +52,7 @@ def schedule_cluster(
     v: ValidatedProblem,
     allocation: Allocation,
     cluster: RobotCluster,
-    permutation: PermutationSet,
+    permutation: dict[str, tuple[str, ...]],
     pairs: list[PrecedencePair],
     instances: dict[str, TaskInstance],
     state_cap: int = DEFAULT_STATE_CAP,

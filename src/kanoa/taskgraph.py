@@ -48,28 +48,14 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
-class TaskInstanceTree:
-    root: TreeNode
-
-    @property
-    def leaves(self) -> list[TaskInstance]:
-        return self.root.leaves()
-
-
-@dataclass(frozen=True)
 class PrecedencePair:
     before: str
     after: str
 
 
-@dataclass(frozen=True)
-class Subtree:
-    id: int
-    leaf_instances: frozenset[str]
-
-
-def expand_mission(v: ValidatedProblem) -> tuple[TaskInstanceTree, list[PrecedencePair]]:
-    """Unfold the mission into uniquely named atomic instances plus precedence."""
+def expand_mission(v: ValidatedProblem) -> tuple[TreeNode, list[PrecedencePair]]:
+    """Unfold the mission into uniquely named atomic instances plus precedence.
+    The returned root node's children are the mission tasks."""
     counters: defaultdict[str, int] = defaultdict(int)
     pairs: list[PrecedencePair] = []
 
@@ -95,8 +81,7 @@ def expand_mission(v: ValidatedProblem) -> tuple[TaskInstanceTree, list[Preceden
         return TreeNode("compound", task_id, compound.ordered, children)
 
     roots = tuple(build(m.task_id, m.location_id) for m in v.problem.mission_tasks)
-    tree = TaskInstanceTree(TreeNode("root", None, False, roots))
-    return tree, pairs
+    return TreeNode("root", None, False, roots), pairs
 
 
 def _first_set(node: TreeNode) -> list[str]:
@@ -121,26 +106,26 @@ def _last_set(node: TreeNode) -> list[str]:
     return [inst.instance_id for inst in node.leaves()]
 
 
-def prune_subtrees(tree: TaskInstanceTree) -> list[Subtree]:
+def prune_subtrees(root: TreeNode) -> list[frozenset[str]]:
     """Breadth-first clustering of the instance tree.
 
     Descend from the root; whenever a node is an ordered compound or a leaf
-    (joint or not), the whole subtree rooted there becomes one cluster and
-    is not descended further.  The clusters partition the leaves.
+    (joint or not), the whole subtree rooted there becomes one cluster, the
+    set of its leaf instance ids, and is not descended further.  The
+    clusters partition the leaves.
     """
-    subtrees: list[Subtree] = []
-    queue = deque(tree.root.children)
+    subtrees: list[frozenset[str]] = []
+    queue = deque(root.children)
     while queue:
         node = queue.popleft()
         if node.kind == "leaf" or (node.kind == "compound" and node.ordered):
-            leaf_ids = frozenset(inst.instance_id for inst in node.leaves())
-            subtrees.append(Subtree(len(subtrees), leaf_ids))
+            subtrees.append(frozenset(inst.instance_id for inst in node.leaves()))
         else:
             queue.extend(node.children)
     return subtrees
 
 
-def debug_report(tree: TaskInstanceTree, pairs: list[PrecedencePair]) -> dict:
+def debug_report(root: TreeNode, pairs: list[PrecedencePair]) -> dict:
     """JSON-friendly dump of the expansion, for inspection and tooling."""
 
     def node_dict(node: TreeNode):
@@ -159,6 +144,6 @@ def debug_report(tree: TaskInstanceTree, pairs: list[PrecedencePair]) -> dict:
         }
 
     return {
-        "mission": [node_dict(c) for c in tree.root.children],
+        "mission": [node_dict(c) for c in root.children],
         "precedence": [{"before": p.before, "after": p.after} for p in pairs],
     }

@@ -17,7 +17,7 @@ from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, build_mdp
 from kanoa.parser import parse_problem
-from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
+from kanoa.permutations import random_task_permutation, travel_cost
 from kanoa.plans import extract_plan
 from kanoa.problem import ValidatedProblem
 from kanoa.reporting import PipelineConfig
@@ -46,7 +46,7 @@ mission {{ task job at site; time {tt} }}
 def expanded(v):
     """(leaves, instances-by-id, pairs, subtrees) for a validated problem."""
     tree, pairs = expand_mission(v)
-    leaves = tree.leaves
+    leaves = tree.leaves()
     return leaves, {l.instance_id: l for l in leaves}, pairs, prune_subtrees(tree)
 
 

@@ -34,7 +34,7 @@ from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
 from kanoa.optimizer import EvalResult, dominates
 from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
-from kanoa.taskgraph import Subtree, TaskInstance
+from kanoa.taskgraph import TaskInstance
 
 
 class InterdependenceMatrix:
@@ -54,7 +54,7 @@ class InterdependenceMatrix:
 
 
 def relation_matrix(
-    allocation: Allocation, subtrees: list[Subtree]
+    allocation: Allocation, subtrees: list[frozenset[str]]
 ) -> InterdependenceMatrix:
     robots = tuple(sorted(allocation.used_robots))
     index = {r: i for i, r in enumerate(robots)}

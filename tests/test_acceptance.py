@@ -49,7 +49,6 @@ from kanoa.printer import pretty_print
 from kanoa.errors import DslSyntaxError
 from kanoa.scheduling import success_probability
 from kanoa.solver import max_reach_probability, min_expected_reward
-from kanoa.taskgraph import Subtree
 from test_parser import MALFORMED
 
 
@@ -149,10 +148,8 @@ def test_criterion_4_transitive_closure_oracle():
         assert warshall == closure_by_multiplication(matrix)
         fake = Allocation(0, {f"i{k}": frozenset({robots[k]}) for k in range(n)})
         subtrees = [
-            Subtree(k, frozenset({f"i{a}", f"i{b}"}))
-            for k, (a, b) in enumerate(
-                (a, b) for a in range(n) for b in range(n) if m[a, b]
-            )
+            frozenset({f"i{a}", f"i{b}"})
+            for a in range(n) for b in range(n) if m[a, b]
         ]
         assert [g.robots for g in cluster_robots(fake, subtrees)] == [
             g.robots for g in clusters(warshall, fake)
@@ -164,9 +161,9 @@ def test_criterion_4_transitive_closure_oracle():
         "z": frozenset({"r4"}), "w": frozenset({"r5"}), "v": frozenset({"r2"}),
     })
     subtrees = [
-        Subtree(0, frozenset({"x", "y"})),
-        Subtree(1, frozenset({"z", "w"})),
-        Subtree(2, frozenset({"v"})),
+        frozenset({"x", "y"}),
+        frozenset({"z", "w"}),
+        frozenset({"v"}),
     ]
     groups = clusters(transitive_closure(relation_matrix(a, subtrees)), a)
     named = [sorted(g.robots) for g in groups]

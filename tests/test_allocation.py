@@ -104,7 +104,11 @@ def test_allocation_facts(hospital):
 def test_distinctness(hospital):
     leaves, _, _, _ = expanded(hospital)
     allocs = enumerate_allocations(hospital, leaves, AllocatorConfig(max_allocations=30))
-    keys = {a.key() for a in allocs}
+    # each allocation's canonical hashable form
+    keys = {
+        tuple((inst, tuple(sorted(team))) for inst, team in sorted(a.assignments.items()))
+        for a in allocs
+    }
     assert len(keys) == 30
 
 

@@ -13,7 +13,6 @@ from oracles import (
 
 from kanoa.allocation import Allocation, AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots, robots_of_subtree
-from kanoa.taskgraph import Subtree
 
 
 def make_matrix(robots, edges):
@@ -33,26 +32,26 @@ def alloc(assignments, index=0):
 
 def test_robots_of_subtree_union():
     a = alloc({"x": {"r3"}, "y": {"r3"}, "z": {"r5"}})
-    s = Subtree(0, frozenset({"x", "y", "z"}))
+    s = frozenset({"x", "y", "z"})
     assert robots_of_subtree(a, s) == {"r3", "r5"}
 
 
 def test_robots_of_subtree_joint():
     a = alloc({"at1_move_0": {"r4", "r5"}})
-    s = Subtree(0, frozenset({"at1_move_0"}))
+    s = frozenset({"at1_move_0"})
     assert robots_of_subtree(a, s) == {"r4", "r5"}
 
 
 def test_robots_of_empty_subtree():
-    assert robots_of_subtree(alloc({}), Subtree(0, frozenset())) == frozenset()
+    assert robots_of_subtree(alloc({}), frozenset()) == frozenset()
 
 
 def test_relation_matrix_reflexive_and_links():
     a = alloc({"x": {"r3"}, "y": {"r4"}, "z": {"r4"}, "w": {"r5"}, "v": {"r2"}})
     subtrees = [
-        Subtree(0, frozenset({"x", "y"})),   # links r3-r4
-        Subtree(1, frozenset({"z", "w"})),   # links r4-r5
-        Subtree(2, frozenset({"v"})),        # r2 alone
+        frozenset({"x", "y"}),   # links r3-r4
+        frozenset({"z", "w"}),   # links r4-r5
+        frozenset({"v"}),        # r2 alone
     ]
     m = relation_matrix(a, subtrees)
     assert m.robots == ("r2", "r3", "r4", "r5")
@@ -95,9 +94,9 @@ def test_paper_instance_clusters():
         "x": {"r3"}, "y": {"r4"}, "z": {"r4"}, "w": {"r5"}, "v": {"r2"},
     })
     subtrees = [
-        Subtree(0, frozenset({"x", "y"})),
-        Subtree(1, frozenset({"z", "w"})),
-        Subtree(2, frozenset({"v"})),
+        frozenset({"x", "y"}),
+        frozenset({"z", "w"}),
+        frozenset({"v"}),
     ]
     m = transitive_closure(relation_matrix(a, subtrees))
     groups = clusters(m, a)
@@ -108,11 +107,11 @@ def test_paper_instance_clusters():
 
 def test_singleton_and_full():
     a1 = alloc({"x": {"r1"}})
-    m1 = transitive_closure(relation_matrix(a1, [Subtree(0, frozenset({"x"}))]))
+    m1 = transitive_closure(relation_matrix(a1, [frozenset({"x"})]))
     assert [sorted(g.robots) for g in clusters(m1, a1)] == [["r1"]]
 
     a2 = alloc({"x": {"r1", "r2"}, "y": {"r3", "r4"}, "z": {"r2", "r3"}})
-    subtrees = [Subtree(i, frozenset({k})) for i, k in enumerate("xyz")]
+    subtrees = [frozenset({k}) for k in "xyz"]
     m2 = transitive_closure(relation_matrix(a2, subtrees))
     assert [sorted(g.robots) for g in clusters(m2, a2)] == [["r1", "r2", "r3", "r4"]]
 
@@ -133,10 +132,8 @@ def test_triple_oracle_equality():
         # component structure also matches union-find over the raw edges
         fake = alloc({f"i{k}": {robots[k]} for k in range(n)})
         subtrees = [
-            Subtree(k, frozenset({f"i{a}", f"i{b}"}))
-            for k, (a, b) in enumerate(
-                (a, b) for a in range(n) for b in range(n) if m[a, b]
-            )
+            frozenset({f"i{a}", f"i{b}"})
+            for a in range(n) for b in range(n) if m[a, b]
         ]
         # reuse instances per robot so subtree robot sets mirror the edges
         fake = alloc(

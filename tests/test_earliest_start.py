@@ -30,7 +30,6 @@ from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation
 from kanoa.mdp import ClusterContext, build_mdp, earliest_start_feasible
-from kanoa.permutations import PermutationSet
 from kanoa.scheduling import schedule_cluster
 
 RELAY = """
@@ -64,7 +63,7 @@ def relay_case(tt, idle=""):
         "notify_0": frozenset({"talker"}), "clean_0": frozenset({"wiper"}),
     })
     cluster = cluster_robots(allocation, subtrees)[0]
-    p = PermutationSet({"talker": ("notify_0",), "wiper": ("clean_0",)})
+    p = {"talker": ("notify_0",), "wiper": ("clean_0",)}
     return v, allocation, cluster, p, pairs, instances
 
 
@@ -75,7 +74,7 @@ def crossed_lifts_case(crossed):
     allocation = Allocation(0, {"lift_0": both, "lift_1": both})
     cluster = cluster_robots(allocation, subtrees)[0]
     second = ("lift_1", "lift_0") if crossed else ("lift_0", "lift_1")
-    p = PermutationSet({"r1": ("lift_0", "lift_1"), "r2": second})
+    p = {"r1": ("lift_0", "lift_1"), "r2": second}
     return v, allocation, cluster, p, pairs, instances
 
 
@@ -91,11 +90,9 @@ def crossed_orders_case(crossed):
     })
     cluster = cluster_robots(allocation, subtrees)[0]
     if crossed:
-        p = PermutationSet({"talker": ("clean_1", "notify_0"),
-                            "wiper": ("clean_0", "notify_1")})
+        p = {"talker": ("clean_1", "notify_0"), "wiper": ("clean_0", "notify_1")}
     else:
-        p = PermutationSet({"talker": ("notify_0", "clean_1"),
-                            "wiper": ("notify_1", "clean_0")})
+        p = {"talker": ("notify_0", "clean_1"), "wiper": ("notify_1", "clean_0")}
     return v, allocation, cluster, p, pairs, instances
 
 

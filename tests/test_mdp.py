@@ -16,7 +16,7 @@ from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
 from kanoa.mdp import Choice, ClusterContext, build_mdp
-from kanoa.permutations import PermutationSet, travel_cost
+from kanoa.permutations import travel_cost
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
 from kanoa.solver import (
@@ -39,7 +39,7 @@ mission { task lift at site; time 20 }
 def joint_case(tt=20):
     v = load(JOINT_3_5.replace("time 20", f"time {tt}"))
     allocation, clusters, instances, pairs = first_allocation(v)
-    p = PermutationSet({"fast": ("lift_0",), "slow": ("lift_0",)})
+    p = {"fast": ("lift_0",), "slow": ("lift_0",)}
     return v, allocation, clusters[0], p, pairs, instances
 
 
@@ -273,7 +273,7 @@ mission { task c at room; time 30 }
         "clean_0": frozenset({"wiper"}),
     })
     cluster = cluster_robots(allocation, subtrees)[0]
-    p = PermutationSet({"talker": ("notify_0",), "wiper": ("clean_0",)})
+    p = {"talker": ("notify_0",), "wiper": ("clean_0",)}
     mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
     assert max_reach_probability(mdp, "done") == 1.0
     # talker finishes notify at 4+6=10; wiper idles 0->10 then cleans
@@ -305,18 +305,18 @@ mission { task t at a; task u at b; time 20 }
     assert len(split) == 2
     per_parts = []
     for cluster in split:
-        perm = PermutationSet({
+        perm = {
             r: tuple(i for i in sorted(cluster.instances)
                      if r in allocation.assignments[i])
             for r in sorted(cluster.robots)
-        })
+        }
         per_parts.append(
             schedule_cluster(v, allocation, cluster, perm, pairs, instances)
         )
     from kanoa.clustering import RobotCluster
 
     whole = RobotCluster(frozenset({"r1", "r2"}), frozenset({"t_0", "u_0"}))
-    perm = PermutationSet({"r1": ("t_0",), "r2": ("u_0",)})
+    perm = {"r1": ("t_0",), "r2": ("u_0",)}
     combined = schedule_cluster(v, allocation, whole, perm, pairs, instances)
     assert combined.feasible and all(p.feasible for p in per_parts)
     assert combined.idle == sum(p.idle for p in per_parts)
@@ -356,10 +356,10 @@ def test_hospital_movers_joint_timeline(hospital):
         if c.robots == frozenset({"r1", "r2"})
     ]
     assert movers
-    p = PermutationSet({
+    p = {
         "r1": ("at1_move_0", "at1_move_1"),
         "r2": ("at1_move_0", "at1_move_1"),
-    })
+    }
     result = schedule_cluster(hospital, allocation, movers[0], p, pairs, instances)
     assert result.feasible
     for robot in ("r1", "r2"):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from helpers import load, perfbench_mission, random_problem_text
@@ -18,10 +19,11 @@ from kanoa.optimizer import (
     dominates,
     evaluate,
     fast_nondominated_sort,
+    _initial_population,
     nsga2_run,
     prepare_search,
 )
-from kanoa.permutations import PermutationSet, random_task_permutation
+from kanoa.permutations import random_task_permutation
 from kanoa.reporting import PipelineConfig, run
 from kanoa.scheduling import schedule_cluster
 
@@ -170,7 +172,7 @@ def _count_schedules(monkeypatch):
 def _cluster_orders(space, a, p):
     permutation = space.permutation(a, p)
     return [
-        tuple((r, permutation.per_robot[r]) for r in sorted(cluster.robots))
+        tuple((r, permutation[r]) for r in sorted(cluster.robots))
         for cluster in space.clusters[a]
     ]
 
@@ -255,7 +257,7 @@ def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
         feasible = True
         for cluster, orders in zip(space.clusters[a], _cluster_orders(space, a, p)):
             direct = schedule_cluster(
-                space.v, allocation, cluster, PermutationSet(dict(orders)),
+                space.v, allocation, cluster, dict(orders),
                 space.pairs, space.instances, state_cap=space.state_cap,
             )
             assert space._schedules[orders] == direct, (a, p, sorted(cluster.robots))
@@ -340,6 +342,48 @@ def test_hospital_run_draws_each_evaluated_entry_once(hospital_path, tmp_path, m
     # the default pools hold 30 x 20 = 600 entries; the search uses 119
     assert len(draws) == len(set(draws)) == len(evaluated) == 119
     assert set(draws) == {f"0:{a}:{p}" for a, p in evaluated}
+
+
+# -- first population ----------------------------------------------------------
+
+
+def reference_initial_population(space, cfg, rng):
+    """The first population as drawn by listing the whole space first."""
+    everything = list(space.chromosomes())
+    if len(everything) <= cfg.population_size:
+        pop = list(everything)
+        while len(pop) < cfg.population_size:
+            pop.append(everything[rng.randrange(len(everything))])
+        return pop
+    return [
+        Chromosome(rng.randrange(len(space.allocations)), rng.randrange(space.pool_size))
+        for _ in range(cfg.population_size)
+    ]
+
+
+@pytest.mark.parametrize("allocations, perms", [(2, 1), (2, 3), (4, 3), (4, 4), (1, 12)])
+def test_initial_population_matches_listing_reference(allocations, perms):
+    # spaces of 2, 6, 12, 16 and 12 chromosomes around a population of 12
+    space, cfg = space_for(SMALL, allocations=allocations, perms=perms)
+    for seed in range(5):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = _initial_population(space, cfg, rng)
+        assert got == reference_initial_population(space, cfg, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_initial_population_does_not_list_a_large_space(hospital):
+    # 30 allocations x 5,000 pool entries: 150,000 chromosomes, population 4
+    cfg = GaConfig(population_size=4, permutations_per_allocation=5000)
+    space = prepare_search(hospital, AllocatorConfig(max_allocations=30), cfg)
+    tracemalloc.start()
+    try:
+        pop = _initial_population(space, cfg, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pop) == 4
+    assert peak < 64 * 1024, peak
 
 
 def test_ga_config_validation():

@@ -3,7 +3,7 @@ from itertools import permutations as iterperms
 
 from helpers import expanded, first_allocation, load
 
-from kanoa.permutations import PermutationSet, random_task_permutation, travel_cost
+from kanoa.permutations import random_task_permutation, travel_cost
 
 FORCED = """
 world { loc a (0,0) }
@@ -26,7 +26,7 @@ def test_forced_order_all_seeds():
     allocation, clusters, instances, pairs = first_allocation(v)
     for seed in range(50):
         p = random_task_permutation(allocation, clusters[0], pairs, seed)
-        assert p.per_robot["r"] == ("x_0", "y_0")
+        assert p["r"] == ("x_0", "y_0")
 
 
 def test_all_six_orders_observed():
@@ -35,7 +35,7 @@ def test_all_six_orders_observed():
     seen = set()
     for seed in range(1000):
         p = random_task_permutation(allocation, clusters[0], pairs, seed)
-        seen.add(p.per_robot["r"])
+        seen.add(p["r"])
     expected = {
         tuple(f"{t}_0" for t in perm) for perm in iterperms(["x", "y", "z"])
     }
@@ -61,7 +61,7 @@ def test_notify_always_first(hospital):
     for cluster in cluster_robots(allocation, subtrees):
         for seed in range(30):
             p = random_task_permutation(allocation, cluster, pairs, seed)
-            for robot, order in p.per_robot.items():
+            for robot, order in p.items():
                 for room in range(4):
                     have = [
                         t for t in order
@@ -97,14 +97,14 @@ mission { task c at a; time 30;  }
     cluster = cluster_robots(allocation, subtrees)[0]
     for seed in range(40):
         p = random_task_permutation(allocation, cluster, pairs, seed)
-        order = p.per_robot["r1"]
+        order = p["r1"]
         assert order.index("x_0") < order.index("z_0")
 
 
 def test_travel_cost_no_tasks():
     v = load(FREE3)
     _, instances, _, _ = expanded(v)
-    assert travel_cost(PermutationSet({"r": ()}), v, instances) == 0
+    assert travel_cost({"r": ()}, v, instances) == 0
 
 
 def test_travel_cost_order_dependent():
@@ -115,8 +115,8 @@ robots { robot r at base velocity 1 { can t time 1 prob 1 can u time 1 prob 1 } 
 mission { task t at near; task u at far; time 50 }
 """)
     _, instances, _, _ = expanded(v)
-    near_first = travel_cost(PermutationSet({"r": ("t_0", "u_0")}), v, instances)
-    far_first = travel_cost(PermutationSet({"r": ("u_0", "t_0")}), v, instances)
+    near_first = travel_cost({"r": ("t_0", "u_0")}, v, instances)
+    far_first = travel_cost({"r": ("u_0", "t_0")}, v, instances)
     assert near_first == 2 + 8
     assert far_first == 10 + 8
     assert near_first != far_first
@@ -147,7 +147,6 @@ def test_travel_cost_matches_event_walk_oracle():
             )
             rng.shuffle(mine)
             order[rid] = tuple(mine)
-        p = PermutationSet(order)
         # independent recomputation: walk each chain and sum pair distances
         expected = 0
         for rid, seq in order.items():
@@ -156,5 +155,5 @@ def test_travel_cost_matches_event_walk_oracle():
                 there = instances[inst].location
                 expected += v.distance(here, there)
                 here = there
-        assert travel_cost(p, v, instances) == expected
+        assert travel_cost(order, v, instances) == expected
         checked += 1

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from kanoa.cli import _FIELDS, _read_config, _resolve, build_parser
 from kanoa.cli import main as cli_main
-from kanoa.gantt import emit_gantt, format_gantt_text
+from kanoa.gantt import _TEXT_MAX_SPAN, emit_gantt, format_gantt_text
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
 from kanoa.validation import MAX_INSTANCES
@@ -165,6 +165,38 @@ def test_text_gantt_shape():
     assert lines[0].lstrip().startswith("r1")
     assert "J" in lines[0] and "#" in lines[0]
     assert lines[1].count("J") == 4
+
+
+def test_text_gantt_width_limit():
+    def solo(span):
+        return Plan({"r1": (PlanEvent("execute", 0, span, "t_0"),)})
+
+    chart = format_gantt_text(solo(_TEXT_MAX_SPAN)).splitlines()
+    assert chart[0] == f"{'r1':>8} |{'#' * _TEXT_MAX_SPAN}|"
+    assert format_gantt_text(solo(_TEXT_MAX_SPAN + 1)) == (
+        f"makespan {_TEXT_MAX_SPAN + 1} is too wide for a text chart "
+        f"of {_TEXT_MAX_SPAN} columns\n"
+    )
+
+
+def test_cli_long_makespan_keeps_report_small(fixtures_dir, tmp_path, capsys):
+    mission = tmp_path / "long.kanoa"
+    mission.write_text(
+        (fixtures_dir / "minimal.kanoa").read_text(encoding="utf-8")
+        .replace("can check time 3", "can check time 900000")
+        .replace("time 10\n", "time 1000000\n")
+    )
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(mission), "--out", str(out),
+                     "--permutations", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "pareto.json").read_text())["entries"] == [{
+        "allocation": 0, "permutation": 0, "probability_of_failure": 0.09999999999999998,
+        "idling": 0, "travel": 0,
+    }]
+    report = (out / "report.txt").read_text()
+    assert len(report) < 4096
+    assert "makespan 900000 is too wide for a text chart" in report
 
 
 # -- cli ----------------------------------------------------------------------

@@ -26,9 +26,9 @@ mission { task ct2 at room2; time 50 }
 
 def test_ordered_compound_expansion():
     tree, pairs = expand_mission(load(NESTED))
-    ids = [l.instance_id for l in tree.leaves]
+    ids = [l.instance_id for l in tree.leaves()]
     assert ids == ["at4_notify_0", "at2_floor_0", "at3_sanit_0"]
-    assert all(l.location == "room2" for l in tree.leaves)
+    assert all(l.location == "room2" for l in tree.leaves())
     got = {(p.before, p.after) for p in pairs}
     assert got == {
         ("at4_notify_0", "at2_floor_0"),
@@ -43,13 +43,13 @@ def test_single_atomic_mission():
         " mission { task t at a; time 5 }"
     )
     tree, pairs = expand_mission(v)
-    assert [l.instance_id for l in tree.leaves] == ["t_0"]
+    assert [l.instance_id for l in tree.leaves()] == ["t_0"]
     assert pairs == []
 
 
 def test_hospital_expansion(hospital):
     tree, pairs = expand_mission(hospital)
-    leaves = tree.leaves
+    leaves = tree.leaves()
     assert len(leaves) == 14  # 2 moves + 4 rooms x 3 cleaning steps
     moves = [l for l in leaves if l.type_id == "at1_move"]
     assert [m.instance_id for m in moves] == ["at1_move_0", "at1_move_1"]
@@ -62,7 +62,7 @@ def test_hospital_expansion(hospital):
 
 def test_ordinals_count_per_type(hospital):
     tree, _ = expand_mission(hospital)
-    floors = [l.instance_id for l in tree.leaves if l.type_id == "at2_floor"]
+    floors = [l.instance_id for l in tree.leaves() if l.type_id == "at2_floor"]
     assert floors == [f"at2_floor_{i}" for i in range(4)]
 
 
@@ -75,7 +75,7 @@ def test_prune_singleton_leaf():
     tree, _ = expand_mission(v)
     subs = prune_subtrees(tree)
     assert len(subs) == 1
-    assert subs[0].leaf_instances == frozenset({"t_0"})
+    assert subs[0] == frozenset({"t_0"})
 
 
 def test_prune_unordered_compound_descends():
@@ -88,7 +88,7 @@ def test_prune_unordered_compound_descends():
     )
     tree, _ = expand_mission(v)
     subs = prune_subtrees(tree)
-    assert [s.leaf_instances for s in subs] == [
+    assert subs == [
         frozenset({"x_0"}),
         frozenset({"y_0"}),
         frozenset({"z_0"}),
@@ -99,7 +99,7 @@ def test_prune_hospital_shape(hospital):
     tree, _ = expand_mission(hospital)
     subs = prune_subtrees(tree)
     assert len(subs) == 6  # two joint moves + one ordered subtree per room
-    sizes = sorted(len(s.leaf_instances) for s in subs)
+    sizes = sorted(len(s) for s in subs)
     assert sizes == [1, 1, 3, 3, 3, 3]
 
 
@@ -109,20 +109,20 @@ def test_partition_and_acyclicity(hospital):
     union = set()
     total = 0
     for s in subs:
-        total += len(s.leaf_instances)
-        union |= s.leaf_instances
-    assert union == {l.instance_id for l in tree.leaves}
+        total += len(s)
+        union |= s
+    assert union == {l.instance_id for l in tree.leaves()}
     assert total == len(union)  # pairwise disjoint
-    assert _topo_sortable({l.instance_id for l in tree.leaves}, pairs)
+    assert _topo_sortable({l.instance_id for l in tree.leaves()}, pairs)
 
 
 def test_constrained_pairs_share_subtree(hospital):
     tree, pairs = expand_mission(hospital)
     subs = prune_subtrees(tree)
     home = {}
-    for s in subs:
-        for inst in s.leaf_instances:
-            home[inst] = s.id
+    for k, s in enumerate(subs):
+        for inst in s:
+            home[inst] = k
     for p in pairs:
         assert home[p.before] == home[p.after]
 
@@ -185,7 +185,7 @@ def test_random_missions_partition_property():
         subs = prune_subtrees(tree)
         union = set()
         for s in subs:
-            assert not (union & s.leaf_instances)
-            union |= s.leaf_instances
-        assert union == {l.instance_id for l in tree.leaves}
+            assert not (union & s)
+            union |= s
+        assert union == {l.instance_id for l in tree.leaves()}
         assert _topo_sortable(union, pairs)
