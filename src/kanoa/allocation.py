@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleAllocation
 from .problem import ValidatedProblem
 from .taskgraph import TaskInstance
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     index: int
     assignments: dict[str, frozenset[str]]
 
@@ -35,13 +34,13 @@ class Allocation:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
 class AllocatorConfig:
-    max_allocations: int = 30
+    __slots__ = ("max_allocations",)
 
-    def __post_init__(self):
-        if self.max_allocations < 1:
+    def __init__(self, max_allocations: int = 30):
+        if max_allocations < 1:
             raise ValueError("max_allocations must be at least 1")
+        self.max_allocations = max_allocations
 
 
 def eligible_robots(v: ValidatedProblem, instance: TaskInstance) -> list[str]:

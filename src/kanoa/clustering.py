@@ -8,13 +8,12 @@ edges yields exactly that partition without building the relation matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .allocation import Allocation
 
 
-@dataclass(frozen=True)
-class RobotCluster:
+class RobotCluster(NamedTuple):
     robots: frozenset[str]
     instances: frozenset[str]
 

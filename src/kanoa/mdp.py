@@ -56,8 +56,6 @@ closed form, without building the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .allocation import Allocation
 from .clustering import RobotCluster
 from .errors import InvariantViolation, StateExplosion
@@ -138,19 +136,29 @@ class Mdp:
         return self.labels.get(name, frozenset())
 
 
-@dataclass(frozen=True)
 class _Step:
-    instance: str
-    location: str
-    hop_from: str
-    hop_dist: int
-    travel_time: int
-    duration: int
-    success_prob: float
-    joint: bool
-    participants: tuple[str, ...]
-    pred_tracked: tuple[int, ...]
-    tracked_idx: int
+    """One task of a robot's fixed order: where, how long, and what it awaits."""
+
+    __slots__ = (
+        "instance", "location", "hop_from", "hop_dist", "travel_time", "duration",
+        "success_prob", "joint", "participants", "pred_tracked", "tracked_idx",
+    )
+
+    def __init__(
+        self, instance, location, hop_from, hop_dist, travel_time, duration,
+        success_prob, joint, participants, pred_tracked, tracked_idx,
+    ):
+        self.instance = instance
+        self.location = location
+        self.hop_from = hop_from
+        self.hop_dist = hop_dist
+        self.travel_time = travel_time
+        self.duration = duration
+        self.success_prob = success_prob
+        self.joint = joint
+        self.participants = participants
+        self.pred_tracked = pred_tracked
+        self.tracked_idx = tracked_idx
 
 
 class ClusterContext:

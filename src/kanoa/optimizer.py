@@ -20,7 +20,6 @@ tasks share the cluster.  Such a cluster is solved once per search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .allocation import Allocation, AllocatorConfig, enumerate_allocations
@@ -62,31 +61,44 @@ def dominates(a: Objectives, b: Objectives) -> bool:
     return all(x <= y for x, y in zip(a, b)) and a != b
 
 
-@dataclass(frozen=True)
 class GaConfig:
-    population_size: int = 50
-    generations: int = 5
-    permutations_per_allocation: int = 20
-    seed: int = 0
+    __slots__ = ("population_size", "generations", "permutations_per_allocation", "seed")
 
-    def __post_init__(self):
-        if self.population_size < 4 or self.population_size % 2:
+    def __init__(
+        self,
+        population_size: int = 50,
+        generations: int = 5,
+        permutations_per_allocation: int = 20,
+        seed: int = 0,
+    ):
+        if population_size < 4 or population_size % 2:
             raise ValueError("population_size must be even and at least 4")
-        if self.generations < 0:
+        if generations < 0:
             raise ValueError("generations must not be negative")
-        if self.permutations_per_allocation < 1:
+        if permutations_per_allocation < 1:
             raise ValueError("permutations_per_allocation must be at least 1")
+        self.population_size = population_size
+        self.generations = generations
+        self.permutations_per_allocation = permutations_per_allocation
+        self.seed = seed
 
 
-@dataclass
 class EvalResult:
-    feasible: bool
-    objectives: Objectives | None = None
-    plan: Plan | None = None
-    diagnostic: StateExplosion | None = None  # the state cap tripped
+    __slots__ = ("feasible", "objectives", "plan", "diagnostic")
+
+    def __init__(
+        self,
+        feasible: bool,
+        objectives: Objectives | None = None,
+        plan: Plan | None = None,
+        diagnostic: StateExplosion | None = None,  # the state cap tripped
+    ):
+        self.feasible = feasible
+        self.objectives = objectives
+        self.plan = plan
+        self.diagnostic = diagnostic
 
 
-@dataclass
 class SearchSpace:
     """Pools and cached structure shared by every evaluation.
 
@@ -103,20 +115,32 @@ class SearchSpace:
     state cap raises :class:`StateExplosion` each time it is scheduled.
     """
 
-    v: ValidatedProblem
-    instances: dict[str, TaskInstance]
-    pairs: list[PrecedencePair]
-    allocations: list[Allocation]
-    clusters: list[list[RobotCluster]]
-    pool_size: int  # permutations per allocation
-    seed: int
-    state_cap: int = DEFAULT_STATE_CAP
-    _drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = field(
-        default_factory=dict, init=False, repr=False
+    __slots__ = (
+        "v", "instances", "pairs", "allocations", "clusters", "pool_size", "seed",
+        "state_cap", "_drawn", "_schedules",
     )
-    _schedules: dict[tuple, SchedulingResult] = field(
-        default_factory=dict, init=False, repr=False
-    )
+
+    def __init__(
+        self,
+        v: ValidatedProblem,
+        instances: dict[str, TaskInstance],
+        pairs: list[PrecedencePair],
+        allocations: list[Allocation],
+        clusters: list[list[RobotCluster]],
+        pool_size: int,  # permutations per allocation
+        seed: int,
+        state_cap: int = DEFAULT_STATE_CAP,
+    ):
+        self.v = v
+        self.instances = instances
+        self.pairs = pairs
+        self.allocations = allocations
+        self.clusters = clusters
+        self.pool_size = pool_size
+        self.seed = seed
+        self.state_cap = state_cap
+        self._drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = {}
+        self._schedules: dict[tuple, SchedulingResult] = {}
 
     def chromosomes(self):
         for a in range(len(self.allocations)):
@@ -300,15 +324,13 @@ def crowding_distance(front: list[int], results: list[EvalResult]) -> dict[int, 
     return dist
 
 
-@dataclass(frozen=True)
-class ParetoEntry:
+class ParetoEntry(NamedTuple):
     chromosome: Chromosome
     objectives: Objectives
     plan: Plan
 
 
-@dataclass(frozen=True)
-class ParetoFront:
+class ParetoFront(NamedTuple):
     entries: tuple[ParetoEntry, ...]
 
 

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .mdp import Mdp
 from .taskgraph import PrecedencePair
 
 
-@dataclass(frozen=True)
-class PlanEvent:
+class PlanEvent(NamedTuple):
     kind: str  # "travel" | "execute" | "idle" | "jointSync"
     start: int
     end: int
@@ -29,8 +28,7 @@ class PlanEvent:
         return d
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     timelines: dict[str, tuple[PlanEvent, ...]]
 
     @property

@@ -1,6 +1,6 @@
 """Core data model: the mission problem AST and its validated form.
 
-A parsed problem is a plain tree of frozen dataclasses; validation
+A parsed problem is a plain tree of named tuples; validation
 (see :mod:`kanoa.validation`) wraps it in a :class:`ValidatedProblem`
 with a completed, symmetric distance table and indexed lookups.
 """
@@ -8,49 +8,42 @@ with a completed, symmetric distance table and indexed lookups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     id: str
     x: int
     y: int
 
 
-@dataclass(frozen=True)
-class DistanceEntry:
+class DistanceEntry(NamedTuple):
     frm: str
     to: str
     distance: int
 
 
-@dataclass(frozen=True)
-class AtomicTaskDef:
+class AtomicTaskDef(NamedTuple):
     id: str
     robots_needed: int
 
 
-@dataclass(frozen=True)
-class CompoundTaskDef:
+class CompoundTaskDef(NamedTuple):
     id: str
     subtasks: tuple[str, ...]
     ordered: bool
 
 
-@dataclass(frozen=True)
-class Capability:
+class Capability(NamedTuple):
     task_type_id: str
     required_time: int
     success_prob: float
 
 
-@dataclass(frozen=True)
-class RobotDef:
+class RobotDef(NamedTuple):
     id: str
     initial_loc: str
     velocity: Fraction
@@ -63,14 +56,12 @@ class RobotDef:
         return None
 
 
-@dataclass(frozen=True)
-class MissionTaskRef:
+class MissionTaskRef(NamedTuple):
     task_id: str
     location_id: str
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     """Axis-aligned rectangle given by two opposite corners."""
 
     x_min: int
@@ -82,16 +73,14 @@ class Rect:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
+class ConstraintSpec(NamedTuple):
     kind: str  # "boundary" | "timeAvailable" | "maxIdle"
     subject: str | None = None  # robot id or "all"; None for timeAvailable
     rect: Rect | None = None
     budget: int | None = None
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     locations: tuple[Location, ...]
     distances: tuple[DistanceEntry, ...]
     atomic_tasks: tuple[AtomicTaskDef, ...]
@@ -112,7 +101,6 @@ def euclidean_ceil(a: Location, b: Location) -> int:
     return r if r * r == sq else r + 1
 
 
-@dataclass(frozen=True)
 class ValidatedProblem:
     """A problem that passed validation, with derived lookup structures.
 
@@ -121,26 +109,24 @@ class ValidatedProblem:
     straight-line distance, never overwriting a declared value.
     """
 
-    problem: ProblemSpec
-    distance_table: dict[tuple[str, str], int]
+    def __init__(
+        self, problem: ProblemSpec, distance_table: dict[tuple[str, str], int]
+    ):
+        self.problem = problem
+        self.distance_table = distance_table
+        self._locations = {l.id: l for l in problem.locations}
+        self._robots = {r.id: r for r in problem.robots}
+        self._atomics = {t.id: t for t in problem.atomic_tasks}
+        self._compounds = {t.id: t for t in problem.compound_tasks}
 
-    # -- lookups ---------------------------------------------------------
+    def __eq__(self, other):
+        if not isinstance(other, ValidatedProblem):
+            return NotImplemented
+        return (self.problem, self.distance_table) == (
+            other.problem, other.distance_table
+        )
 
-    @cached_property
-    def _locations(self) -> dict[str, Location]:
-        return {l.id: l for l in self.problem.locations}
-
-    @cached_property
-    def _robots(self) -> dict[str, RobotDef]:
-        return {r.id: r for r in self.problem.robots}
-
-    @cached_property
-    def _atomics(self) -> dict[str, AtomicTaskDef]:
-        return {t.id: t for t in self.problem.atomic_tasks}
-
-    @cached_property
-    def _compounds(self) -> dict[str, CompoundTaskDef]:
-        return {t.id: t for t in self.problem.compound_tasks}
+    __hash__ = None  # the distance table is a dict
 
     def location(self, loc_id: str) -> Location:
         return self._locations[loc_id]

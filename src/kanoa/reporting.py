@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocation import AllocatorConfig
@@ -23,22 +22,35 @@ from .validation import validate_problem
 __all__ = ["PipelineConfig", "RunReport", "run"]
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
-    allocations: int = 30
-    permutations: int = 20
-    population: int = 50
-    generations: int = 5
-    seed: int = 0
-    state_cap: int = DEFAULT_STATE_CAP
-    dump_allocations: bool = False
-    dump_mdp: bool = False
+    __slots__ = (
+        "allocations", "permutations", "population", "generations", "seed",
+        "state_cap", "dump_allocations", "dump_mdp",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        allocations: int = 30,
+        permutations: int = 20,
+        population: int = 50,
+        generations: int = 5,
+        seed: int = 0,
+        state_cap: int = DEFAULT_STATE_CAP,
+        dump_allocations: bool = False,
+        dump_mdp: bool = False,
+    ):
+        self.allocations = allocations
+        self.permutations = permutations
+        self.population = population
+        self.generations = generations
+        self.seed = seed
+        self.state_cap = state_cap
+        self.dump_allocations = dump_allocations
+        self.dump_mdp = dump_mdp
         # the search configs check their own ranges (ValueError)
         self.ga()
-        AllocatorConfig(max_allocations=self.allocations)
-        if self.state_cap < 1:
+        AllocatorConfig(max_allocations=allocations)
+        if state_cap < 1:
             raise ValueError("state_cap must be at least 1")
 
     def ga(self) -> GaConfig:
@@ -60,13 +72,22 @@ class PipelineConfig:
         }
 
 
-@dataclass
 class RunReport:
-    config: dict
-    allocation_count: int
-    cluster_summary: list[str]
-    front: ParetoFront
-    timings: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("config", "allocation_count", "cluster_summary", "front", "timings")
+
+    def __init__(
+        self,
+        config: dict,
+        allocation_count: int,
+        cluster_summary: list[str],
+        front: ParetoFront,
+        timings: dict[str, float],
+    ):
+        self.config = config
+        self.allocation_count = allocation_count
+        self.cluster_summary = cluster_summary
+        self.front = front
+        self.timings = timings
 
     def rows(self) -> list[dict]:
         return [

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .allocation import Allocation
 from .clustering import RobotCluster
@@ -20,8 +20,7 @@ from .solver import max_reach_probability, min_expected_reward_policy
 from .taskgraph import PrecedencePair, TaskInstance
 
 
-@dataclass(frozen=True)
-class SchedulingResult:
+class SchedulingResult(NamedTuple):
     feasible: bool
     p_success: float
     idle: int | None

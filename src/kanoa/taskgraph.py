@@ -11,21 +11,19 @@ robot clustering.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .problem import ValidatedProblem
 
 
-@dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(NamedTuple):
     instance_id: str
     type_id: str
     location: str
     robots_needed: int
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """Node of the expanded mission tree.
 
     ``kind`` is "root" for the mission node, "compound" for compound-task
@@ -47,8 +45,7 @@ class TreeNode:
         return out
 
 
-@dataclass(frozen=True)
-class PrecedencePair:
+class PrecedencePair(NamedTuple):
     before: str
     after: str
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -287,10 +286,10 @@ def with_time_available(case, tt):
     tuple, with the mission's time constraint rewritten to ``tt``."""
     v, *rest = case
     constraints = tuple(
-        replace(c, budget=tt) if c.kind == "timeAvailable" else c
+        c._replace(budget=tt) if c.kind == "timeAvailable" else c
         for c in v.problem.constraints
     )
-    problem = replace(v.problem, constraints=constraints)
+    problem = v.problem._replace(constraints=constraints)
     return (ValidatedProblem(problem, v.distance_table), *rest)
 
 

@@ -17,9 +17,12 @@ from helpers import assert_golden_artifacts, compound_chain_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kanoa.allocation import AllocatorConfig
 from kanoa.cli import _FIELDS, _read_config, _resolve, build_parser
 from kanoa.cli import main as cli_main
 from kanoa.gantt import _TEXT_MAX_SPAN, emit_gantt, format_gantt_text
+from kanoa.mdp import DEFAULT_STATE_CAP
+from kanoa.optimizer import GaConfig
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
 from kanoa.validation import MAX_INSTANCES
@@ -405,6 +408,45 @@ def test_config_inputs_build_or_raise_value_error(raw, env):
     assert isinstance(cfg.seed, int) and cfg.population >= 4
 
 
+def test_config_defaults():
+    cfg = PipelineConfig()
+    assert (cfg.allocations, cfg.permutations, cfg.population, cfg.generations,
+            cfg.seed, cfg.state_cap, cfg.dump_allocations, cfg.dump_mdp) == (
+        30, 20, 50, 5, 0, DEFAULT_STATE_CAP, False, False)
+    ga = GaConfig()
+    assert (ga.population_size, ga.generations, ga.permutations_per_allocation,
+            ga.seed) == (50, 5, 20, 0)
+    assert AllocatorConfig().max_allocations == 30
+
+
+@pytest.mark.parametrize("make, kwargs", [
+    (GaConfig, {"population_size": 5}),
+    (GaConfig, {"population_size": 2}),
+    (GaConfig, {"generations": -1}),
+    (GaConfig, {"permutations_per_allocation": 0}),
+    (AllocatorConfig, {"max_allocations": 0}),
+    (PipelineConfig, {"population": 7}),
+    (PipelineConfig, {"population": 2}),
+    (PipelineConfig, {"generations": -1}),
+    (PipelineConfig, {"permutations": 0}),
+    (PipelineConfig, {"allocations": 0}),
+    (PipelineConfig, {"state_cap": 0}),
+])
+def test_config_rejects_out_of_range(make, kwargs):
+    with pytest.raises(ValueError):
+        make(**kwargs)
+
+
+def test_config_accepts_smallest_values():
+    cfg = PipelineConfig(allocations=1, permutations=1, population=4, generations=0,
+                         state_cap=1)
+    assert (cfg.allocations, cfg.permutations, cfg.population, cfg.generations,
+            cfg.state_cap) == (1, 1, 4, 0, 1)
+    ga = cfg.ga()
+    assert (ga.population_size, ga.generations, ga.permutations_per_allocation,
+            ga.seed) == (4, 0, 1, 0)
+
+
 FIXTURE_TEXTS = {
     p.name: p.read_text(encoding="utf-8")
     for p in sorted((Path(__file__).parent.parent / "fixtures").glob("*.kanoa"))
@@ -652,6 +694,19 @@ def test_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_import_does_not_load_dataclasses():
+    # kanoa's records are named tuples and __slots__ classes; dataclasses,
+    # and the inspect module it pulls in, would add to every run's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import kanoa; "
+         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_installed(hospital_path, tmp_path):
