@@ -458,25 +458,33 @@ def _environmental_selection(combined, results, cfg) -> list[Chromosome]:
 
 
 def _feasible_front(population, results) -> list[ParetoEntry]:
-    seen = set()
-    candidates = []
-    for ch, res in zip(population, results):
-        if res.feasible and ch not in seen:
-            seen.add(ch)
-            candidates.append((ch, res))
-    return _nondominated(candidates)
+    return _nondominated(
+        [(ch, res) for ch, res in zip(population, results) if res.feasible]
+    )
 
 
 def _nondominated(feasible) -> list[ParetoEntry]:
     """The nondominated (chromosome, result) pairs of a feasible list, as
-    entries sorted by objectives, then chromosome."""
+    entries sorted by objectives, then chromosome, with one entry per plan.
+
+    Distinct chromosomes often give every robot the same order, since
+    pool entries repeat orders, and so the same plan; only the first in
+    that order is kept.  A repeated chromosome repeats its plan too.
+    """
     front = [
         (ch, res)
         for ch, res in feasible
         if not any(dominates(o.objectives, res.objectives) for _, o in feasible)
     ]
     front.sort(key=lambda e: (e[1].objectives, e[0]))
-    return [ParetoEntry(ch, res.objectives, res.plan) for ch, res in front]
+    seen = set()
+    entries = []
+    for ch, res in front:
+        plan = tuple(sorted(res.plan.timelines.items()))
+        if plan not in seen:
+            seen.add(plan)
+            entries.append(ParetoEntry(ch, res.objectives, res.plan))
+    return entries
 
 
 def brute_force_front(space: SearchSpace, cache=None) -> list[ParetoEntry]:

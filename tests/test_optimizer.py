@@ -129,6 +129,25 @@ def test_exhaustive_matches_brute_force():
     ] == [(e.chromosome, e.objectives) for e in oracle]
 
 
+@pytest.mark.parametrize("name", ["minimal", "constraints"])
+def test_front_lists_each_plan_once(fixtures_dir, name):
+    """Many pool entries of these missions repeat every robot's order, so
+    distinct chromosomes share a plan; the front, like the brute-force
+    front, keeps one entry per plan.  The two may keep different
+    chromosomes of one plan: the search need not evaluate the first."""
+    cfg = GaConfig()
+    space = prepare_search(
+        load((fixtures_dir / f"{name}.kanoa").read_text()), AllocatorConfig(), cfg
+    )
+    entries = nsga2_run(space, cfg).entries
+    plans = [e.plan for e in entries]
+    assert all(a != b for i, a in enumerate(plans) for b in plans[i + 1:])
+    oracle = brute_force_front(space)
+    assert [(e.objectives, e.plan) for e in entries] == [
+        (e.objectives, e.plan) for e in oracle
+    ]
+
+
 def test_deterministic_per_seed():
     space, cfg = space_for(SMALL)
     a = nsga2_run(space, cfg)
