@@ -17,15 +17,25 @@ _LEFT = 90
 _TOP = 46
 _PX_PER_UNIT = 9
 # widest text chart: it spends one column per time unit, so a long makespan
-# would take memory and report.txt size in proportion
+# would take memory and report.txt size in proportion.  The SVG draws a
+# longer makespan on the canvas of this span, so its size stays bounded too.
 _TEXT_MAX_SPAN = 1000
 
 
 def emit_gantt(plan: Plan, title: str = "Schedule") -> str:
-    """Render one lane per robot; byte-identical output for equal plans."""
+    """Render one lane per robot; byte-identical output for equal plans.
+
+    A time unit takes ``_PX_PER_UNIT`` pixels up to a makespan of
+    ``_TEXT_MAX_SPAN``; a longer plan is scaled to that canvas width.
+    """
     robots = sorted(plan.timelines)
     span = max(plan.makespan, 1)
-    width = _LEFT + span * _PX_PER_UNIT + 30
+    plot = min(span, _TEXT_MAX_SPAN) * _PX_PER_UNIT
+
+    def px(t):
+        return _LEFT + t * plot // span
+
+    width = _LEFT + plot + 30
     height = _TOP + max(len(robots), 1) * _LANE_H + 40
 
     parts = [
@@ -38,7 +48,7 @@ def emit_gantt(plan: Plan, title: str = "Schedule") -> str:
     tick = _pick_tick(span)
     axis_y = _TOP + len(robots) * _LANE_H
     for t in range(0, span + 1, tick):
-        x = _LEFT + t * _PX_PER_UNIT
+        x = px(t)
         parts.append(
             f'<line x1="{x}" y1="{_TOP - 6}" x2="{x}" y2="{axis_y}" '
             f'stroke="#d9dde2" stroke-width="1"/>'
@@ -55,8 +65,8 @@ def emit_gantt(plan: Plan, title: str = "Schedule") -> str:
             f'font-size="12">{robot}</text>'
         )
         for ev in plan.timelines[robot]:
-            x = _LEFT + ev.start * _PX_PER_UNIT
-            w = max((ev.end - ev.start) * _PX_PER_UNIT, 1)
+            x = px(ev.start)
+            w = max(px(ev.end) - x, 1)
             color = _COLORS[ev.kind]
             label = ev.instance or ev.kind
             parts.append(

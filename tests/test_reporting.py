@@ -202,6 +202,24 @@ def test_cli_long_makespan_keeps_report_small(fixtures_dir, tmp_path, capsys):
     assert "makespan 900000 is too wide for a text chart" in report
 
 
+def test_svg_gantt_width_is_capped(fixtures_dir, tmp_path):
+    """A 900,000,000-unit plan is drawn on the canvas of a 1,000-unit one:
+    9 px per unit plus the 90 px lane labels and the 30 px right margin."""
+    mission = tmp_path / "long.kanoa"
+    mission.write_text(
+        (fixtures_dir / "minimal.kanoa").read_text(encoding="utf-8")
+        .replace("can check time 3", "can check time 900000000")
+        .replace("time 10\n", "time 1000000000\n")
+    )
+    out = tmp_path / "out"
+    run(mission, PipelineConfig(permutations=1), out)
+    svg = (out / "plan_0.svg").read_text()
+    width = int(re.search(r'<svg [^>]*width="(\d+)"', svg).group(1))
+    assert width <= 9000 + 90 + 30
+    bars = re.findall(r'<rect x="(\d+)" y="\d+" width="(\d+)"', svg)
+    assert bars and all(int(x) + int(w) <= width for x, w in bars)
+
+
 # -- cli ----------------------------------------------------------------------
 
 
