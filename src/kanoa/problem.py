@@ -126,8 +126,6 @@ class ValidatedProblem:
             other.problem, other.distance_table
         )
 
-    __hash__ = None  # the distance table is a dict
-
     def location(self, loc_id: str) -> Location:
         return self._locations[loc_id]
 
