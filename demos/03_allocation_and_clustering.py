@@ -33,13 +33,13 @@ print(f"feasible allocation space: {total:,} assignments")
 allocations = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=5))
 print(f"sampled {len(allocations)} of them\n")
 
-for a in allocations:
+for i, a in enumerate(allocations):
     loads = {}
-    for team in a.assignments.values():
+    for team in a.values():
         for r in team:
             loads[r] = loads.get(r, 0) + 1
-    print(f"allocation {a.index}: loads {dict(sorted(loads.items()))}")
-    print(f"  move teams: {sorted(a.assignments['at1_move_0'])} and "
-          f"{sorted(a.assignments['at1_move_1'])}")
+    print(f"allocation {i}: loads {dict(sorted(loads.items()))}")
+    print(f"  move teams: {sorted(a['at1_move_0'])} and "
+          f"{sorted(a['at1_move_1'])}")
     for g in cluster_robots(a, subtrees):
         print(f"  cluster {sorted(g.robots)}: {len(g.instances)} instances")

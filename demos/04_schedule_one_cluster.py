@@ -18,7 +18,6 @@ from kanoa import (
     validate_problem,
     write_mdp_text,
 )
-from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import ClusterContext, build_mdp
 from kanoa.scheduling import schedule_cluster
@@ -32,12 +31,11 @@ instances = {l.instance_id: l for l in tree.leaves()}
 subtrees = prune_subtrees(tree)
 
 # hand-pick an allocation: movers take both joint tasks, cleaners split rooms
-assignments = {"at1_move_0": frozenset({"r1", "r2"}),
-               "at1_move_1": frozenset({"r1", "r2"})}
+allocation = {"at1_move_0": frozenset({"r1", "r2"}),
+              "at1_move_1": frozenset({"r1", "r2"})}
 cleaners = ["r3", "r4", "r5"]
 for i, leaf in enumerate(l for l in tree.leaves() if l.type_id != "at1_move"):
-    assignments[leaf.instance_id] = frozenset({cleaners[i % 3]})
-allocation = Allocation(0, assignments)
+    allocation[leaf.instance_id] = frozenset({cleaners[i % 3]})
 
 movers = next(
     c for c in cluster_robots(allocation, subtrees)

@@ -9,7 +9,6 @@ time, and travel cost.
 """
 
 from .allocation import (
-    Allocation,
     AllocatorConfig,
     count_feasible,
     enumerate_allocations,

@@ -1,5 +1,8 @@
 """Capability-feasible assignment of task instances to robot teams.
 
+An allocation is a dict from each instance id to its team, the frozenset
+of the robot ids assigned to it.
+
 The feasible space is the product, over instances, of all size-k subsets
 of the eligible robots.  Enumeration is lexicographic (instance order,
 then robot-id order within each combination) and deterministic.  When the
@@ -15,23 +18,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
 
 from .errors import InfeasibleAllocation
 from .problem import ValidatedProblem
 from .taskgraph import TaskInstance
-
-
-class Allocation(NamedTuple):
-    index: int
-    assignments: dict[str, frozenset[str]]
-
-    @property
-    def used_robots(self) -> frozenset[str]:
-        out = set()
-        for robots in self.assignments.values():
-            out |= robots
-        return frozenset(out)
 
 
 class AllocatorConfig:
@@ -52,6 +42,11 @@ def eligible_robots(v: ValidatedProblem, instance: TaskInstance) -> list[str]:
     )
 
 
+def used_robots(allocation: dict[str, frozenset[str]]) -> frozenset[str]:
+    """Every robot that some instance's team includes."""
+    return frozenset().union(*allocation.values())
+
+
 def count_feasible(v: ValidatedProblem, instances: list[TaskInstance]) -> int:
     """Exact size of the feasible allocation space (product of binomials)."""
     total = 1
@@ -65,7 +60,7 @@ def enumerate_allocations(
     v: ValidatedProblem,
     instances: list[TaskInstance],
     cfg: AllocatorConfig,
-) -> list[Allocation]:
+) -> list[dict[str, frozenset[str]]]:
     """Up to ``cfg.max_allocations`` distinct feasible allocations.
 
     Raises :class:`InfeasibleAllocation` when an instance has fewer
@@ -84,9 +79,7 @@ def enumerate_allocations(
     radices = [math.comb(len(p), i.robots_needed) for p, i in zip(pools, instances)]
     total = math.prod(radices)
     ranks = _sample_ranks(total, cfg.max_allocations)
-    return [
-        _unrank(rank, instances, pools, radices, j) for j, rank in enumerate(ranks)
-    ]
+    return [_unrank(rank, instances, pools, radices) for rank in ranks]
 
 
 def _sample_ranks(total: int, n: int) -> list[int]:
@@ -100,16 +93,16 @@ def _sample_ranks(total: int, n: int) -> list[int]:
     return sorted(picked)
 
 
-def _unrank(rank, instances, pools, radices, index) -> Allocation:
-    assignments = {}
+def _unrank(rank, instances, pools, radices) -> dict[str, frozenset[str]]:
+    allocation = {}
     # most-significant digit first: divide by the product of later radices
     suffix = math.prod(radices)
     for inst, pool, radix in zip(instances, pools, radices):
         suffix //= radix
         digit, rank = divmod(rank, suffix)
         team = _combination_unrank(pool, inst.robots_needed, digit)
-        assignments[inst.instance_id] = frozenset(team)
-    return Allocation(index=index, assignments=assignments)
+        allocation[inst.instance_id] = frozenset(team)
+    return allocation
 
 
 def _combination_unrank(pool: list[str], k: int, rank: int) -> list[str]:

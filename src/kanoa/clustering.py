@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .allocation import Allocation
+from .allocation import used_robots
 
 
 class RobotCluster(NamedTuple):
@@ -18,11 +18,13 @@ class RobotCluster(NamedTuple):
     instances: frozenset[str]
 
 
-def robots_of_subtree(allocation: Allocation, subtree: frozenset[str]) -> frozenset[str]:
+def robots_of_subtree(
+    allocation: dict[str, frozenset[str]], subtree: frozenset[str]
+) -> frozenset[str]:
     """Union of the robot teams assigned to the subtree's leaf instances."""
     out = set()
     for inst_id in subtree:
-        out |= allocation.assignments[inst_id]
+        out |= allocation[inst_id]
     return frozenset(out)
 
 
@@ -45,10 +47,10 @@ class UnionFind:
 
 
 def cluster_robots(
-    allocation: Allocation, subtrees: list[frozenset[str]]
+    allocation: dict[str, frozenset[str]], subtrees: list[frozenset[str]]
 ) -> list[RobotCluster]:
     """Production clustering: union-find over subtree robot sets."""
-    robots = sorted(allocation.used_robots)
+    robots = sorted(used_robots(allocation))
     uf = UnionFind(robots)
     for s in subtrees:
         group = sorted(robots_of_subtree(allocation, s))
@@ -61,10 +63,12 @@ def cluster_robots(
     return [_make_cluster(g, allocation) for g in groups]
 
 
-def _make_cluster(robots: frozenset[str], allocation: Allocation) -> RobotCluster:
+def _make_cluster(
+    robots: frozenset[str], allocation: dict[str, frozenset[str]]
+) -> RobotCluster:
     instances = frozenset(
         inst
-        for inst, team in allocation.assignments.items()
+        for inst, team in allocation.items()
         if team & robots
     )
     return RobotCluster(robots=robots, instances=instances)

@@ -56,7 +56,6 @@ closed form, without building the model.
 
 from __future__ import annotations
 
-from .allocation import Allocation
 from .clustering import RobotCluster
 from .errors import InvariantViolation, StateExplosion
 from .problem import ValidatedProblem
@@ -167,9 +166,9 @@ class ClusterContext:
     budget ``tt``, which is the mission's ``time`` constraint."""
 
     def __init__(
-        self, v: ValidatedProblem, allocation: Allocation, cluster: RobotCluster,
-        permutation: dict[str, tuple[str, ...]], pairs: list[PrecedencePair],
-        instances: dict[str, TaskInstance],
+        self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
+        cluster: RobotCluster, permutation: dict[str, tuple[str, ...]],
+        pairs: list[PrecedencePair], instances: dict[str, TaskInstance],
     ):
         self.tt = tt = v.time_available
         self.robots = tuple(sorted(cluster.robots))
@@ -179,7 +178,7 @@ class ClusterContext:
         ]
 
         in_cluster = cluster.instances
-        team = {i: allocation.assignments[i] for i in in_cluster}
+        team = {i: allocation[i] for i in in_cluster}
 
         # instances whose completion time later tasks on other robots await
         tracked: list[str] = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .allocation import Allocation, AllocatorConfig, enumerate_allocations
+from .allocation import AllocatorConfig, enumerate_allocations, used_robots
 from .clustering import RobotCluster, cluster_robots
 from .errors import NoFeasibleSolution, StateExplosion
 from .mdp import DEFAULT_STATE_CAP
@@ -125,7 +125,7 @@ class SearchSpace:
         v: ValidatedProblem,
         instances: dict[str, TaskInstance],
         pairs: list[PrecedencePair],
-        allocations: list[Allocation],
+        allocations: list[dict[str, frozenset[str]]],
         clusters: list[list[RobotCluster]],
         pool_size: int,  # permutations per allocation
         seed: int,
@@ -156,10 +156,7 @@ class SearchSpace:
             if not (0 <= a < len(self.allocations) and 0 <= p < self.pool_size):
                 raise IndexError(f"no pool entry ({a}, {p})")
             allocation = self.allocations[a]
-            whole = RobotCluster(
-                robots=allocation.used_robots,
-                instances=frozenset(allocation.assignments),
-            )
+            whole = RobotCluster(used_robots(allocation), frozenset(allocation))
             drawn = random_task_permutation(
                 allocation, whole, self.pairs, seed=f"{self.seed}:{a}:{p}"
             )

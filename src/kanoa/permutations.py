@@ -8,17 +8,18 @@ from __future__ import annotations
 
 import random
 
-from .allocation import Allocation
 from .clustering import RobotCluster
 from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
 
 
-def _instances_of(allocation: Allocation, cluster: RobotCluster, robot: str) -> list[str]:
+def _instances_of(
+    allocation: dict[str, frozenset[str]], cluster: RobotCluster, robot: str
+) -> list[str]:
     return [
         inst
         for inst in sorted(cluster.instances)
-        if robot in allocation.assignments[inst]
+        if robot in allocation[inst]
     ]
 
 
@@ -52,7 +53,7 @@ def _induced_precedence(
 
 
 def random_task_permutation(
-    allocation: Allocation,
+    allocation: dict[str, frozenset[str]],
     cluster: RobotCluster,
     pairs: list[PrecedencePair],
     seed,

@@ -7,13 +7,14 @@ import io
 import json
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from .allocation import AllocatorConfig
 from .errors import InvariantViolation, StateExplosion
 from .gantt import emit_gantt, format_gantt_text
 from .mdp import DEFAULT_STATE_CAP, ClusterContext, build_mdp
 from .mdp_export import write_mdp_text
-from .optimizer import GaConfig, ParetoFront, nsga2_run, prepare_search
+from .optimizer import GaConfig, Objectives, ParetoFront, nsga2_run, prepare_search
 from .parser import parse_problem
 from .plans import check_plan
 from .taskgraph import debug_report, expand_mission
@@ -72,34 +73,10 @@ class PipelineConfig:
         }
 
 
-class RunReport:
-    __slots__ = ("config", "allocation_count", "cluster_summary", "front", "timings")
-
-    def __init__(
-        self,
-        config: dict,
-        allocation_count: int,
-        cluster_summary: list[str],
-        front: ParetoFront,
-        timings: dict[str, float],
-    ):
-        self.config = config
-        self.allocation_count = allocation_count
-        self.cluster_summary = cluster_summary
-        self.front = front
-        self.timings = timings
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "Allocation": e.chromosome.alloc_idx,
-                "Permutation": e.chromosome.perm_idx,
-                "Probability of failure": e.objectives.p_fail,
-                "Idling": e.objectives.idle,
-                "Travel": e.objectives.travel,
-            }
-            for e in self.front.entries
-        ]
+class RunReport(NamedTuple):
+    front: ParetoFront
+    timings: dict[str, float]  # seconds per stage, in pipeline order
+    allocation_count: int
 
 
 def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
@@ -141,9 +118,10 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     )
     timings["allocate"] = time.perf_counter() - t0
 
+
     if cfg.dump_allocations:
         payload = [
-            {inst: sorted(robots) for inst, robots in sorted(a.assignments.items())}
+            {inst: sorted(team) for inst, team in sorted(a.items())}
             for a in space.allocations
         ]
         (out / "allocations.json").write_text(
@@ -154,14 +132,11 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     front = nsga2_run(space, cfg.ga())
     timings["optimize"] = time.perf_counter() - t0
 
-    cluster_summary = [
+    clusters = [
         f"allocation {i}: "
-        + ", ".join(
-            "{" + ",".join(sorted(c.robots)) + "}" for c in space.clusters[i]
-        )
-        for i in range(len(space.allocations))
+        + ", ".join("{" + ",".join(sorted(c.robots)) + "}" for c in groups)
+        for i, groups in enumerate(space.clusters)
     ]
-    allocation_count = len(space.allocations)
     models = _front_models(space, front) if cfg.dump_mdp else []
     # release the schedule memo and the drawn pool entries before writing
     del space
@@ -182,11 +157,7 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
                 {
                     "allocation": entry.chromosome.alloc_idx,
                     "permutation": entry.chromosome.perm_idx,
-                    "objectives": {
-                        "probability_of_failure": entry.objectives.p_fail,
-                        "idling": entry.objectives.idle,
-                        "travel": entry.objectives.travel,
-                    },
+                    "objectives": _objectives(entry.objectives),
                     "timelines": entry.plan.to_dict(),
                 },
                 indent=2,
@@ -198,17 +169,12 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
             emit_gantt(entry.plan, title=f"plan_{k}"), encoding="utf-8"
         )
 
-    report = RunReport(
-        config=cfg.echo(),
-        allocation_count=allocation_count,
-        cluster_summary=cluster_summary,
-        front=front,
-        timings=timings,
+    report = RunReport(front, timings, len(clusters))
+    (out / "pareto.csv").write_text(render_csv(front), encoding="utf-8")
+    (out / "pareto.json").write_text(render_json(front), encoding="utf-8")
+    (out / "report.txt").write_text(
+        render_text(report, cfg.echo(), clusters), encoding="utf-8"
     )
-
-    (out / "pareto.csv").write_text(render_csv(report), encoding="utf-8")
-    (out / "pareto.json").write_text(render_json(report), encoding="utf-8")
-    (out / "report.txt").write_text(render_text(report, front), encoding="utf-8")
     for name, ctx in models:
         _dump_model(name, ctx, cfg.state_cap, out)
     return report
@@ -250,46 +216,47 @@ def _dump_model(name: str, ctx: ClusterContext, state_cap: int, out: Path):
     (out / name).write_text(write_mdp_text(mdp), encoding="utf-8")
 
 
-def render_csv(report: RunReport) -> str:
+def _objectives(o: Objectives) -> dict:
+    """The objectives as pareto.json and plan_*.json name them."""
+    return {"probability_of_failure": o.p_fail, "idling": o.idle, "travel": o.travel}
+
+
+def render_csv(front: ParetoFront) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["Allocation", "Permutation", "Probability of failure", "Idling", "Travel"]
     )
-    for row in report.rows():
+    for e in front.entries:
         writer.writerow(
-            [
-                row["Allocation"],
-                row["Permutation"],
-                repr(row["Probability of failure"]),
-                row["Idling"],
-                row["Travel"],
-            ]
+            [e.chromosome.alloc_idx, e.chromosome.perm_idx, repr(e.objectives.p_fail),
+             e.objectives.idle, e.objectives.travel]
         )
     return buf.getvalue()
 
 
-def render_json(report: RunReport) -> str:
+def render_json(front: ParetoFront) -> str:
     entries = [
         {
-            "allocation": row["Allocation"],
-            "permutation": row["Permutation"],
-            "probability_of_failure": row["Probability of failure"],
-            "idling": row["Idling"],
-            "travel": row["Travel"],
+            "allocation": e.chromosome.alloc_idx,
+            "permutation": e.chromosome.perm_idx,
+            **_objectives(e.objectives),
         }
-        for row in report.rows()
+        for e in front.entries
     ]
     return json.dumps({"entries": entries}, indent=2) + "\n"
 
 
-def render_text(report: RunReport, front: ParetoFront) -> str:
+def render_text(report: RunReport, config: dict, clusters: list[str]) -> str:
+    """report.txt: the config echo, each allocation's robot clusters, the
+    front with a text Gantt chart per plan, and the stage timings."""
+    front = report.front
     lines = ["mission planning report", ""]
-    lines.append("config: " + json.dumps(report.config))
+    lines.append("config: " + json.dumps(config))
     lines.append(f"allocations searched: {report.allocation_count}")
     lines.append("")
     lines.append("clusters:")
-    lines.extend("  " + s for s in report.cluster_summary)
+    lines.extend("  " + s for s in clusters)
     lines.append("")
     lines.append("pareto front:")
     lines.append("  alloc  perm  p_fail        idle  travel")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .allocation import Allocation
 from .clustering import RobotCluster
 from .errors import InvariantViolation
 from .mdp import (
@@ -30,7 +29,7 @@ class SchedulingResult(NamedTuple):
 
 def success_probability(
     v: ValidatedProblem,
-    allocation: Allocation,
+    allocation: dict[str, frozenset[str]],
     cluster: RobotCluster,
     instances: dict[str, TaskInstance],
 ) -> float:
@@ -42,14 +41,14 @@ def success_probability(
     prob = 1.0
     for inst_id in sorted(cluster.instances):
         type_id = instances[inst_id].type_id
-        for rid in sorted(allocation.assignments[inst_id]):
+        for rid in sorted(allocation[inst_id]):
             prob *= v.robot(rid).capability_for(type_id).success_prob
     return prob
 
 
 def schedule_cluster(
     v: ValidatedProblem,
-    allocation: Allocation,
+    allocation: dict[str, frozenset[str]],
     cluster: RobotCluster,
     permutation: dict[str, tuple[str, ...]],
     pairs: list[PrecedencePair],

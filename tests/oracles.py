@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from kanoa.allocation import Allocation, eligible_robots
+from kanoa.allocation import eligible_robots, used_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
 from kanoa.errors import InvariantViolation, UndefinedReward
 from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
@@ -54,9 +54,9 @@ class InterdependenceMatrix:
 
 
 def relation_matrix(
-    allocation: Allocation, subtrees: list[frozenset[str]]
+    allocation: dict[str, frozenset[str]], subtrees: list[frozenset[str]]
 ) -> InterdependenceMatrix:
-    robots = tuple(sorted(allocation.used_robots))
+    robots = tuple(sorted(used_robots(allocation)))
     index = {r: i for i, r in enumerate(robots)}
     m = np.eye(len(robots), dtype=bool)
     for s in subtrees:
@@ -87,7 +87,7 @@ def closure_by_multiplication(matrix: InterdependenceMatrix) -> InterdependenceM
 
 
 def clusters(
-    matrix: InterdependenceMatrix, allocation: Allocation
+    matrix: InterdependenceMatrix, allocation: dict[str, frozenset[str]]
 ) -> list[RobotCluster]:
     """Connected components of a closed matrix, ordered by smallest robot id."""
     robots = matrix.robots

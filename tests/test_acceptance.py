@@ -27,10 +27,10 @@ from oracles import (
 )
 
 from kanoa.allocation import (
-    Allocation,
     AllocatorConfig,
     count_feasible,
     enumerate_allocations,
+    used_robots,
 )
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import build_mdp
@@ -146,7 +146,7 @@ def test_criterion_4_transitive_closure_oracle():
         matrix = InterdependenceMatrix(robots, m)
         warshall = transitive_closure(matrix)
         assert warshall == closure_by_multiplication(matrix)
-        fake = Allocation(0, {f"i{k}": frozenset({robots[k]}) for k in range(n)})
+        fake = {f"i{k}": frozenset({robots[k]}) for k in range(n)}
         subtrees = [
             frozenset({f"i{a}", f"i{b}"})
             for a in range(n) for b in range(n) if m[a, b]
@@ -156,10 +156,10 @@ def test_criterion_4_transitive_closure_oracle():
         ]
 
     # the worked example: r3-r4 and r4-r5 share subtrees, r2 stands alone
-    a = Allocation(0, {
+    a = {
         "x": frozenset({"r3"}), "y": frozenset({"r4"}),
         "z": frozenset({"r4"}), "w": frozenset({"r5"}), "v": frozenset({"r2"}),
-    })
+    }
     subtrees = [
         frozenset({"x", "y"}),
         frozenset({"z", "w"}),
@@ -209,16 +209,16 @@ def test_criterion_5_allocation_oracle():
         allocs = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=n))
         oracle = list(brute_force_allocations(v, leaves))
         assert count_feasible(v, leaves) == len(oracle)
-        positions = [oracle.index(a.assignments) for a in allocs]
+        positions = [oracle.index(a) for a in allocs]
         assert positions == sorted(positions)  # order-consistent subsequence
         assert len(set(positions)) == len(positions)
         for a in allocs:
             for inst in leaves:
-                team = a.assignments[inst.instance_id]
+                team = a[inst.instance_id]
                 assert len(team) == inst.robots_needed
                 assert all(v.robot(r).capability_for(inst.type_id) for r in team)
-            assert a.used_robots == {
-                r for team in a.assignments.values() for r in team
+            assert used_robots(a) == {
+                r for team in a.values() for r in team
             }
         rounds += 1
     verdict(5, rounds >= 40, f"{rounds} random allocation spaces verified "

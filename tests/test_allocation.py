@@ -8,6 +8,7 @@ from kanoa.allocation import (
     AllocatorConfig,
     count_feasible,
     enumerate_allocations,
+    used_robots,
 )
 from kanoa.errors import InfeasibleAllocation
 
@@ -55,7 +56,7 @@ def test_unique_assignment():
     leaves, _, _, _ = expanded(v)
     allocs = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=5))
     assert len(allocs) == 1
-    assert allocs[0].assignments["t_0"] == frozenset({"r"})
+    assert allocs[0]["t_0"] == frozenset({"r"})
 
 
 def test_joint_pair_single_allocation():
@@ -63,7 +64,7 @@ def test_joint_pair_single_allocation():
     leaves, _, _, _ = expanded(v)
     allocs = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=10))
     assert len(allocs) == 1
-    assert allocs[0].assignments["lift_0"] == frozenset({"r1", "r2"})
+    assert allocs[0]["lift_0"] == frozenset({"r1", "r2"})
 
 
 def test_matches_brute_force_prefix():
@@ -72,7 +73,7 @@ def test_matches_brute_force_prefix():
     leaves, _, _, _ = expanded(v)
     allocs = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=20))
     oracle = list(brute_force_allocations(v, leaves))
-    assert [a.assignments for a in allocs] == oracle
+    assert allocs == oracle
 
 
 def test_subset_and_order_consistent_when_sampled():
@@ -80,7 +81,7 @@ def test_subset_and_order_consistent_when_sampled():
     leaves, _, _, _ = expanded(v)
     allocs = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=4))
     oracle = list(brute_force_allocations(v, leaves))
-    positions = [oracle.index(a.assignments) for a in allocs]
+    positions = [oracle.index(a) for a in allocs]
     assert len(set(positions)) == 4  # distinct
     assert positions == sorted(positions)  # order-consistent subsequence
 
@@ -90,14 +91,14 @@ def test_allocation_facts(hospital):
     allocs = enumerate_allocations(hospital, leaves, AllocatorConfig(max_allocations=12))
     for a in allocs:
         for inst in leaves:
-            team = a.assignments[inst.instance_id]
+            team = a[inst.instance_id]
             assert len(team) == inst.robots_needed  # exact team size
             for rid in team:
                 # only capable robots are ever assigned
                 assert hospital.robot(rid).capability_for(inst.type_id)
         # used robots are exactly those with at least one assignment
-        assert a.used_robots == {
-            r for team in a.assignments.values() for r in team
+        assert used_robots(a) == {
+            r for team in a.values() for r in team
         }
 
 
@@ -106,7 +107,7 @@ def test_distinctness(hospital):
     allocs = enumerate_allocations(hospital, leaves, AllocatorConfig(max_allocations=30))
     # each allocation's canonical hashable form
     keys = {
-        tuple((inst, tuple(sorted(team))) for inst, team in sorted(a.assignments.items()))
+        tuple((inst, tuple(sorted(team))) for inst, team in sorted(a.items()))
         for a in allocs
     }
     assert len(keys) == 30
@@ -121,7 +122,7 @@ def test_hospital_count_pinned(hospital):
 def test_hospital_includes_r4_r5_move_team(hospital):
     leaves, _, _, _ = expanded(hospital)
     allocs = enumerate_allocations(hospital, leaves, AllocatorConfig(max_allocations=30))
-    teams = {a.assignments["at1_move_0"] for a in allocs}
+    teams = {a["at1_move_0"] for a in allocs}
     assert frozenset({"r4", "r5"}) in teams
 
 
@@ -151,4 +152,5 @@ def test_boundary_filter_restricts_assignment():
     allocs = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=50))
     assert len(allocs) == 6  # 3 choices for t, only r2/r3 for u
     for a in allocs:
-        assert "r1" not in a.assignments["u_0"]
+        assert "r1" not in a["u_0"]
+

@@ -11,7 +11,7 @@ from oracles import (
     transitive_closure,
 )
 
-from kanoa.allocation import Allocation, AllocatorConfig, enumerate_allocations
+from kanoa.allocation import AllocatorConfig, enumerate_allocations, used_robots
 from kanoa.clustering import cluster_robots, robots_of_subtree
 
 
@@ -24,10 +24,8 @@ def make_matrix(robots, edges):
     return InterdependenceMatrix(tuple(robots), m)
 
 
-def alloc(assignments, index=0):
-    return Allocation(index=index, assignments={
-        k: frozenset(v) for k, v in assignments.items()
-    })
+def alloc(teams):
+    return {k: frozenset(v) for k, v in teams.items()}
 
 
 def test_robots_of_subtree_union():
@@ -156,9 +154,9 @@ def test_cluster_instances_attached(hospital):
             robots_seen |= g.robots
             instances_seen |= g.instances
             for inst in g.instances:
-                assert a.assignments[inst] <= g.robots  # joint teams stay inside
-        assert robots_seen == a.used_robots
-        assert instances_seen == set(a.assignments)
+                assert a[inst] <= g.robots  # joint teams stay inside
+        assert robots_seen == used_robots(a)
+        assert instances_seen == set(a)
 
 
 def test_no_pair_spans_clusters(hospital):

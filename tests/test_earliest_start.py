@@ -26,7 +26,6 @@ from helpers import (
 from oracles import earliest_start_plan, min_completion
 
 import kanoa.scheduling
-from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation
 from kanoa.mdp import ClusterContext, build_mdp, earliest_start_feasible
@@ -59,9 +58,9 @@ def relay_case(tt, idle=""):
     2: wiper's bare chain is 2 long, but waiting makes it end at 12."""
     v = load(RELAY.replace("TT", str(tt)).replace("IDLE", idle))
     _, instances, pairs, subtrees = expanded(v)
-    allocation = Allocation(0, {
+    allocation = {
         "notify_0": frozenset({"talker"}), "clean_0": frozenset({"wiper"}),
-    })
+    }
     cluster = cluster_robots(allocation, subtrees)[0]
     p = {"talker": ("notify_0",), "wiper": ("clean_0",)}
     return v, allocation, cluster, p, pairs, instances
@@ -71,7 +70,7 @@ def crossed_lifts_case(crossed):
     v = load(TWO_LIFTS)
     _, instances, pairs, subtrees = expanded(v)
     both = frozenset({"r1", "r2"})
-    allocation = Allocation(0, {"lift_0": both, "lift_1": both})
+    allocation = {"lift_0": both, "lift_1": both}
     cluster = cluster_robots(allocation, subtrees)[0]
     second = ("lift_1", "lift_0") if crossed else ("lift_0", "lift_1")
     p = {"r1": ("lift_0", "lift_1"), "r2": second}
@@ -84,10 +83,10 @@ def crossed_orders_case(crossed):
     v = load(RELAY.replace("task c at room", "task c at room; task c at dock")
              .replace("TT", "60").replace("IDLE", ""))
     _, instances, pairs, subtrees = expanded(v)
-    allocation = Allocation(0, {
+    allocation = {
         "notify_0": frozenset({"talker"}), "clean_0": frozenset({"wiper"}),
         "notify_1": frozenset({"wiper"}), "clean_1": frozenset({"talker"}),
-    })
+    }
     cluster = cluster_robots(allocation, subtrees)[0]
     if crossed:
         p = {"talker": ("clean_1", "notify_0"), "wiper": ("clean_0", "notify_1")}

@@ -12,7 +12,6 @@ from helpers import (
     times,
 )
 
-from kanoa.allocation import Allocation
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
 from kanoa.mdp import Choice, ClusterContext, build_mdp
@@ -268,10 +267,10 @@ robots {
 mission { task c at room; time 30 }
 """)
     leaves, instances, pairs, subtrees = expanded(v)
-    allocation = Allocation(0, {
+    allocation = {
         "notify_0": frozenset({"talker"}),
         "clean_0": frozenset({"wiper"}),
-    })
+    }
     cluster = cluster_robots(allocation, subtrees)[0]
     p = {"talker": ("notify_0",), "wiper": ("clean_0",)}
     mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
@@ -298,16 +297,16 @@ robots {
 mission { task t at a; task u at b; time 20 }
 """)
     leaves, instances, pairs, subtrees = expanded(v)
-    allocation = Allocation(0, {
+    allocation = {
         "t_0": frozenset({"r1"}), "u_0": frozenset({"r2"}),
-    })
+    }
     split = cluster_robots(allocation, subtrees)
     assert len(split) == 2
     per_parts = []
     for cluster in split:
         perm = {
             r: tuple(i for i in sorted(cluster.instances)
-                     if r in allocation.assignments[i])
+                     if r in allocation[i])
             for r in sorted(cluster.robots)
         }
         per_parts.append(
@@ -344,13 +343,12 @@ def test_hospital_movers_joint_timeline(hospital):
     # the two-mover team handles both equipment moves: room1 first, then
     # room6, with both executions starting together
     leaves, instances, pairs, subtrees = expanded(hospital)
-    assignments = {}
+    allocation = {}
     cleaners = ["r3", "r4", "r5"]
     for i, leaf in enumerate(l for l in leaves if l.type_id != "at1_move"):
-        assignments[leaf.instance_id] = frozenset({cleaners[i % 3]})
-    assignments["at1_move_0"] = frozenset({"r1", "r2"})
-    assignments["at1_move_1"] = frozenset({"r1", "r2"})
-    allocation = Allocation(0, assignments)
+        allocation[leaf.instance_id] = frozenset({cleaners[i % 3]})
+    allocation["at1_move_0"] = frozenset({"r1", "r2"})
+    allocation["at1_move_1"] = frozenset({"r1", "r2"})
     movers = [
         c for c in cluster_robots(allocation, subtrees)
         if c.robots == frozenset({"r1", "r2"})

@@ -6,7 +6,7 @@ from helpers import load, perfbench_mission, random_problem_text
 from oracles import pairwise_nondominated_sort
 
 import kanoa.optimizer
-from kanoa.allocation import AllocatorConfig
+from kanoa.allocation import AllocatorConfig, used_robots
 from kanoa.clustering import RobotCluster
 from kanoa.errors import NoFeasibleSolution
 from kanoa.optimizer import (
@@ -314,7 +314,7 @@ def test_lazy_pool_entries_equal_eager_draws(fixtures_dir, name, order):
         random.Random(name).shuffle(keys)
     for a, p in keys:
         allocation = space.allocations[a]
-        whole = RobotCluster(allocation.used_robots, frozenset(allocation.assignments))
+        whole = RobotCluster(used_robots(allocation), frozenset(allocation))
         eager = random_task_permutation(allocation, whole, space.pairs, seed=f"{seed}:{a}:{p}")
         assert space.permutation(a, p) == eager, (a, p)
 

@@ -86,14 +86,13 @@ robots {
 mission { task c at a; time 30;  }
 """)
     leaves, instances, pairs, subtrees = expanded(v)
-    from kanoa.allocation import Allocation
     from kanoa.clustering import cluster_robots
 
-    allocation = Allocation(0, {
+    allocation = {
         "x_0": frozenset({"r1"}),
         "y_0": frozenset({"r2"}),
         "z_0": frozenset({"r1"}),
-    })
+    }
     cluster = cluster_robots(allocation, subtrees)[0]
     for seed in range(40):
         p = random_task_permutation(allocation, cluster, pairs, seed)
@@ -133,7 +132,7 @@ def test_travel_cost_matches_event_walk_oracle():
         except Exception:
             continue
         leaves, instances, pairs, subtrees = expanded(v)
-        from kanoa.allocation import AllocatorConfig, enumerate_allocations
+        from kanoa.allocation import AllocatorConfig, enumerate_allocations, used_robots
         try:
             allocation = enumerate_allocations(
                 v, leaves, AllocatorConfig(max_allocations=1)
@@ -141,9 +140,9 @@ def test_travel_cost_matches_event_walk_oracle():
         except Exception:
             continue
         order = {}
-        for rid in sorted(allocation.used_robots):
+        for rid in sorted(used_robots(allocation)):
             mine = sorted(
-                i for i, team in allocation.assignments.items() if rid in team
+                i for i, team in allocation.items() if rid in team
             )
             rng.shuffle(mine)
             order[rid] = tuple(mine)
