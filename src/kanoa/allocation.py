@@ -19,9 +19,18 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import InfeasibleAllocation
+from .errors import InfeasibleAllocation, ValidationError
 from .problem import ValidatedProblem
 from .taskgraph import TaskInstance
+
+# Most teams the drawn allocations may hold in all: min(requested, feasible)
+# allocations times the mission's task instances.  Each team costs about
+# 340 B with its share of the clusters: prepare_search on the bundled
+# hospital mission (14 instances) peaked at 4,760 B per allocation by
+# tracemalloc, at both 10,000 and 100,000 allocations.  At the limit, hospital
+# with 35,714 allocations, two permutations, population 4 and one generation
+# peaked at 186 MB resident in 3.4 s.  See docs/grammar.md.
+MAX_ALLOCATED_INSTANCES = 500_000
 
 
 class AllocatorConfig:
@@ -64,7 +73,9 @@ def enumerate_allocations(
     """Up to ``cfg.max_allocations`` distinct feasible allocations.
 
     Raises :class:`InfeasibleAllocation` when an instance has fewer
-    eligible robots than it needs.
+    eligible robots than it needs, and :class:`ValidationError` before any
+    is drawn when they would hold more than ``MAX_ALLOCATED_INSTANCES``
+    teams.
     """
     pools = []
     for inst in instances:
@@ -78,6 +89,13 @@ def enumerate_allocations(
 
     radices = [math.comb(len(p), i.robots_needed) for p, i in zip(pools, instances)]
     total = math.prod(radices)
+    count = min(total, cfg.max_allocations)
+    if count * len(instances) > MAX_ALLOCATED_INSTANCES:
+        raise ValidationError([
+            f"{count} allocations of {len(instances)} task instances exceed the "
+            f"limit of {MAX_ALLOCATED_INSTANCES} allocated instances; request at "
+            f"most {MAX_ALLOCATED_INSTANCES // len(instances)} allocations"
+        ])
     ranks = _sample_ranks(total, cfg.max_allocations)
     return [_unrank(rank, instances, pools, radices) for rank in ranks]
 

@@ -86,7 +86,8 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     front entry, instances.json, and report.txt, then the ``--dump-mdp``
     models.  Raises the underlying error on bad input, an empty feasible
     set or a dumped model over the state cap; the CLI maps those to exit
-    codes.  ``out_dir`` is created only once the mission validates.
+    codes.  ``out_dir`` is created only once the mission validates and its
+    allocations are drawn.
     """
     timings: dict[str, float] = {}
 
@@ -99,14 +100,9 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     v = validate_problem(spec)
     timings["validate"] = time.perf_counter() - t0
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     t0 = time.perf_counter()
     root, pairs = expand_mission(v)
-    (out / "instances.json").write_text(
-        json.dumps(debug_report(root, pairs), indent=2) + "\n", encoding="utf-8"
-    )
+    instances_json = json.dumps(debug_report(root, pairs), indent=2) + "\n"
     timings["expand"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -118,7 +114,9 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     )
     timings["allocate"] = time.perf_counter() - t0
 
-
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "instances.json").write_text(instances_json, encoding="utf-8")
     if cfg.dump_allocations:
         payload = [
             {inst: sorted(team) for inst, team in sorted(a.items())}

@@ -4,13 +4,14 @@ import pytest
 from helpers import expanded, load
 from oracles import brute_force_allocations
 
+import kanoa.allocation
 from kanoa.allocation import (
     AllocatorConfig,
     count_feasible,
     enumerate_allocations,
     used_robots,
 )
-from kanoa.errors import InfeasibleAllocation
+from kanoa.errors import InfeasibleAllocation, ValidationError
 
 TWO_TASKS = """
 world { loc a (0,0) loc b (1,0) }
@@ -153,4 +154,27 @@ def test_boundary_filter_restricts_assignment():
     assert len(allocs) == 6  # 3 choices for t, only r2/r3 for u
     for a in allocs:
         assert "r1" not in a["u_0"]
+
+
+@pytest.mark.parametrize("requested, allowed", [(4, True), (5, False), (100, False)])
+def test_allocated_instance_limit(monkeypatch, requested, allowed):
+    # nine feasible allocations of two instances each: a limit of 8 teams
+    # admits four allocations, and a larger request fails before any is drawn
+    monkeypatch.setattr(kanoa.allocation, "MAX_ALLOCATED_INSTANCES", 8)
+    if not allowed:
+        monkeypatch.setattr(
+            kanoa.allocation, "_sample_ranks", lambda *a: pytest.fail("ranks drawn")
+        )
+    v = load(TWO_TASKS)
+    leaves, _, _, _ = expanded(v)
+    cfg = AllocatorConfig(max_allocations=requested)
+    if allowed:
+        assert len(enumerate_allocations(v, leaves, cfg)) == requested
+    else:
+        with pytest.raises(ValidationError) as exc:
+            enumerate_allocations(v, leaves, cfg)
+        assert exc.value.problems == [
+            f"{min(requested, 9)} allocations of 2 task instances exceed the "
+            "limit of 8 allocated instances; request at most 4 allocations"
+        ]
 

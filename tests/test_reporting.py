@@ -4,6 +4,7 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from helpers import assert_golden_artifacts, compound_chain_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanoa.allocation import AllocatorConfig
+from kanoa.allocation import MAX_ALLOCATED_INSTANCES, AllocatorConfig
 from kanoa.cli import _FIELDS, _read_config, _resolve, build_parser
 from kanoa.cli import main as cli_main
 from kanoa.gantt import _TEXT_MAX_SPAN, emit_gantt, format_gantt_text
@@ -623,6 +624,45 @@ def test_cli_instance_limit_exit_one_quickly(tmp_path):
         f"the limit is {MAX_INSTANCES}\n"
     )
     assert not out.exists()
+
+
+def test_cli_allocation_limit_exit_one_quickly(hospital_path, tmp_path, capsys):
+    # hospital has 19,131,876 feasible allocations of 14 instances; drawing
+    # two million of them ran out of a 2 GB address-space limit, so the
+    # request must be refused before any allocation is drawn
+    class Hung(Exception):  # not an OSError, which the CLI would report
+        pass
+
+    def hung(signum, frame):
+        raise Hung("the allocation limit did not stop the run")
+
+    out = tmp_path / "out"
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        code = cli_main(["plan", "--input", str(hospital_path), "--out", str(out),
+                         "--allocations", "2000000", "--permutations", "2",
+                         "--pop", "4", "--gens", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"{hospital_path}: 2000000 allocations of 14 task instances exceed the "
+        f"limit of {MAX_ALLOCATED_INSTANCES} allocated instances; request at "
+        f"most {MAX_ALLOCATED_INSTANCES // 14} allocations\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_allocation_limit_counts_feasible_allocations(fixtures_dir, tmp_path, capsys):
+    # minimal has one feasible allocation, so a huge request draws just it
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(fixtures_dir / "minimal.kanoa"),
+                     "--out", str(out), "--allocations", "10000000",
+                     "--dump-allocations"])
+    assert code == 0, capsys.readouterr().err
+    assert len(json.loads((out / "allocations.json").read_text())) == 1
 
 
 def test_cli_nesting_at_limit_plans(tmp_path, capsys):
