@@ -25,7 +25,7 @@ from kanoa.gantt import _TEXT_MAX_SPAN, emit_gantt, format_gantt_text
 from kanoa.mdp import DEFAULT_STATE_CAP
 from kanoa.optimizer import GaConfig
 from kanoa.plans import Plan, PlanEvent
-from kanoa.reporting import PipelineConfig, run
+from kanoa.reporting import PipelineConfig, RunReport, run
 from kanoa.validation import MAX_INSTANCES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,6 +110,37 @@ def test_dump_flags(hospital_path, tmp_path):
     for entry in report.front.entries:
         a, p = entry.chromosome.alloc_idx, entry.chromosome.perm_idx
         assert (tmp_path / f"mdp_{a}_{p}_0.txt").exists()
+
+
+def test_run_report_fields(hospital_run):
+    report, _ = hospital_run
+    assert isinstance(report, RunReport)
+    assert RunReport._fields == ("front", "timings", "allocation_count")
+    assert report.front.entries
+    assert report.allocation_count == FAST.allocations
+
+
+def test_run_report_timings_name_every_stage(hospital_run):
+    # the benchmark's setup_s adds every stage but optimize
+    report, _ = hospital_run
+    assert list(report.timings) == ["parse", "validate", "expand", "allocate", "optimize"]
+    assert all(secs >= 0 for secs in report.timings.values())
+
+
+@pytest.mark.parametrize("name, allocations, searched", [
+    ("minimal.kanoa", 30, 1),  # one feasible allocation
+    ("hospital.kanoa", 3, 3),
+])
+def test_run_report_allocation_count(fixtures_dir, tmp_path, name, allocations, searched):
+    cfg = PipelineConfig(
+        allocations=allocations, permutations=2, population=4, generations=1,
+        dump_allocations=True,
+    )
+    report = run(fixtures_dir / name, cfg, tmp_path)
+    assert report.allocation_count == searched
+    assert len(json.loads((tmp_path / "allocations.json").read_text())) == searched
+    text = (tmp_path / "report.txt").read_text()
+    assert f"\nallocations searched: {searched}\n" in text
 
 
 def test_mdp_dump_format(hospital_path, tmp_path):
