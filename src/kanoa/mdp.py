@@ -68,9 +68,19 @@ from .taskgraph import PrecedencePair, TaskInstance
 # states, five robots) and 1.5 KB per state full (8,570 states, the same
 # cluster).  At this cap a model needs about 1.0 GB lumped or 1.2 GB full,
 # so the cap trips with a StateExplosion before an ordinary machine runs out
-# of memory.  State tuples grow with the robot count, so larger clusters
-# cost more per state.
+# of memory.  The cap counts states of a model no wider than the bundled
+# fixtures' widest (_CAP_WIDTH); a wider model may hold proportionally
+# fewer states (see build_mdp).
 DEFAULT_STATE_CAP = 800_000
+
+# What a model holds per state, per state slot and per choice, in bytes:
+# fitted within 3% to the tracemalloc peak of models of 10 to 80 robots
+# (one joint task for all of them) stopped at 5,000 and 20,000 states.
+_STATE_BYTES, _SLOT_BYTES, _CHOICE_BYTES = 76, 8, 271
+# A state of R robots and T tracked instances has 3R+1+T slots and up to
+# about R choices.  The widest model of the bundled fixtures, GA seeds 0-3,
+# has five robots and 20 slots.
+_CAP_WIDTH = _STATE_BYTES + _SLOT_BYTES * 20 + _CHOICE_BYTES * 5
 
 _SLOTS = 3  # pos, phase, clock
 BEFORE, ARRIVED, FAILED = 0, 1, 2  # phases of the step at pos
@@ -515,9 +525,13 @@ def build_mdp(
     outcomes, recovery and the ``success`` label; without, it is the
     failure-lumped model described in the module docstring, labeled
     ``done`` only.  Raises :class:`StateExplosion` when more than
-    ``state_cap`` states are discovered.
+    ``state_cap`` states are discovered, or, in a model wider than
+    ``_CAP_WIDTH``, more than ``state_cap`` states of that width would
+    hold in memory.
     """
     init = ctx.initial_state()
+    width = _STATE_BYTES + _SLOT_BYTES * len(init) + _CHOICE_BYTES * ctx.nrobots
+    limit = min(state_cap, max(1, state_cap * _CAP_WIDTH // width))
     index: dict[tuple, int] = {init: 0}
     states: list[tuple] = [init]
     raw_choices: list[list[Choice]] = []
@@ -530,7 +544,7 @@ def build_mdp(
                 tid = index.get(succ)
                 if tid is None:
                     tid = len(states)
-                    if tid >= state_cap:
+                    if tid >= limit:
                         raise StateExplosion(
                             f"state cap {state_cap} exceeded for cluster of "
                             f"{ctx.nrobots} robots",

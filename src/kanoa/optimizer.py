@@ -40,6 +40,15 @@ from .taskgraph import (
 CROSSOVER_RATE = 0.9  # chance that a selected pair swaps genes
 MUTATION_RATE = 0.2  # chance that an offspring redraws one gene
 
+# Largest population a search may hold.  Each member costs about 730 B of
+# search bookkeeping (tracemalloc, one generation on minimal.kanoa and on
+# hospital.kanoa at 100,000 members): the population and its offspring,
+# their results, ranks and crowding distances.  At this limit one
+# generation of either peaked at 88 MB resident; a population of 100
+# million ran out of a 768 MB address-space limit while drawing its first
+# members.  See docs/formats.md.
+MAX_POPULATION = 100_000
+
 
 class Chromosome(NamedTuple):
     alloc_idx: int
@@ -73,6 +82,8 @@ class GaConfig:
     ):
         if population_size < 4 or population_size % 2:
             raise ValueError("population_size must be even and at least 4")
+        if population_size > MAX_POPULATION:
+            raise ValueError(f"population_size must be at most {MAX_POPULATION}")
         if generations < 0:
             raise ValueError("generations must not be negative")
         if permutations_per_allocation < 1:

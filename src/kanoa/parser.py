@@ -9,6 +9,7 @@ keyword, so separators (newlines, semicolons) are skipped as trivia.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DslSyntaxError
 from .problem import (
@@ -26,73 +27,74 @@ from .problem import (
 
 _PUNCT = "{}(),=/"
 
+# typed terms of the grammar: (token kind, what the error calls it)
+_LOC = ("ident", "location id")
+_TASK = ("ident", "task id")
+_SUBJECT = ("ident", "robot id or 'all'")
+_SUBTASK = ("ident", "subtask id")
 
-class Token:
-    __slots__ = ("kind", "value", "line", "column")
 
-    def __init__(self, kind, value, line, column):
-        self.kind = kind  # "ident" | "int" | "number" | a punct char | "eof"
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.value!r}, {self.line}:{self.column})"
+class Token(NamedTuple):
+    kind: str  # "ident" | "int" | "number" | a punct char | "eof"
+    value: str
+    line: int
+    column: int
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with an "eof" token.
+
+    Digits are ASCII.  A number or identifier is scanned over every
+    character that Unicode counts as a digit, so that a digit of another
+    script is reported where it stands, as an unexpected character.
+    """
     tokens = []
-    line, col = 1, 1
+    line, line_start = 1, 0  # line number and offset of its first character
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+        ch, start = text[i], i
+        column = start - line_start + 1
+        i += 1
+        if ch in " \t\r;\n":
+            if ch == "\n":
+                line, line_start = line + 1, i
             continue
-        if ch in " \t\r;":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
+        if text.startswith("//", start):
+            end = text.find("\n", i)
+            i = n if end < 0 else end
             continue
         if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            start_col = col
-            i += 1
-            col += 1
+            kind = ch
+        elif ch.isdigit() or (ch == "-" and text[i : i + 1].isdigit()):
             while i < n and (text[i].isdigit() or text[i] == "."):
                 i += 1
-                col += 1
-            lexeme = text[start:i]
-            if lexeme.count(".") > 1 or lexeme.endswith("."):
-                raise DslSyntaxError(
-                    f"malformed number {lexeme!r}", line, start_col, ("number",)
-                )
-            kind = "number" if "." in lexeme else "int"
-            tokens.append(Token(kind, lexeme, line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
+            kind = "number" if "." in text[start:i] else "int"
+        elif ch.isalpha() or ch == "_":
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-                col += 1
-            tokens.append(Token("ident", text[start:i], line, start_col))
-            continue
-        raise DslSyntaxError(
-            f"unexpected character {ch!r}", line, col, expected=("token",)
-        )
-    tokens.append(Token("eof", "", line, col))
+            kind = "ident"
+        else:
+            raise _unexpected(ch, line, column)
+        lexeme = text[start:i]
+        if not lexeme.isascii():
+            for k, c in enumerate(lexeme):
+                if c.isdigit() and not c.isascii():
+                    raise _unexpected(c, line, column + k)
+        if kind == "number" and (lexeme.count(".") > 1 or lexeme.endswith(".")):
+            raise DslSyntaxError(
+                f"malformed number {lexeme!r}", line, column, ("number",)
+            )
+        tokens.append(Token(kind, lexeme, line, column))
+    tokens.append(Token("eof", "", line, n - line_start + 1))
     return tokens
+
+
+def _unexpected(ch, line, column) -> DslSyntaxError:
+    return DslSyntaxError(f"unexpected character {ch!r}", line, column, ("token",))
+
+
+def _of(items, record) -> tuple:
+    return tuple(x for x in items if isinstance(x, record))
 
 
 class _Parser:
@@ -106,12 +108,6 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def fail(self, expected) -> DslSyntaxError:
         tok = self.cur
         got = repr(tok.value) if tok.kind != "eof" else "end of input"
@@ -120,197 +116,137 @@ class _Parser:
             f"expected {exp}, got {got}", tok.line, tok.column, expected
         )
 
-    def at_keyword(self, word: str) -> bool:
-        return self.cur.kind == "ident" and self.cur.value == word
+    def expect(self, term):
+        """Consume the current token and return its value.
 
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.fail((f"'{word}'",))
-        return self.advance()
-
-    def expect_punct(self, ch: str) -> Token:
-        if self.cur.kind != ch:
-            raise self.fail((f"'{ch}'",))
-        return self.advance()
-
-    def expect_ident(self, what="identifier") -> str:
-        if self.cur.kind != "ident":
+        ``term`` is a keyword or punctuation character that must appear as
+        written, or a typed term ``(kind, what)``: an "ident", an "int"
+        (whose value is an int) or a "number" (an int or a decimal, as
+        text), which the error calls ``what``.
+        """
+        tok = self.cur
+        if isinstance(term, str):
+            kind, ok, what = None, tok.value == term, f"'{term}'"
+        else:
+            kind, what = term
+            ok = tok.kind == kind or (kind == "number" and tok.kind == "int")
+        if not ok:
             raise self.fail((what,))
-        return self.advance().value
+        self.pos += 1
+        return int(tok.value) if kind == "int" else tok.value
 
-    def expect_int(self, what="integer") -> int:
-        if self.cur.kind != "int":
-            raise self.fail((what,))
-        return int(self.advance().value)
+    # -- shared rules --------------------------------------------------------
 
-    def expect_rational(self, what="number") -> Fraction:
-        # int, decimal, or int/int
-        if self.cur.kind not in ("int", "number"):
-            raise self.fail((what,))
-        first = self.advance()
-        if first.kind == "int" and self.cur.kind == "/":
-            self.advance()
-            if self.cur.kind != "int":
-                raise self.fail(("denominator",))
-            denom = self.advance()
-            if int(denom.value) == 0:
-                raise DslSyntaxError(
-                    "zero denominator", denom.line, denom.column, ("nonzero integer",)
-                )
-            return Fraction(int(first.value), int(denom.value))
-        return Fraction(first.value)
+    def seq(self, *terms) -> list:
+        """The values of the typed terms among ``terms``, parsed in order."""
+        values = [self.expect(t) for t in terms]
+        return [v for t, v in zip(terms, values) if not isinstance(t, str)]
 
-    def expect_prob(self) -> float:
-        if self.cur.kind not in ("int", "number"):
-            raise self.fail(("probability",))
-        return float(self.advance().value)
+    def braced(self, item) -> list:
+        """``"{" { item } "}"``: what each item returned, in order."""
+        self.expect("{")
+        items = []
+        while self.cur.kind != "}":
+            items.append(item())
+        self.pos += 1
+        return items
+
+    def block(self, keyword: str, statements: dict) -> list:
+        """``keyword "{" { statement } "}"``, where each statement starts
+        with a keyword of ``statements``, whose rule parses the rest."""
+        self.expect(keyword)
+
+        def statement():
+            rule = statements.get(self.cur.value)
+            if rule is None:
+                raise self.fail([f"'{w}'" for w in statements] + ["'}'"])
+            self.pos += 1
+            return rule()
+
+        return self.braced(statement)
+
+    def point(self) -> list[int]:
+        """``"(" INT "," INT ")"``: a location, or a corner of a boundary."""
+        return self.seq(
+            "(", ("int", "x coordinate"), ",", ("int", "y coordinate"), ")"
+        )
 
     # -- grammar -------------------------------------------------------------
 
     def parse_problem(self) -> ProblemSpec:
-        locations, distances = self.parse_world()
-        atomics, compounds = self.parse_tasks()
-        robots = self.parse_robots()
-        mission_tasks, constraints = self.parse_mission()
-        if self.cur.kind != "eof":
-            raise self.fail(("end of input",))
+        seq, point = self.seq, self.point
+        world = self.block("world", {
+            "loc": lambda: Location(*seq(_LOC), *point()),
+            "dist": lambda: DistanceEntry(
+                *seq(_LOC, _LOC, "=", ("int", "distance"))
+            ),
+        })
+        tasks = self.block("tasks", {
+            "atomic": lambda: AtomicTaskDef(
+                *seq(_TASK, "robots", ("int", "robot count"))
+            ),
+            "compound": self.compound,
+        })
+        self.expect("robots")
+        robots = self.braced(self.robot)
+        mission = self.block("mission", {
+            "task": lambda: MissionTaskRef(*seq(_TASK, "at", _LOC)),
+            "time": lambda: ConstraintSpec(
+                "timeAvailable", budget=self.expect(("int", "time budget"))
+            ),
+            "maxidle": lambda: ConstraintSpec(
+                "maxIdle", *seq(_SUBJECT), budget=self.expect(("int", "idle budget"))
+            ),
+            "boundary": lambda: ConstraintSpec(
+                "boundary", *seq(_SUBJECT), Rect(*point(), *point())
+            ),
+        })
+        self.expect(("eof", "end of input"))
         return ProblemSpec(
-            locations=tuple(locations),
-            distances=tuple(distances),
-            atomic_tasks=tuple(atomics),
-            compound_tasks=tuple(compounds),
+            locations=_of(world, Location),
+            distances=_of(world, DistanceEntry),
+            atomic_tasks=_of(tasks, AtomicTaskDef),
+            compound_tasks=_of(tasks, CompoundTaskDef),
             robots=tuple(robots),
-            mission_tasks=tuple(mission_tasks),
-            constraints=tuple(constraints),
+            mission_tasks=_of(mission, MissionTaskRef),
+            constraints=_of(mission, ConstraintSpec),
         )
 
-    def parse_world(self):
-        self.expect_keyword("world")
-        self.expect_punct("{")
-        locations, distances = [], []
-        while not self.cur.kind == "}":
-            if self.at_keyword("loc"):
-                self.advance()
-                name = self.expect_ident("location id")
-                self.expect_punct("(")
-                x = self.expect_int("x coordinate")
-                self.expect_punct(",")
-                y = self.expect_int("y coordinate")
-                self.expect_punct(")")
-                locations.append(Location(name, x, y))
-            elif self.at_keyword("dist"):
-                self.advance()
-                frm = self.expect_ident("location id")
-                to = self.expect_ident("location id")
-                self.expect_punct("=")
-                d = self.expect_int("distance")
-                distances.append(DistanceEntry(frm, to, d))
-            else:
-                raise self.fail(("'loc'", "'dist'", "'}'"))
-        self.expect_punct("}")
-        return locations, distances
+    def compound(self) -> CompoundTaskDef:
+        name = self.expect(_TASK)
+        self.expect("=")
+        ordered = self.cur.value == "ordered"
+        if ordered:
+            self.pos += 1
+        subtasks = self.seq("{", _SUBTASK)
+        while self.cur.kind == ",":
+            subtasks += self.seq(",", _SUBTASK)
+        self.expect("}")
+        return CompoundTaskDef(name, tuple(subtasks), ordered)
 
-    def parse_tasks(self):
-        self.expect_keyword("tasks")
-        self.expect_punct("{")
-        atomics, compounds = [], []
-        while not self.cur.kind == "}":
-            if self.at_keyword("atomic"):
-                self.advance()
-                name = self.expect_ident("task id")
-                self.expect_keyword("robots")
-                k = self.expect_int("robot count")
-                atomics.append(AtomicTaskDef(name, k))
-            elif self.at_keyword("compound"):
-                self.advance()
-                name = self.expect_ident("task id")
-                self.expect_punct("=")
-                ordered = False
-                if self.at_keyword("ordered"):
-                    self.advance()
-                    ordered = True
-                self.expect_punct("{")
-                subtasks = [self.expect_ident("subtask id")]
-                while self.cur.kind == ",":
-                    self.advance()
-                    subtasks.append(self.expect_ident("subtask id"))
-                self.expect_punct("}")
-                compounds.append(CompoundTaskDef(name, tuple(subtasks), ordered))
-            else:
-                raise self.fail(("'atomic'", "'compound'", "'}'"))
-        self.expect_punct("}")
-        return atomics, compounds
+    def robot(self) -> RobotDef:
+        name, loc = self.seq("robot", ("ident", "robot id"), "at", _LOC, "velocity")
+        return RobotDef(name, loc, self.rational(), tuple(self.braced(self.capability)))
 
-    def parse_robots(self):
-        self.expect_keyword("robots")
-        self.expect_punct("{")
-        robots = []
-        while not self.cur.kind == "}":
-            self.expect_keyword("robot")
-            name = self.expect_ident("robot id")
-            self.expect_keyword("at")
-            loc = self.expect_ident("location id")
-            self.expect_keyword("velocity")
-            vel = self.expect_rational("velocity")
-            self.expect_punct("{")
-            caps = []
-            while not self.cur.kind == "}":
-                self.expect_keyword("can")
-                task = self.expect_ident("atomic task id")
-                self.expect_keyword("time")
-                t = self.expect_int("required time")
-                self.expect_keyword("prob")
-                p = self.expect_prob()
-                caps.append(Capability(task, t, p))
-            self.expect_punct("}")
-            robots.append(RobotDef(name, loc, vel, tuple(caps)))
-        self.expect_punct("}")
-        return robots
+    def rational(self) -> Fraction:
+        # int, decimal, or int/int
+        value = self.expect(("number", "velocity"))
+        if "." in value or self.cur.kind != "/":
+            return Fraction(value)
+        self.pos += 1
+        denom = self.cur
+        if self.expect(("int", "denominator")) == 0:
+            raise DslSyntaxError(
+                "zero denominator", denom.line, denom.column, ("nonzero integer",)
+            )
+        return Fraction(int(value), int(denom.value))
 
-    def parse_mission(self):
-        self.expect_keyword("mission")
-        self.expect_punct("{")
-        tasks, constraints = [], []
-        while not self.cur.kind == "}":
-            if self.at_keyword("task"):
-                self.advance()
-                task = self.expect_ident("task id")
-                self.expect_keyword("at")
-                loc = self.expect_ident("location id")
-                tasks.append(MissionTaskRef(task, loc))
-            elif self.at_keyword("time"):
-                self.advance()
-                budget = self.expect_int("time budget")
-                constraints.append(ConstraintSpec(kind="timeAvailable", budget=budget))
-            elif self.at_keyword("maxidle"):
-                self.advance()
-                subject = self.expect_ident("robot id or 'all'")
-                budget = self.expect_int("idle budget")
-                constraints.append(
-                    ConstraintSpec(kind="maxIdle", subject=subject, budget=budget)
-                )
-            elif self.at_keyword("boundary"):
-                self.advance()
-                subject = self.expect_ident("robot id or 'all'")
-                self.expect_punct("(")
-                x1 = self.expect_int("x coordinate")
-                self.expect_punct(",")
-                y1 = self.expect_int("y coordinate")
-                self.expect_punct(")")
-                self.expect_punct("(")
-                x2 = self.expect_int("x coordinate")
-                self.expect_punct(",")
-                y2 = self.expect_int("y coordinate")
-                self.expect_punct(")")
-                constraints.append(
-                    ConstraintSpec(
-                        kind="boundary", subject=subject, rect=Rect(x1, y1, x2, y2)
-                    )
-                )
-            else:
-                raise self.fail(("'task'", "'time'", "'maxidle'", "'boundary'", "'}'"))
-        self.expect_punct("}")
-        return tasks, constraints
+    def capability(self) -> Capability:
+        task, t, p = self.seq(
+            "can", ("ident", "atomic task id"), "time", ("int", "required time"),
+            "prob", ("number", "probability"),
+        )
+        return Capability(task, t, float(p))
 
 
 def parse_problem(text: str) -> ProblemSpec:

@@ -2,7 +2,7 @@
 
 A parsed problem is a plain tree of named tuples; validation
 (see :mod:`kanoa.validation`) wraps it in a :class:`ValidatedProblem`
-with a completed, symmetric distance table and indexed lookups.
+with a symmetric distance lookup and indexed lookups.
 """
 
 from __future__ import annotations
@@ -104,16 +104,16 @@ def euclidean_ceil(a: Location, b: Location) -> int:
 class ValidatedProblem:
     """A problem that passed validation, with derived lookup structures.
 
-    ``distance_table`` is complete and symmetric over all location pairs;
-    gaps in the declared table are filled with the integer ceiling of the
-    straight-line distance, never overwriting a declared value.
+    ``distance`` is symmetric over all location pairs.  A declared distance
+    is read in either direction; an undeclared pair gets the integer
+    ceiling of the straight-line distance, computed on first use and kept.
     """
 
-    def __init__(
-        self, problem: ProblemSpec, distance_table: dict[tuple[str, str], int]
-    ):
+    def __init__(self, problem: ProblemSpec):
         self.problem = problem
-        self.distance_table = distance_table
+        self._distances: dict[tuple[str, str], int] = {}
+        for d in problem.distances:
+            self._distances[(d.frm, d.to)] = self._distances[(d.to, d.frm)] = d.distance
         self._locations = {l.id: l for l in problem.locations}
         self._robots = {r.id: r for r in problem.robots}
         self._atomics = {t.id: t for t in problem.atomic_tasks}
@@ -122,9 +122,7 @@ class ValidatedProblem:
     def __eq__(self, other):
         if not isinstance(other, ValidatedProblem):
             return NotImplemented
-        return (self.problem, self.distance_table) == (
-            other.problem, other.distance_table
-        )
+        return self.problem == other.problem
 
     def location(self, loc_id: str) -> Location:
         return self._locations[loc_id]
@@ -143,7 +141,11 @@ class ValidatedProblem:
     def distance(self, a: str, b: str) -> int:
         if a == b:
             return 0
-        return self.distance_table[(a, b)]
+        d = self._distances.get((a, b))
+        if d is None:
+            d = euclidean_ceil(self._locations[a], self._locations[b])
+            self._distances[(a, b)] = self._distances[(b, a)] = d
+        return d
 
     def travel_time(self, robot: RobotDef, a: str, b: str) -> int:
         """Ceiling of distance over velocity, in whole time units."""

@@ -1,9 +1,9 @@
-"""Whole-problem validation and distance-table completion."""
+"""Whole-problem validation."""
 
 from __future__ import annotations
 
 from .errors import ValidationError
-from .problem import ProblemSpec, ValidatedProblem, euclidean_ceil
+from .problem import ProblemSpec, ValidatedProblem
 
 # Deepest allowed chain of compound tasks under one mission task (a compound
 # of atomic tasks is 1 deep).  Expansion recurses once per level, so this
@@ -21,12 +21,12 @@ MAX_INSTANCES = 2000
 
 
 def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
-    """Check every problem invariant and derive the complete distance table.
+    """Check every problem invariant.
 
     All violations are collected and reported together, in a deterministic
-    order (world, tasks, robots, mission, constraints).  Distance gaps are
-    filled with the integer ceiling of the straight-line distance; declared
-    values are never overwritten.
+    order (world, tasks, robots, mission, constraints).  The validated
+    problem reads an undeclared distance as the integer ceiling of the
+    straight-line distance; declared values are never overwritten.
     """
     errors: list[str] = []
 
@@ -165,7 +165,7 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     if errors:
         raise ValidationError(errors)
 
-    return ValidatedProblem(problem=spec, distance_table=_complete_distances(spec))
+    return ValidatedProblem(spec)
 
 
 def _duplicates(items):
@@ -258,17 +258,3 @@ def _reachable_atomics(spec, atomic_ids, compound_by_id):
             frontier.extend(compound_by_id[tid].subtasks)
     return reachable
 
-
-def _complete_distances(spec: ProblemSpec) -> dict[tuple[str, str], int]:
-    table: dict[tuple[str, str], int] = {}
-    for d in spec.distances:
-        table[(d.frm, d.to)] = d.distance
-        table[(d.to, d.frm)] = d.distance
-    locs = spec.locations
-    for i, a in enumerate(locs):
-        for b in locs[i + 1:]:
-            if (a.id, b.id) not in table:
-                d = euclidean_ceil(a, b)
-                table[(a.id, b.id)] = d
-                table[(b.id, a.id)] = d
-    return table

@@ -239,6 +239,34 @@ def compound_chain_text(depth: int, reverse: bool = False) -> str:
     ]) + "\n"
 
 
+def many_locations_text(count: int) -> str:
+    """A mission of ``count`` locations, 200 to a grid row, and one task at
+    the second location for one robot at the first."""
+    locs = [f"  loc l{i} ({i % 200}, {i // 200})" for i in range(count)]
+    return "\n".join([
+        "world {", *locs, "}",
+        "tasks { atomic t robots 1 }",
+        "robots { robot r at l0 velocity 1 { can t time 1 prob 0.9 } }",
+        "mission { task t at l1; time 100 }",
+    ]) + "\n"
+
+
+def wide_joint_task_text(robots: int) -> str:
+    """One task at b that needs all ``robots`` robots at once, each starting
+    at a.  Every robot reaches b on its own, so the full model holds every
+    subset of arrived robots."""
+    fleet = [
+        f"  robot r{i} at a velocity 1 {{ can t time 1 prob 0.9 }}"
+        for i in range(robots)
+    ]
+    return "\n".join([
+        "world { loc a (0, 0) loc b (3, 4) }",
+        f"tasks {{ atomic t robots {robots} }}",
+        "robots {", *fleet, "}",
+        "mission { task t at b; time 100 }",
+    ]) + "\n"
+
+
 def random_clusters(rng: random.Random, idle_caps: bool = False, draws: int = 1):
     """Up to ``draws`` (v, allocation, cluster, permutation, pairs,
     instances) tuples from one random mission, each with its own allocation,
@@ -290,7 +318,7 @@ def with_time_available(case, tt):
         for c in v.problem.constraints
     )
     problem = v.problem._replace(constraints=constraints)
-    return (ValidatedProblem(problem, v.distance_table), *rest)
+    return (ValidatedProblem(problem), *rest)
 
 
 def reference_schedule(

@@ -10,11 +10,12 @@ from helpers import (
     random_scheduling_model,
     single_robot_problem,
     times,
+    wide_joint_task_text,
 )
 
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
-from kanoa.mdp import Choice, ClusterContext, build_mdp
+from kanoa.mdp import _CAP_WIDTH, Choice, ClusterContext, build_mdp
 from kanoa.permutations import travel_cost
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
@@ -168,6 +169,41 @@ mission { task t at b; task u at a; task w at b; time 60 }
         ctx = ClusterContext(v, allocation, cluster, p, pairs, instances)
         build_mdp(ctx, state_cap=3)
     assert info.value.cluster_size >= 1
+
+
+def wide_joint_context(robots):
+    v = load(wide_joint_task_text(robots))
+    allocation, clusters, instances, pairs = first_allocation(v)
+    p = {r: ("t_0",) for r in clusters[0].robots}
+    return ClusterContext(v, allocation, clusters[0], p, pairs, instances)
+
+
+@pytest.mark.parametrize("failures", [False, True])
+def test_state_cap_counts_states_up_to_the_fixtures_width(failures):
+    # five robots and 16 slots: no wider than the fixtures' widest model,
+    # so the cap trips at the state count it names (the model has 33 or 65)
+    ctx = wide_joint_context(5)
+    assert len(ctx.initial_state()) == 16
+    with pytest.raises(StateExplosion) as info:
+        build_mdp(ctx, state_cap=10, failures=failures)
+    assert (info.value.cluster_size, info.value.state_count) == (5, 11)
+    assert build_mdp(ctx, state_cap=65, failures=failures).n_states == (
+        65 if failures else 33
+    )
+
+
+def test_state_cap_scales_with_model_width():
+    # 80 robots: 241 slots and up to 80 choices a state, about 15 times the
+    # fixtures' widest model, so a cap of 2,000 admits 134 states
+    ctx = wide_joint_context(80)
+    width = 76 + 8 * 241 + 271 * 80
+    assert _CAP_WIDTH == 76 + 8 * 20 + 271 * 5
+    limit = 2000 * _CAP_WIDTH // width
+    assert limit == 134
+    with pytest.raises(StateExplosion) as info:
+        build_mdp(ctx, state_cap=2000, failures=False)
+    assert (info.value.cluster_size, info.value.state_count) == (80, limit + 1)
+    assert str(info.value) == "state cap 2000 exceeded for cluster of 80 robots"
 
 
 def test_undefined_reward_when_unreachable():

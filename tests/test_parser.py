@@ -162,3 +162,30 @@ def test_malformed_inputs_diagnose_never_crash(text):
 
 def test_malformed_corpus_size():
     assert len(MALFORMED) >= 20
+
+
+@pytest.mark.parametrize("old, new, line, column, char", [
+    ("(0, 0)", "(0, ²)", 2, 23, "²"),
+    ("velocity 1", "velocity ١", 4, 37, "١"),
+    ("velocity 1", "velocity 1.²", 4, 39, "²"),
+], ids=["superscript_coordinate", "arabic_indic_velocity", "superscript_after_dot"])
+def test_non_ascii_digit_is_unexpected_character(old, new, line, column, char):
+    # docs/grammar.md: digits are ASCII 0-9
+    with pytest.raises(DslSyntaxError) as info:
+        parse_problem(MINIMAL.replace(old, new))
+    err = info.value
+    assert str(err) == f"{line}:{column}: unexpected character {char!r}"
+    assert (err.line, err.column, err.expected) == (line, column, ("token",))
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("// c", 1, 5),
+    ("world { loc a (0, 0) } // trailing", 1, 35),
+    ("world {}\ntasks {}  // no newline", 2, 24),
+])
+def test_end_of_input_after_comment_reports_its_column(text, line, column):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_problem(text)
+    err = info.value
+    assert "got end of input" in str(err)
+    assert (err.line, err.column) == (line, column)

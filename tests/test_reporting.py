@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from helpers import assert_golden_artifacts, compound_chain_text
+from helpers import assert_golden_artifacts, compound_chain_text, wide_joint_task_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from kanoa.cli import _FIELDS, _read_config, _resolve, build_parser
 from kanoa.cli import main as cli_main
 from kanoa.gantt import _TEXT_MAX_SPAN, emit_gantt, format_gantt_text
 from kanoa.mdp import DEFAULT_STATE_CAP
-from kanoa.optimizer import GaConfig
+from kanoa.optimizer import MAX_POPULATION, GaConfig
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, RunReport, run
 from kanoa.validation import MAX_INSTANCES
@@ -455,7 +455,7 @@ def test_config_inputs_build_or_raise_value_error(raw, env):
             cfg = PipelineConfig(**_resolve(PLAN_ARGS, _read_config(path)))
         except ValueError:
             return
-    assert isinstance(cfg.seed, int) and cfg.population >= 4
+    assert isinstance(cfg.seed, int) and 4 <= cfg.population <= MAX_POPULATION
 
 
 def test_config_defaults():
@@ -472,10 +472,12 @@ def test_config_defaults():
 @pytest.mark.parametrize("make, kwargs", [
     (GaConfig, {"population_size": 5}),
     (GaConfig, {"population_size": 2}),
+    (GaConfig, {"population_size": MAX_POPULATION + 2}),
     (GaConfig, {"generations": -1}),
     (GaConfig, {"permutations_per_allocation": 0}),
     (AllocatorConfig, {"max_allocations": 0}),
     (PipelineConfig, {"population": 7}),
+    (PipelineConfig, {"population": MAX_POPULATION + 2}),
     (PipelineConfig, {"population": 2}),
     (PipelineConfig, {"generations": -1}),
     (PipelineConfig, {"permutations": 0}),
@@ -497,6 +499,42 @@ def test_config_accepts_smallest_values():
             ga.seed) == (4, 0, 1, 0)
 
 
+def test_config_accepts_largest_population():
+    assert GaConfig(population_size=MAX_POPULATION).population_size == MAX_POPULATION
+    assert PipelineConfig(population=MAX_POPULATION).ga().population_size == (
+        MAX_POPULATION
+    )
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_cli_population_limit_exit_one(fixtures_dir, tmp_path, source):
+    # a population of 100 million ran out of memory drawing its first
+    # members and left instances.json behind; the child gets 768 MB of
+    # address space, so a broken limit fails the test, not the machine
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "kanoa.cli", "plan",
+            "--input", str(fixtures_dir / "minimal.kanoa"), "--out", str(out),
+            "--gens", "1"]
+    env = dict(os.environ)
+    if source == "flag":
+        argv += ["--pop", "100000000"]
+    elif source == "env":
+        env["KANOA_POP"] = "100000000"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pop": 100000000}')
+        argv += ["--config", str(cfg)]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (768 << 20, 768 << 20)
+        ),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: population_size must be at most {MAX_POPULATION}\n"
+    assert not out.exists()
+
+
 FIXTURE_TEXTS = {
     p.name: p.read_text(encoding="utf-8")
     for p in sorted((Path(__file__).parent.parent / "fixtures").glob("*.kanoa"))
@@ -504,17 +542,20 @@ FIXTURE_TEXTS = {
 TOKEN = re.compile(r"[A-Za-z_]\w*|\d+(?:\.\d+)?|\S")
 # numbers that no fixture holds, malformed ones among them
 ODD_NUMBERS = ["-1", "0", "0.0", "1.5", "99999", "1e3", "2.", "0.", "1.2.3", "0.9.5"]
+# digits of other scripts, and a comment that runs to the end of its line
+ODD_TEXT = ["²", "١", "1.²", "// c"]
 VOCAB = sorted(
     {m.group() for text in FIXTURE_TEXTS.values() for m in TOKEN.finditer(text)}
-    | set(ODD_NUMBERS)
+    | set(ODD_NUMBERS) | set(ODD_TEXT)
 )
 
 
 @st.composite
 def mutated_missions(draw):
     """A fixture's text with one token replaced or deleted, or one line
-    duplicated.  Half the draws aim at a number, half the replacements
-    are odd numbers: number literals are where hand-found bugs were."""
+    duplicated.  Half the draws aim at a number, and a third of the
+    replacements are odd numbers and a third odd text: number literals are
+    where hand-found bugs were."""
     text = FIXTURE_TEXTS[draw(st.sampled_from(sorted(FIXTURE_TEXTS)))]
     kind = draw(st.sampled_from(["replace", "delete", "duplicate"]))
     if kind == "duplicate":
@@ -526,7 +567,10 @@ def mutated_missions(draw):
     token = draw(st.sampled_from(numbers) | st.sampled_from(tokens))
     new = ""
     if kind == "replace":
-        new = draw(st.sampled_from(ODD_NUMBERS) | st.sampled_from(VOCAB))
+        new = draw(
+            st.sampled_from(ODD_NUMBERS) | st.sampled_from(ODD_TEXT)
+            | st.sampled_from(VOCAB)
+        )
     return text[: token.start()] + new + text[token.end():]
 
 
@@ -603,6 +647,22 @@ def test_cli_number_ending_in_dot_exit_one(fixtures_dir, tmp_path, capsys, old, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"malformed number {new.split()[-1]!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, position", [
+    ("(0, 0)", "(0, ²)", "3:17: unexpected character '²'"),
+    ("velocity 1", "velocity ١", "9:30: unexpected character '١'"),
+    ("velocity 1", "velocity 1.²", "9:32: unexpected character '²'"),
+], ids=["superscript", "arabic_indic", "superscript_after_dot"])
+def test_cli_non_ascii_digit_exit_one(fixtures_dir, tmp_path, capsys, old, new, position):
+    mission = tmp_path / "mission.kanoa"
+    text = (fixtures_dir / "minimal.kanoa").read_text(encoding="utf-8")
+    mission.write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(mission), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"{mission}:{position}\n"
     assert not out.exists()
 
 
@@ -694,6 +754,31 @@ def test_cli_allocation_limit_counts_feasible_allocations(fixtures_dir, tmp_path
                      "--dump-allocations"])
     assert code == 0, capsys.readouterr().err
     assert len(json.loads((out / "allocations.json").read_text())) == 1
+
+
+def test_cli_wide_cluster_trips_state_cap_quickly(tmp_path):
+    # one task for 80 robots at once: the model holds every subset of
+    # arrived robots, 241 slots and up to 80 choices a state.  Counting
+    # plain states, it ran out of a 2 GB address-space limit before the cap
+    # tripped; the child gets 1 GB.
+    mission = tmp_path / "wide.kanoa"
+    mission.write_text(wide_joint_task_text(80))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kanoa.cli", "plan", "--input", str(mission),
+         "--out", str(tmp_path / "out"), "--allocations", "1",
+         "--permutations", "1", "--pop", "4", "--gens", "0"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)
+        ),
+    )
+    assert time.perf_counter() - started < 30
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "no feasible plan: no feasible chromosome among 1 evaluated "
+        f"(1 infeasible; 1 exceeded the state cap of {DEFAULT_STATE_CAP})\n"
+    )
 
 
 def test_cli_nesting_at_limit_plans(tmp_path, capsys):

@@ -1,14 +1,17 @@
 import random
+import resource
 import signal
+import subprocess
+import sys
 
 import pytest
-from helpers import compound_chain_text
+from helpers import compound_chain_text, many_locations_text
 from oracles import reference_find_cycles
 
 import kanoa.validation
 from kanoa.errors import ValidationError
 from kanoa.parser import parse_problem
-from kanoa.problem import CompoundTaskDef
+from kanoa.problem import CompoundTaskDef, euclidean_ceil
 from kanoa.validation import (
     MAX_INSTANCES,
     MAX_NESTING,
@@ -206,6 +209,57 @@ def test_distance_completion_euclidean_ceil():
 def test_distance_completion_never_overwrites():
     v = validate_problem(make(world="dist a b = 9"))
     assert v.distance("a", "b") == 9
+
+
+@pytest.mark.parametrize(
+    "name", ["constraints", "hospital", "infeasible_time", "minimal"]
+)
+def test_every_fixture_pair_reads_declared_or_straight_line(fixtures_dir, name):
+    spec = parse_problem((fixtures_dir / f"{name}.kanoa").read_text())
+    v = validate_problem(spec)
+    declared = {}
+    for d in spec.distances:
+        declared[(d.frm, d.to)] = declared[(d.to, d.frm)] = d.distance
+    for a in spec.locations:
+        for b in spec.locations:
+            want = 0 if a == b else declared.get((a.id, b.id), euclidean_ceil(a, b))
+            assert v.distance(a.id, b.id) == v.distance(b.id, a.id) == want
+
+
+MANY_LOCATIONS = """
+import sys, tracemalloc
+from kanoa.cli import main
+from kanoa.parser import parse_problem
+from kanoa.validation import validate_problem
+
+spec = parse_problem(open(sys.argv[1], encoding="utf-8").read())
+tracemalloc.start()
+v = validate_problem(spec)
+print(tracemalloc.get_traced_memory()[1], v.distance("l0", "l19999"), flush=True)
+tracemalloc.stop()
+sys.exit(main(["plan", "--input", sys.argv[1], "--out", sys.argv[2],
+               "--allocations", "1", "--permutations", "1", "--pop", "4",
+               "--gens", "1"]))
+"""
+
+
+def test_many_locations_validate_small_and_plan(tmp_path):
+    # validation used to store all 20,000 * 19,999 directed location pairs
+    # and ran out of a 2 GB address-space limit; the child gets 1 GB
+    mission = tmp_path / "many.kanoa"
+    mission.write_text(many_locations_text(20_000), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", MANY_LOCATIONS, str(mission), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)
+        ),
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, far = proc.stdout.split()[:2]
+    assert int(peak) < 20_000 * 1024  # under 1 KB per location
+    assert int(far) == 223  # l19999 is at (199, 99): ceil(sqrt(199^2 + 99^2))
+    assert (tmp_path / "out" / "plan_0.json").exists()
 
 
 def test_duplicate_distance_pair():
