@@ -15,7 +15,7 @@ from helpers import (
 
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
-from kanoa.mdp import _CAP_WIDTH, Choice, ClusterContext, build_mdp
+from kanoa.mdp import Choice, ClusterContext, build_mdp
 from kanoa.permutations import travel_cost
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
@@ -193,16 +193,13 @@ def test_state_cap_counts_states_up_to_the_fixtures_width(failures):
 
 
 def test_state_cap_scales_with_model_width():
-    # 80 robots: 241 slots and up to 80 choices a state, about 15 times the
-    # fixtures' widest model, so a cap of 2,000 admits 134 states
+    # 80 robots: 241 slots and up to 80 choices a state, a width of
+    # 76 + 8 * 241 + 271 * 80 = 23,684 B against the fixtures' widest
+    # 1,591 B, so a cap of 2,000 admits 2,000 * 1,591 // 23,684 = 134 states
     ctx = wide_joint_context(80)
-    width = 76 + 8 * 241 + 271 * 80
-    assert _CAP_WIDTH == 76 + 8 * 20 + 271 * 5
-    limit = 2000 * _CAP_WIDTH // width
-    assert limit == 134
     with pytest.raises(StateExplosion) as info:
         build_mdp(ctx, state_cap=2000, failures=False)
-    assert (info.value.cluster_size, info.value.state_count) == (80, limit + 1)
+    assert (info.value.cluster_size, info.value.state_count) == (80, 135)
     assert str(info.value) == "state cap 2000 exceeded for cluster of 80 robots"
 
 
