@@ -2,8 +2,9 @@
 
 Builds the model for the two equipment movers, checks feasibility as a
 maximal reachability query, minimizes expected idle time, and extracts
-the concrete timed plan.  The search solves the smaller failure-lumped
-model instead, which gives the same plan.
+the concrete timed plan.  The search solves a chain instead: the
+failure-lumped model with one action per state, which gives the same
+plan.
 """
 
 from pathlib import Path
@@ -55,9 +56,10 @@ print(f"feasible (max reachability of done): "
 print(f"minimum expected idle: {min_expected_reward(mdp, 'idle', 'done')}")
 print(f"maximum success probability: "
       f"{max_reach_probability(mdp, 'success'):.4f}")
-lumped = build_mdp(ctx, failures=False)
-print(f"failure-lumped model: {lumped.n_states} states, minimum expected "
-      f"idle {min_expected_reward(lumped, 'idle', 'done')}")
+chain = build_mdp(ctx, failures=False)
+print(f"search's chain: {chain.n_states} states against the full model's "
+      f"{mdp.n_states}, minimum expected idle "
+      f"{min_expected_reward(chain, 'idle', 'done')}")
 
 result = schedule_cluster(v, allocation, movers, permutation, pairs, instances)
 print(f"\nschedule (travel {result.travel}, idle {result.idle}, "

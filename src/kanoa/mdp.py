@@ -34,21 +34,38 @@ Rewards: ``travel`` carries the hop distance of task/travel actions,
 states where every robot finished; ``success`` additionally requires that
 no failure ever occurred.
 
-With ``failures=False``, :func:`build_mdp` builds the failure-lumped
-quotient of this model: every task and synchronized action keeps only its
-success outcome, with probability 1, so no robot enters the failed phase,
-the failure bit is never set and no recovery action exists.  A failed task
-takes as long as a successful one and recovery takes no time, so a failure
-outcome and the success outcome lead to states with the same robot clocks,
-the same ``done`` states ahead and the same idle rewards: the two are
-probabilistically bisimilar for the ``done`` reachability query and the
-minimum-idle query (Larsen & Skou 1991; Baier & Katoen, *Principles of
-Model Checking*, ch. 10).  The lumped states are exactly the full model's
-states with no failed phase and no failure bit, with the same choices in
-the same order, so both models give the same reach and idle values and
-the same minimum-idle policy.  The lumped model carries only the ``done``
-label: its success probability would be 1, so it has no ``success``
-query.
+The failure-lumped quotient of this model keeps only the success outcome
+of every task and synchronized action, with probability 1, so no robot
+enters the failed phase, the failure bit is never set and no recovery
+action exists.  A failed task takes as long as a successful one and
+recovery takes no time, so a failure outcome and the success outcome lead
+to states with the same robot clocks, the same ``done`` states ahead and
+the same idle rewards: the two are probabilistically bisimilar for the
+``done`` reachability query and the minimum-idle query (Larsen & Skou
+1991; Baier & Katoen, *Principles of Model Checking*, ch. 10).  The
+lumped states are exactly the full model's states with no failed phase
+and no failure bit, with the same choices in the same order, so both
+models give the same reach and idle values and the same minimum-idle
+policy.  The lumped model carries only the ``done`` label: its success
+probability would be 1, so it has no ``success`` query.
+
+The lumped model is also confluent, so it reduces to a chain.  In a
+lumped state each robot offers at most one action (a task, a travel or an
+idle), plus one sync per ready joint instance.  No action disables
+another: a wait target, once defined, never moves, and each tracked
+completion time is written once.  Actions of different robots, and syncs
+of different instances, write disjoint slots, so any two enabled actions
+commute with the same rewards.  Every maximal path therefore ends in the
+same terminal state, and on every path each robot takes the same actions
+at the same clocks, with the same idle total.  Following only the first
+action of each state thus gives the reach value, the minimum idle and the
+plan of the whole lumped model: an exact confluence reduction (Groote &
+Sellink 1996, *Confluence for process verification*; Timmer, Stoelinga &
+van de Pol 2011, *Confluence reduction for probabilistic systems*).  With
+``failures=False``, :func:`build_mdp` builds that chain, the search's
+model.  Each task step of a robot takes one task or travel action and at
+most one idle, and each joint instance one sync, so the chain has at most
+1 + 2 * (task steps) + (joint instances) states.
 
 :func:`earliest_start_feasible` answers the ``done`` reachability query in
 closed form, without building the model.
@@ -61,16 +78,16 @@ from .errors import InvariantViolation, StateExplosion
 from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
 
-# The cap bounds the failure-lumped model that the search solves and the
-# full model that --dump-mdp writes.  Built and solved, the largest model of
-# either kind over the bundled hospital mission at the default config, GA
-# seeds 0-3, costs (tracemalloc peak) about 1.3 KB per state lumped (942
-# states, five robots) and 1.5 KB per state full (8,570 states, the same
-# cluster).  At this cap a model needs about 1.0 GB lumped or 1.2 GB full,
-# so the cap trips with a StateExplosion before an ordinary machine runs out
-# of memory.  The cap counts states of a model no wider than the bundled
-# fixtures' widest (_CAP_WIDTH); a wider model may hold proportionally
-# fewer states (see build_mdp).
+# The cap bounds every model build_mdp makes, but only the full model that
+# --dump-mdp writes comes near it: the search's chain grows linearly with
+# the task steps.  Built and solved, the largest full model over the
+# bundled hospital mission at the default config, GA seeds 0-3, costs
+# (tracemalloc peak) about 1.5 KB per state (8,570 states, five robots).
+# At this cap a full model needs about 1.2 GB, so the cap trips with a
+# StateExplosion before an ordinary machine runs out of memory.  The cap
+# counts states of a model no wider than the bundled fixtures' widest
+# (_CAP_WIDTH); a wider model may hold proportionally fewer states (see
+# build_mdp).
 DEFAULT_STATE_CAP = 800_000
 
 # What a model holds per state, per state slot and per choice, in bytes:
@@ -522,9 +539,10 @@ def build_mdp(
     (allocation, cluster, permutation) under a time budget.
 
     With ``failures`` (the default) this is the full model, with failure
-    outcomes, recovery and the ``success`` label; without, it is the
-    failure-lumped model described in the module docstring, labeled
-    ``done`` only.  Raises :class:`StateExplosion` when more than
+    outcomes, recovery and the ``success`` label; without, it is the chain
+    of the failure-lumped model described in the module docstring: one
+    action per state, the first the lumped state offers, labeled ``done``
+    only.  Raises :class:`StateExplosion` when more than
     ``state_cap`` states are discovered, or, in a model wider than
     ``_CAP_WIDTH``, more than ``state_cap`` states of that width would
     hold in memory.
@@ -538,6 +556,8 @@ def build_mdp(
 
     for state in states:  # breadth-first: the loop reads what it appends
         choices = _enumerate_choices(ctx, state, failures)
+        if not failures:
+            del choices[1:]  # confluent: the first action stands for all
         for choice in choices:
             branches = []
             for prob, succ in choice.branches:

@@ -26,7 +26,7 @@ from .allocation import AllocatorConfig, enumerate_allocations, used_robots
 from .clustering import RobotCluster, cluster_robots
 from .errors import NoFeasibleSolution, StateExplosion
 from .mdp import DEFAULT_STATE_CAP
-from .permutations import random_task_permutation
+from .permutations import random_task_permutation, robot_precedence
 from .plans import Plan
 from .problem import ValidatedProblem
 from .scheduling import SchedulingResult, schedule_cluster
@@ -128,7 +128,7 @@ class SearchSpace:
 
     __slots__ = (
         "v", "instances", "pairs", "allocations", "clusters", "pool_size", "seed",
-        "state_cap", "_drawn", "_schedules",
+        "state_cap", "_precedence", "_drawn", "_schedules",
     )
 
     def __init__(
@@ -150,6 +150,8 @@ class SearchSpace:
         self.pool_size = pool_size
         self.seed = seed
         self.state_cap = state_cap
+        # allocation index -> robot_precedence of its whole robot set
+        self._precedence: dict[int, list] = {}
         self._drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = {}
         self._schedules: dict[tuple, SchedulingResult] = {}
 
@@ -161,15 +163,22 @@ class SearchSpace:
     def permutation(self, a: int, p: int) -> dict[str, tuple[str, ...]]:
         """Pool entry ``p`` of allocation ``a``, drawn on first request and
         kept.  Each entry has its own seed, ``f"{seed}:{a}:{p}"``, so it
-        does not depend on which entries were drawn before it."""
+        does not depend on which entries were drawn before it.  The
+        allocation's precedence structure is computed for its first entry
+        and shared by the rest."""
         drawn = self._drawn.get((a, p))
         if drawn is None:
             if not (0 <= a < len(self.allocations) and 0 <= p < self.pool_size):
                 raise IndexError(f"no pool entry ({a}, {p})")
             allocation = self.allocations[a]
             whole = RobotCluster(used_robots(allocation), frozenset(allocation))
+            precedence = self._precedence.get(a)
+            if precedence is None:
+                precedence = robot_precedence(allocation, whole, self.pairs)
+                self._precedence[a] = precedence
             drawn = random_task_permutation(
-                allocation, whole, self.pairs, seed=f"{self.seed}:{a}:{p}"
+                allocation, whole, self.pairs, seed=f"{self.seed}:{a}:{p}",
+                precedence=precedence,
             )
             self._drawn[(a, p)] = drawn
         return drawn
@@ -475,15 +484,15 @@ def _nondominated(feasible) -> list[ParetoEntry]:
     """The nondominated (chromosome, result) pairs of a feasible list, as
     entries sorted by objectives, then chromosome, with one entry per plan.
 
-    Distinct chromosomes often give every robot the same order, since
-    pool entries repeat orders, and so the same plan; only the first in
-    that order is kept.  A repeated chromosome repeats its plan too.
+    Dominance is decided once per distinct objective vector, since members
+    with equal vectors are dominated by the same members.  Distinct
+    chromosomes often give every robot the same order, since pool entries
+    repeat orders, and so the same plan; only the first in that order is
+    kept.  A repeated chromosome repeats its plan too.
     """
-    front = [
-        (ch, res)
-        for ch, res in feasible
-        if not any(dominates(o.objectives, res.objectives) for _, o in feasible)
-    ]
+    vectors = {res.objectives for _, res in feasible}
+    kept = {o for o in vectors if not any(dominates(p, o) for p in vectors)}
+    front = [(ch, res) for ch, res in feasible if res.objectives in kept]
     front.sort(key=lambda e: (e[1].objectives, e[0]))
     seen = set()
     entries = []

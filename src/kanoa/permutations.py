@@ -13,20 +13,18 @@ from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
 
 
-def _instances_of(
-    allocation: dict[str, frozenset[str]], cluster: RobotCluster, robot: str
-) -> list[str]:
-    return [
-        inst
-        for inst in sorted(cluster.instances)
-        if robot in allocation[inst]
-    ]
+# shared by every instance without predecessors, which is most of them
+_NO_PREDS: frozenset[str] = frozenset()
 
 
-def _induced_precedence(
-    own: list[str], pairs: list[PrecedencePair]
-) -> dict[str, set[str]]:
-    """Restriction of the full precedence order to one robot's instances.
+def robot_precedence(
+    allocation: dict[str, frozenset[str]],
+    cluster: RobotCluster,
+    pairs: list[PrecedencePair],
+) -> list[tuple[str, dict[str, frozenset[str]]]]:
+    """Each robot of the cluster, in sorted order, with the restriction of
+    the full precedence order to its instances: each instance, in sorted
+    order, maps to the robot's instances that must come before it.
 
     Uses reachability through instances on other robots, so that e.g.
     x -> y -> z with only x and z on this robot still forces x before z.
@@ -34,22 +32,26 @@ def _induced_precedence(
     succs: dict[str, set[str]] = {}
     for p in pairs:
         succs.setdefault(p.before, set()).add(p.after)
+    ordered = sorted(cluster.instances)
 
-    own_set = set(own)
-    preds: dict[str, set[str]] = {t: set() for t in own}
-    for start in own:
-        # forward reachability from start through the global precedence graph
-        stack = list(succs.get(start, ()))
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if cur in own_set:
-                preds[cur].add(start)
-            stack.extend(succs.get(cur, ()))
-    return preds
+    per_robot = []
+    for robot in sorted(cluster.robots):
+        own = [inst for inst in ordered if robot in allocation[inst]]
+        preds = dict.fromkeys(own, _NO_PREDS)
+        for start in own:
+            # forward reachability from start through the global precedence graph
+            stack = list(succs.get(start, ()))
+            seen = set()
+            while stack:
+                cur = stack.pop()
+                if cur in seen:
+                    continue
+                seen.add(cur)
+                if cur in preds:
+                    preds[cur] = preds[cur] | {start}
+                stack.extend(succs.get(cur, ()))
+        per_robot.append((robot, preds))
+    return per_robot
 
 
 def random_task_permutation(
@@ -57,19 +59,22 @@ def random_task_permutation(
     cluster: RobotCluster,
     pairs: list[PrecedencePair],
     seed,
+    precedence: list[tuple[str, dict[str, frozenset[str]]]] | None = None,
 ) -> dict[str, tuple[str, ...]]:
     """Seeded random topological order of each robot's assigned instances.
 
     At every step one of the currently unconstrained tasks is drawn
     uniformly, so any order compatible with the robot's own precedence can
     occur; the global precedence graph is consulted so chains running
-    through other robots' tasks are respected too.
+    through other robots' tasks are respected too.  ``precedence`` is
+    :func:`robot_precedence` of the other arguments, for callers that draw
+    many orders of one allocation; it is computed when not given.
     """
+    if precedence is None:
+        precedence = robot_precedence(allocation, cluster, pairs)
     rng = random.Random(seed)
     per_robot = {}
-    for robot in sorted(cluster.robots):
-        own = _instances_of(allocation, cluster, robot)
-        preds = _induced_precedence(own, pairs)
+    for robot, preds in precedence:
         remaining = dict(preds)
         order = []
         placed: set[str] = set()

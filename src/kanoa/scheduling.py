@@ -55,13 +55,15 @@ def schedule_cluster(
     instances: dict[str, TaskInstance],
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SchedulingResult:
-    """Build and solve one cluster's failure-lumped model under the
+    """Build and solve one cluster's failure-lumped chain under the
     mission's time budget.
 
     The model is :func:`build_mdp` with ``failures=False``: the exact
-    quotient of the paper's model that keeps only success outcomes (see
-    :mod:`kanoa.mdp`), with the same reach and minimum-idle values and the
-    same minimum-idle policy.  Feasible when the done label is reachable
+    quotient of the paper's model that keeps only success outcomes,
+    reduced by confluence to a chain of one action per state (see
+    :mod:`kanoa.mdp`).  It has at most 1 + 2 * (task steps) + (joint
+    instances) states and the paper's model's reach and minimum-idle
+    values and plan.  Feasible when the done label is reachable
     (probability exactly 1 on these models); the attached plan realizes the
     minimum-idle policy.  The success probability is the closed-form
     :func:`success_probability`, and travel is permutation-determined and

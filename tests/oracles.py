@@ -22,6 +22,7 @@ here compute the same results the slow, obvious way:
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations
 
@@ -248,6 +249,58 @@ def pairwise_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
         fronts.append(nxt)
     fronts.pop()
     return fronts
+
+
+def pairwise_front(feasible) -> list[tuple]:
+    """The nondominated (chromosome, result) pairs of a feasible list,
+    comparing every member with every other, sorted by objectives, then
+    chromosome, with the first of each plan kept."""
+    front = [
+        (ch, res)
+        for ch, res in feasible
+        if not any(dominates(o.objectives, res.objectives) for _, o in feasible)
+    ]
+    front.sort(key=lambda e: (e[1].objectives, e[0]))
+    seen = set()
+    kept = []
+    for ch, res in front:
+        plan = tuple(sorted(res.plan.timelines.items()))
+        if plan not in seen:
+            seen.add(plan)
+            kept.append((ch, res.objectives, res.plan))
+    return kept
+
+
+# -- permutation pools -----------------------------------------------------------
+
+
+def reference_task_permutation(allocation, cluster, pairs, seed):
+    """Seeded random topological order of each robot's instances, finding
+    each robot's instances and their induced precedence afresh."""
+    rng = random.Random(seed)
+    per_robot = {}
+    for robot in sorted(cluster.robots):
+        own = [i for i in sorted(cluster.instances) if robot in allocation[i]]
+        remaining = {t: set() for t in own}
+        for start in own:
+            stack = [p.after for p in pairs if p.before == start]
+            seen = set()
+            while stack:
+                cur = stack.pop()
+                if cur in seen:
+                    continue
+                seen.add(cur)
+                if cur in remaining:
+                    remaining[cur].add(start)
+                stack.extend(p.after for p in pairs if p.before == cur)
+        order = []
+        while remaining:
+            ready = sorted(t for t, ps in remaining.items() if ps <= set(order))
+            pick = ready[rng.randrange(len(ready))]
+            order.append(pick)
+            del remaining[pick]
+        per_robot[robot] = tuple(order)
+    return per_robot
 
 
 # -- two-pass solver ------------------------------------------------------------

@@ -16,6 +16,7 @@ from helpers import (
     load,
     random_scheduling_model,
     single_robot_problem,
+    wide_joint_task_text,
 )
 from oracles import (
     InterdependenceMatrix,
@@ -268,40 +269,6 @@ def test_criterion_7_parser_round_trip(fixtures_dir):
                    f"{len(MALFORMED)} malformed inputs diagnosed, 0 crashes")
 
 
-CLEANING_VARIANT = """
-world {{
-  loc room2 (6, 0)
-  loc room3 (12, 0)
-  loc room4 (0, 7)
-  loc room5 (6, 7)
-  loc dock (12, 3)
-}}
-tasks {{
-  atomic at2_floor robots 1
-  atomic at3_sanit robots 1
-  atomic at4_notify robots 1
-  compound ct1_clean = {{ at2_floor, at3_sanit }}
-  compound ct2_patient = ordered {{ at4_notify, ct1_clean }}
-}}
-robots {{
-{robots}
-}}
-mission {{
-  task ct2_patient at room2
-  task ct2_patient at room3
-  task ct2_patient at room4
-  task ct2_patient at room5
-  time 200
-}}
-"""
-
-CLEANER = """  robot r{i} at dock velocity 1 {{
-    can at4_notify time 2 prob 0.9
-    can at2_floor time 8 prob 0.9
-    can at3_sanit time 5 prob 0.9
-  }}"""
-
-
 SCALING_REPEATS = 5
 
 
@@ -309,10 +276,11 @@ def test_criterion_8_scaling_smoke(tmp_path):
     cfg = GaConfig(
         population_size=8, generations=2, permutations_per_allocation=5, seed=0
     )
-    missions = []
-    for nrobots in (1, 2, 3):
-        robots = "\n".join(CLEANER.format(i=i + 3) for i in range(nrobots))
-        missions.append((nrobots, load(CLEANING_VARIANT.format(robots=robots))))
+    # one joint task for all robots: the search's model of the cluster is a
+    # chain of one travel per robot and the sync, so its work grows with
+    # the robot count.  One to three cleaners each work alone and cost
+    # about the same per chromosome.
+    missions = [(n, load(wide_joint_task_text(n))) for n in (2, 8, 32)]
 
     def timed(v):
         """Seconds per chromosome of one evaluation pass, the space and the

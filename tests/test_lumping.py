@@ -1,11 +1,11 @@
-"""The failure-lumped model that ``schedule_cluster`` solves, against the
+"""The failure-lumped chain that ``schedule_cluster`` solves, against the
 paper's full model that ``--dump-mdp`` writes.
 
-The lumped model keeps only the success outcome of every stochastic action
-(``build_mdp(ctx, failures=False)``).  These tests hold it to the full
-model state by state, on random clusters and on every cluster of a default
-hospital run, and hold whole runs to runs whose every scheduling call
-builds and solves the full model.
+The chain keeps only the success outcome of every stochastic action and
+only the first action of every state (``build_mdp(ctx, failures=False)``).
+These tests hold it to the full model state by state, on random clusters
+and on every cluster of a default hospital run, and hold whole runs to
+runs whose every scheduling call builds and solves the full model.
 """
 
 import random
@@ -58,27 +58,26 @@ def plan_of(mdp, reach):
 
 
 def assert_lumped_matches_full(case):
-    """Returns whether the cluster is feasible."""
+    """Every state of the chain is an unfailed state of the full model;
+    its one action is that state's first action, reaching the chain's
+    next state through its success outcome; and its reach and minimum-idle
+    values are those of the full state.  Returns whether the cluster is
+    feasible."""
     ctx = ClusterContext(*case)
     full = build_mdp(ctx)
     lumped = build_mdp(ctx, failures=False)
-    unfailed = [
-        s for s in full.states
-        if not ctx.ever_failed(s)
-        and not any(s[_SLOTS * i + 1] == FAILED for i in range(ctx.nrobots))
-    ]
-    assert sorted(lumped.states) == sorted(unfailed)
     assert set(lumped.labels) == {"done"}
 
     at = {s: i for i, s in enumerate(full.states)}
     full_reach, full_idle = state_values(full)
     reach, idle = state_values(lumped)
     for i, s in enumerate(lumped.states):
+        assert not ctx.ever_failed(s)
+        assert not any(s[_SLOTS * k + 1] == FAILED for k in range(ctx.nrobots))
         j = at[s]
-        assert [c.label for c in lumped.choices[i]] == [
-            c.label for c in full.choices[j]
-        ]
+        assert len(lumped.choices[i]) == min(1, len(full.choices[j]))
         for c, fc in zip(lumped.choices[i], full.choices[j]):
+            assert c.label == fc.label
             [(p, t)] = c.branches
             assert p == 1.0 and lumped.states[t] == full.states[fc.branches[0][1]]
         assert reach[i] == pytest.approx(full_reach[j], abs=1e-9)

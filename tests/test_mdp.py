@@ -181,24 +181,27 @@ def wide_joint_context(robots):
 @pytest.mark.parametrize("failures", [False, True])
 def test_state_cap_counts_states_up_to_the_fixtures_width(failures):
     # five robots and 16 slots: no wider than the fixtures' widest model,
-    # so the cap trips at the state count it names (the model has 33 or 65)
+    # so the cap trips at the state count it names (the full model has 65
+    # states; the search's chain has 7, five travels and the sync apart)
     ctx = wide_joint_context(5)
     assert len(ctx.initial_state()) == 16
+    states, cap = (65, 10) if failures else (7, 5)
     with pytest.raises(StateExplosion) as info:
-        build_mdp(ctx, state_cap=10, failures=failures)
-    assert (info.value.cluster_size, info.value.state_count) == (5, 11)
-    assert build_mdp(ctx, state_cap=65, failures=failures).n_states == (
-        65 if failures else 33
-    )
+        build_mdp(ctx, state_cap=cap, failures=failures)
+    assert (info.value.cluster_size, info.value.state_count) == (5, cap + 1)
+    assert build_mdp(ctx, state_cap=states, failures=failures).n_states == states
 
 
 def test_state_cap_scales_with_model_width():
     # 80 robots: 241 slots and up to 80 choices a state, a width of
     # 76 + 8 * 241 + 271 * 80 = 23,684 B against the fixtures' widest
-    # 1,591 B, so a cap of 2,000 admits 2,000 * 1,591 // 23,684 = 134 states
+    # 1,591 B, so a cap of 2,000 admits 2,000 * 1,591 // 23,684 = 134 states.
+    # The full model holds every subset of arrived robots; the search's
+    # chain, 82 states, stays under that limit.
     ctx = wide_joint_context(80)
+    assert build_mdp(ctx, state_cap=2000, failures=False).n_states == 82
     with pytest.raises(StateExplosion) as info:
-        build_mdp(ctx, state_cap=2000, failures=False)
+        build_mdp(ctx, state_cap=2000)
     assert (info.value.cluster_size, info.value.state_count) == (80, 135)
     assert str(info.value) == "state cap 2000 exceeded for cluster of 80 robots"
 

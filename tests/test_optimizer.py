@@ -3,7 +3,11 @@ import tracemalloc
 
 import pytest
 from helpers import load, perfbench_mission, random_problem_text
-from oracles import pairwise_nondominated_sort
+from oracles import (
+    pairwise_front,
+    pairwise_nondominated_sort,
+    reference_task_permutation,
+)
 
 import kanoa.optimizer
 from kanoa.allocation import AllocatorConfig, used_robots
@@ -20,10 +24,12 @@ from kanoa.optimizer import (
     evaluate,
     fast_nondominated_sort,
     _initial_population,
+    _nondominated,
     nsga2_run,
     prepare_search,
 )
 from kanoa.permutations import random_task_permutation
+from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
 from kanoa.scheduling import schedule_cluster
 
@@ -162,6 +168,30 @@ def test_front_sorted_by_objectives():
     front = nsga2_run(space, cfg)
     keys = [e.objectives.as_tuple() for e in front.entries]
     assert keys == sorted(keys)
+
+
+def random_feasible_members(rng):
+    """0-60 feasible (chromosome, result) pairs over at most 6 objective
+    vectors and 4 plans, so equal vectors and repeated plans are common."""
+    vectors = [
+        Objectives(rng.choice((0.0, 0.25, 0.5)), rng.randrange(3), rng.randrange(4))
+        for _ in range(rng.randint(1, 6))
+    ]
+    plans = [
+        Plan({"r1": (PlanEvent("idle", 0, k),)}) for k in range(rng.randint(1, 4))
+    ]
+    return [
+        (Chromosome(rng.randrange(4), rng.randrange(4)),
+         EvalResult(True, rng.choice(vectors), rng.choice(plans)))
+        for _ in range(rng.randint(0, 60))
+    ]
+
+
+def test_front_matches_member_pair_front_on_random_populations():
+    rng = random.Random("final-front")
+    for _ in range(500):
+        members = random_feasible_members(rng)
+        assert [tuple(e) for e in _nondominated(members)] == pairwise_front(members)
 
 
 def test_no_feasible_solution_error():
@@ -317,6 +347,24 @@ def test_lazy_pool_entries_equal_eager_draws(fixtures_dir, name, order):
         whole = RobotCluster(used_robots(allocation), frozenset(allocation))
         eager = random_task_permutation(allocation, whole, space.pairs, seed=f"{seed}:{a}:{p}")
         assert space.permutation(a, p) == eager, (a, p)
+
+
+@pytest.mark.parametrize("workload", ["hospital", "relay", "fleet"])
+def test_pool_entries_equal_per_robot_draws(workload):
+    """Every pool entry of the benchmark's sub-instance 0, drawn from its
+    allocation's shared precedence structure, equals the draw that finds
+    each robot's instances and precedence afresh, key order included."""
+    text, cfg = perfbench_mission(workload)
+    space = prepare_search(
+        load(text), AllocatorConfig(max_allocations=cfg.allocations), cfg.ga()
+    )
+    for a, allocation in enumerate(space.allocations):
+        whole = RobotCluster(used_robots(allocation), frozenset(allocation))
+        for p in range(space.pool_size):
+            expected = reference_task_permutation(
+                allocation, whole, space.pairs, seed=f"{cfg.seed}:{a}:{p}"
+            )
+            assert list(space.permutation(a, p).items()) == list(expected.items())
 
 
 def test_lazy_pool_entry_drawn_once(monkeypatch):

@@ -746,6 +746,28 @@ def test_cli_allocation_limit_exit_one_quickly(hospital_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_large_population_front_is_quick(fixtures_dir, tmp_path, capsys):
+    # every member of minimal's population is feasible, with one objective
+    # vector; comparing every member with every other took 4-27 s, while
+    # the whole run takes about 0.2 s
+    class Hung(Exception):  # not an OSError, which the CLI would report
+        pass
+
+    def hung(signum, frame):
+        raise Hung("the final front took too long")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(2)
+    try:
+        code = cli_main(["plan", "--input", str(fixtures_dir / "minimal.kanoa"),
+                         "--out", str(tmp_path / "out"), "--pop", "2000",
+                         "--gens", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0, capsys.readouterr().err
+
+
 def test_cli_allocation_limit_counts_feasible_allocations(fixtures_dir, tmp_path, capsys):
     # minimal has one feasible allocation, so a huge request draws just it
     out = tmp_path / "out"
@@ -757,28 +779,40 @@ def test_cli_allocation_limit_counts_feasible_allocations(fixtures_dir, tmp_path
 
 
 def test_cli_wide_cluster_trips_state_cap_quickly(tmp_path):
-    # one task for 80 robots at once: the model holds every subset of
-    # arrived robots, 241 slots and up to 80 choices a state.  Counting
-    # plain states, it ran out of a 2 GB address-space limit before the cap
-    # tripped; the child gets 1 GB.
+    # one task for 80 robots at once.  The search's chain has 82 states, so
+    # the run plans; the full model that --dump-mdp writes holds every
+    # subset of arrived robots, 241 slots and up to 80 choices a state.
+    # Counting plain states, it ran out of a 2 GB address-space limit
+    # before the cap tripped; the child gets 1 GB.
     mission = tmp_path / "wide.kanoa"
     mission.write_text(wide_joint_task_text(80))
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kanoa.cli", "plan", "--input", str(mission),
-         "--out", str(tmp_path / "out"), "--allocations", "1",
-         "--permutations", "1", "--pop", "4", "--gens", "0"],
-        capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(
-            resource.RLIMIT_AS, (1 << 30, 1 << 30)
-        ),
-    )
-    assert time.perf_counter() - started < 30
-    assert proc.returncode == 2
+
+    def plan(out, *extra):
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kanoa.cli", "plan", "--input", str(mission),
+             "--out", str(out), "--allocations", "1", "--permutations", "1",
+             "--pop", "4", "--gens", "0", *extra],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (1 << 30, 1 << 30)
+            ),
+        )
+        assert time.perf_counter() - started < 30
+        return proc
+
+    proc = plan(tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "plan_0.json").exists()
+
+    proc = plan(tmp_path / "dump", "--dump-mdp")
+    assert proc.returncode == 1
+    robots = ",".join(sorted(f"r{i}" for i in range(80)))
     assert proc.stderr == (
-        "no feasible plan: no feasible chromosome among 1 evaluated "
-        f"(1 infeasible; 1 exceeded the state cap of {DEFAULT_STATE_CAP})\n"
+        "error: cannot write mdp_0_0_0.txt: the full model of cluster "
+        f"{{{robots}}} exceeds the state cap of {DEFAULT_STATE_CAP}\n"
     )
+    assert not list((tmp_path / "dump").glob("mdp_*.txt"))
 
 
 def test_cli_nesting_at_limit_plans(tmp_path, capsys):
