@@ -126,10 +126,7 @@ class Choice:
         self, label, branches, travel_reward=0, idle_reward=0,
         kind=None, robot=None, step=None,
     ):
-        if len(branches) == 1:
-            total = branches[0][0]
-        else:
-            total = sum(p for p, _ in branches)
+        total = sum(p for p, _ in branches)
         if abs(total - 1.0) > 1e-12:
             raise InvariantViolation(f"distribution sums to {total}, not 1")
         self.label = label
@@ -150,9 +147,6 @@ class Mdp:
         self.labels = {name: frozenset(ids) for name, ids in labels.items()}
         self.initial = initial
         self.context = context
-        # filled by kanoa.solver on first use; a built model never changes
-        self.order_cache: list[int] | None = None
-        self.reach_cache: dict[str, list[float]] = {}
 
     @property
     def n_states(self) -> int:
@@ -352,8 +346,8 @@ def _enumerate_choices(
     action keeps only its success outcome, with probability 1."""
     choices: list[Choice] = []
     tt = ctx.tt
-    # joint instance -> _sync_status, made on the first arrived participant
-    statuses = None
+    # joint instance -> _sync_status, computed for its first arrived participant
+    statuses: dict[str, tuple] = {}
 
     for i in range(ctx.nrobots):
         pos, phase, clock = state[_SLOTS * i : _SLOTS * i + _SLOTS]
@@ -379,8 +373,6 @@ def _enumerate_choices(
         target = None
         if step.joint:
             if phase == ARRIVED:
-                if statuses is None:
-                    statuses = {}
                 status = statuses.get(step.instance)
                 if status is None:
                     status = _sync_status(ctx, state, step.instance)

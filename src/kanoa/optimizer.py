@@ -94,20 +94,11 @@ class GaConfig:
         self.seed = seed
 
 
-class EvalResult:
-    __slots__ = ("feasible", "objectives", "plan", "diagnostic")
-
-    def __init__(
-        self,
-        feasible: bool,
-        objectives: Objectives | None = None,
-        plan: Plan | None = None,
-        diagnostic: StateExplosion | None = None,  # the state cap tripped
-    ):
-        self.feasible = feasible
-        self.objectives = objectives
-        self.plan = plan
-        self.diagnostic = diagnostic
+class EvalResult(NamedTuple):
+    feasible: bool
+    objectives: Objectives | None = None
+    plan: Plan | None = None
+    capped: bool = False  # infeasible because a model exceeded the state cap
 
 
 class SearchSpace:
@@ -221,8 +212,8 @@ def evaluate(
 
     Objectives aggregate across clusters: failure probability composes
     multiplicatively, idle and travel add.  Any infeasible cluster makes
-    the chromosome infeasible; a state-space blowup is reported as
-    infeasibility with a diagnostic rather than an error.
+    the chromosome infeasible; a state-space blowup is reported as an
+    infeasible result marked ``capped`` rather than an error.
     """
     hit = cache.get(ch)
     if hit is not None:
@@ -230,7 +221,7 @@ def evaluate(
 
     allocation = space.allocations[ch.alloc_idx]
     permutation = space.permutation(*ch)
-    result = EvalResult(feasible=True)
+    feasible, capped = True, False
     p_success = 1.0
     idle = 0
     travel = 0
@@ -251,20 +242,20 @@ def evaluate(
                 )
                 space._schedules[orders] = sched
             if not sched.feasible:
-                result.feasible = False
+                feasible = False
                 break
             p_success *= sched.p_success
             idle += sched.idle
             travel += sched.travel
             timelines.update(sched.plan.timelines)
-    except StateExplosion as exc:
-        result.feasible = False
-        # without its traceback, which holds the abandoned model's states
-        result.diagnostic = exc.with_traceback(None)
+    except StateExplosion:
+        feasible, capped = False, True
 
-    if result.feasible:
-        result.objectives = Objectives(1.0 - p_success, idle, travel)
-        result.plan = Plan(timelines)
+    if feasible:
+        objectives = Objectives(1.0 - p_success, idle, travel)
+        result = EvalResult(True, objectives, Plan(timelines))
+    else:
+        result = EvalResult(False, capped=capped)
     cache[ch] = result
     return result
 
@@ -424,7 +415,7 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
     if not front:
         evaluated = len(cache)
         infeasible = sum(1 for r in cache.values() if not r.feasible)
-        capped = sum(1 for r in cache.values() if r.diagnostic is not None)
+        capped = sum(1 for r in cache.values() if r.capped)
         why = f"{infeasible} infeasible"
         if capped:
             why += f"; {capped} exceeded the state cap of {space.state_cap}"

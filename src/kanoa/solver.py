@@ -6,10 +6,9 @@ expected rewards are computed exactly by backward induction over a
 topological order.  A cyclic model is a builder bug and raises
 :class:`InvariantViolation`.
 
-A built model never changes, so its topological order and its reach
-values per label are computed once and cached on the model: the
-reachability guard and the policy query that follows it share one order
-and one reach sweep.
+The search's models are chains (see :mod:`kanoa.mdp`), so each query
+sorts its model and sweeps its reach values once, and nothing is kept
+between queries.
 """
 
 from __future__ import annotations
@@ -40,28 +39,17 @@ def topological_order(mdp: Mdp) -> list[int] | None:
 
 def max_reach_probability(mdp: Mdp, label: str = "done") -> float:
     """Maximal probability, over all policies, of reaching a labeled state."""
-    return _reach_values(mdp, label)[mdp.initial]
+    return _max_reach_values(mdp, label, _acyclic_order(mdp))[mdp.initial]
 
 
 def _acyclic_order(mdp: Mdp) -> list[int]:
-    order = mdp.order_cache
+    order = topological_order(mdp)
     if order is None:
-        order = topological_order(mdp)
-        if order is None:
-            raise InvariantViolation(
-                f"model with {mdp.n_states} states has a cycle; "
-                "scheduling models must be acyclic"
-            )
-        mdp.order_cache = order
+        raise InvariantViolation(
+            f"model with {mdp.n_states} states has a cycle; "
+            "scheduling models must be acyclic"
+        )
     return order
-
-
-def _reach_values(mdp: Mdp, label: str) -> list[float]:
-    values = mdp.reach_cache.get(label)
-    if values is None:
-        values = _max_reach_values(mdp, label, _acyclic_order(mdp))
-        mdp.reach_cache[label] = values
-    return values
 
 
 def _max_reach_values(mdp, label, order):
@@ -72,18 +60,10 @@ def _max_reach_values(mdp, label, order):
         if s in target:
             v[s] = 1.0
             continue
-        best = None
         for c in choices[s]:
-            branches = c.branches
-            if len(branches) == 1:
-                p, t = branches[0]
-                val = p * v[t]
-            else:
-                val = sum(p * v[t] for p, t in branches)
-            if best is None or val > best:
-                best = val
-        if best is not None:
-            v[s] = best
+            val = sum(p * v[t] for p, t in c.branches)
+            if val > v[s]:
+                v[s] = val
     return v
 
 
@@ -109,7 +89,7 @@ def min_expected_reward_policy(
     """
     reward_of = attrgetter(REWARD_ATTRS[reward])
     order = _acyclic_order(mdp)
-    vmax = _reach_values(mdp, label)
+    vmax = _max_reach_values(mdp, label, order)
     if vmax[mdp.initial] < _PROB_ONE:
         raise UndefinedReward(
             f"label '{label}' is not almost-surely reachable "
@@ -127,15 +107,9 @@ def min_expected_reward_policy(
         best, best_i = None, None
         for i, c in enumerate(choices[s]):
             branches = c.branches
-            if len(branches) == 1:
-                p, t = branches[0]
-                if not sure[t]:
-                    continue
-                val = reward_of(c) + p * cost[t]
-            else:
-                if not all(sure[t] for _, t in branches):
-                    continue
-                val = reward_of(c) + sum(p * cost[t] for p, t in branches)
+            if not all(sure[t] for _, t in branches):
+                continue
+            val = reward_of(c) + sum(p * cost[t] for p, t in branches)
             if best is None or val < best - 1e-12:
                 best, best_i = val, i
         if best_i is None:

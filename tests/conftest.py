@@ -6,10 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import kanoa.optimizer
-from kanoa.allocation import AllocatorConfig
-from kanoa.optimizer import nsga2_run, prepare_search
 from kanoa.parser import parse_problem
-from kanoa.reporting import PipelineConfig
+from kanoa.reporting import PipelineConfig, run
 from kanoa.validation import validate_problem
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -36,12 +34,12 @@ def fixtures_dir():
 
 
 @pytest.fixture(scope="session")
-def hospital_calls(hospital):
-    """(args, kwargs, reference result) of every ``schedule_cluster`` call
-    of a hospital run at the default config, GA seed 0.  The run is driven
-    by ``helpers.reference_schedule``, which always builds and solves the
-    full model, so it takes the same path as a real run exactly when the
-    two agree."""
+def hospital_reference_run(hospital_path, tmp_path_factory):
+    """(calls, out) of a hospital run at the default config, GA seed 0,
+    written to ``out``, whose every ``schedule_cluster`` call is
+    ``helpers.reference_schedule``: it always builds and solves the full
+    model, so the run takes the same path as a real run exactly when the
+    two agree.  ``calls`` lists (args, kwargs, reference result) per call."""
     from helpers import reference_schedule
 
     calls = []
@@ -51,15 +49,14 @@ def hospital_calls(hospital):
         calls.append((args, kwargs, ref))
         return ref
 
-    cfg = PipelineConfig(seed=0)
-    real = kanoa.optimizer.schedule_cluster
-    kanoa.optimizer.schedule_cluster = record
-    try:
-        space = prepare_search(
-            hospital, AllocatorConfig(max_allocations=cfg.allocations), cfg.ga(),
-            state_cap=cfg.state_cap,
-        )
-        nsga2_run(space, cfg.ga())
-    finally:
-        kanoa.optimizer.schedule_cluster = real
-    return calls
+    out = tmp_path_factory.mktemp("hospital_reference") / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kanoa.optimizer, "schedule_cluster", record)
+        run(hospital_path, PipelineConfig(seed=0), out)
+    return calls, out
+
+
+@pytest.fixture(scope="session")
+def hospital_calls(hospital_reference_run):
+    """Every ``schedule_cluster`` call of :func:`hospital_reference_run`."""
+    return hospital_reference_run[0]

@@ -13,9 +13,9 @@ here compute the same results the slow, obvious way:
   of its fixed per-robot orders instead of building and solving a model;
 * NSGA-II's nondominated fronts, by comparing every pair of population
   members instead of every pair of distinct objective vectors;
-* the solver's reach and minimum-reward queries, by the two-pass method:
-  each query sorts the model and sweeps its reach values again, and every
-  choice goes through generator sums and a reward looked up by name;
+* the solver's reach and minimum-reward queries, by the two-pass method
+  written out separately: Kahn's algorithm on an explicit queue, then
+  backward sweeps in which every choice looks its reward up by name;
 * the cyclic compound definitions, by a reachability search from each
   compound.
 """

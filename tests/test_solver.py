@@ -11,7 +11,6 @@ from oracles import (
 )
 
 import kanoa.scheduling
-import kanoa.solver
 from kanoa.errors import InvariantViolation, UndefinedReward
 from kanoa.mdp import Choice, Mdp
 from kanoa.reporting import PipelineConfig, run
@@ -233,7 +232,7 @@ def test_min_reward_avoids_state_sure_only_in_the_limit(query):
     assert (value, policy) == (9, [None, None, None, None, 1])
 
 
-# -- one order and one reach sweep per model, held to the two-pass solver -------
+# -- held to the two-pass reference solver --------------------------------------
 
 
 def _policy_outcome(query, mdp, reward):
@@ -255,7 +254,7 @@ def test_random_models_match_two_pass_reference():
         if k % 2 and n > 2:
             for s in rng.sample(range(1, n - 1), (n - 2) // 4):
                 mdp.choices[s] = []
-        # a second label: reach values are cached per label
+        # a second label on the same model: each query reads only its own label
         mdp.labels["mid"] = frozenset(rng.sample(range(n), max(1, n // 3)))
         reach = reference_max_reach_probability(mdp, "done")
         mid = reference_max_reach_probability(mdp, "mid")
@@ -265,7 +264,7 @@ def test_random_models_match_two_pass_reference():
             for r in ("idle", "travel")
         ]
         assert topological_order(mdp) == reference_topological_order(mdp)
-        # the cached order and reach values serve whichever query comes first
+        # queries in either order give the same values: none leaves state on the model
         if k % 4 < 2:
             assert max_reach_probability(mdp, "done") == reach
         got = [
@@ -326,25 +325,3 @@ def test_fixture_models_match_two_pass_reference(tmp_path, fixtures_dir, monkeyp
     models = checked["models"]
     assert models > 0
     assert checked == {"models": models, "reach": models, "policy": models}
-
-
-def test_hospital_run_sorts_and_sweeps_once_per_model(tmp_path, fixtures_dir, monkeypatch):
-    counts = Counter()
-    real_sweep = kanoa.solver._max_reach_values
-
-    def sweep(mdp, label, order):
-        counts[f"sweep {label}"] += 1
-        return real_sweep(mdp, label, order)
-
-    monkeypatch.setattr(
-        kanoa.solver, "topological_order",
-        _counting(counts, "order")(kanoa.solver.topological_order),
-    )
-    monkeypatch.setattr(kanoa.solver, "_max_reach_values", sweep)
-    _run_fixture(
-        tmp_path, fixtures_dir, "hospital.kanoa", monkeypatch,
-        build_mdp=_counting(counts, "models"),
-    )
-    models = counts["models"]
-    assert models > 0
-    assert counts == {"models": models, "order": models, "sweep done": models}
