@@ -325,3 +325,30 @@ def test_fixture_models_match_two_pass_reference(tmp_path, fixtures_dir, monkeyp
     models = checked["models"]
     assert models > 0
     assert checked == {"models": models, "reach": models, "policy": models}
+
+
+def test_hospital_run_sorts_and_sweeps_once_per_query(tmp_path, fixtures_dir, monkeypatch):
+    counts = Counter()
+    real_sweep = kanoa.solver._max_reach_values
+
+    def sweep(mdp, label, order):
+        counts[f"sweep {label}"] += 1
+        return real_sweep(mdp, label, order)
+
+    monkeypatch.setattr(
+        kanoa.solver, "topological_order",
+        _counting(counts, "order")(kanoa.solver.topological_order),
+    )
+    monkeypatch.setattr(kanoa.solver, "_max_reach_values", sweep)
+    _run_fixture(
+        tmp_path, fixtures_dir, "hospital.kanoa", monkeypatch,
+        build_mdp=_counting(counts, "models"),
+        max_reach_probability=_counting(counts, "queries"),
+        min_expected_reward_policy=_counting(counts, "queries"),
+    )
+    models = counts["models"]
+    assert models > 0
+    queries = 2 * models  # one reach query and one policy query per model
+    assert counts == {
+        "models": models, "queries": queries, "order": queries, "sweep done": queries,
+    }
