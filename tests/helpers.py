@@ -346,8 +346,9 @@ def reference_schedule(
 
 
 def assert_golden_artifacts(golden, out):
-    """pareto.csv, pareto.json and every plan_*.json in ``out`` equal the
-    files in ``golden`` byte for byte, and no plan is missing or extra."""
+    """pareto.csv, pareto.json, every plan_*.json and every mdp_*.txt in
+    ``out`` equal the files in ``golden`` byte for byte, and no plan or
+    model dump is missing or extra."""
     names = front_artifacts(golden)
     assert front_artifacts(out) == names
     for name in names:
@@ -355,10 +356,12 @@ def assert_golden_artifacts(golden, out):
 
 
 def front_artifacts(directory):
-    """Sorted names of the pareto tables and plan_*.json in ``directory``."""
+    """Sorted names of the pareto tables, plan_*.json and mdp_*.txt in
+    ``directory``."""
     return sorted(
         [p.name for p in directory.glob("pareto.*")]
         + [p.name for p in directory.glob("plan_*.json")]
+        + [p.name for p in directory.glob("mdp_*.txt")]
     )
 
 

@@ -830,8 +830,11 @@ def test_cli_nesting_at_limit_plans(tmp_path, capsys):
 def test_constraints_golden_artifacts(fixtures_dir, tmp_path, seed):
     """pareto.csv, pareto.json and plan_*.json of ``kanoa plan --input
     fixtures/constraints.kanoa --seed N`` at the default config, byte for
-    byte.  Every golden plan has jointSync and idle events."""
-    run(fixtures_dir / "constraints.kanoa", PipelineConfig(seed=seed), tmp_path)
+    byte.  Every golden plan has jointSync and idle events.  Seed 0 also
+    runs with ``--dump-mdp``: its two model dumps hold every action kind
+    (task, travel, idle, sync and recover)."""
+    cfg = PipelineConfig(seed=seed, dump_mdp=seed == 0)
+    run(fixtures_dir / "constraints.kanoa", cfg, tmp_path)
     assert_golden_artifacts(GOLDEN / f"constraints_seed{seed}", tmp_path)
 
 
