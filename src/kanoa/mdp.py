@@ -63,7 +63,8 @@ plan of the whole lumped model: an exact confluence reduction (Groote &
 Sellink 1996, *Confluence for process verification*; Timmer, Stoelinga &
 van de Pol 2011, *Confluence reduction for probabilistic systems*).  With
 ``failures=False``, :func:`build_mdp` builds that chain, the search's
-model.  Each task step of a robot takes one task or travel action and at
+model: it asks each state for its first action only, so the other
+actions are never built.  Each task step of a robot takes one task or travel action and at
 most one idle, and each joint instance one sync, so the chain has at most
 1 + 2 * (task steps) + (joint instances) states.
 
@@ -115,21 +116,18 @@ class Choice:
     works on (an idle action's is the step it waits to start); ``robot`` is
     None for a synchronized joint action, whose actors are the step's
     participants.  A stochastic action's success outcome is always its
-    first branch.
+    first branch.  An action carries no name: the ``--dump-mdp`` text
+    (:mod:`kanoa.mdp_export`) names it from its kind, robot and step.
     """
 
-    __slots__ = (
-        "label", "branches", "travel_reward", "idle_reward", "kind", "robot", "step"
-    )
+    __slots__ = ("branches", "travel_reward", "idle_reward", "kind", "robot", "step")
 
     def __init__(
-        self, label, branches, travel_reward=0, idle_reward=0,
-        kind=None, robot=None, step=None,
+        self, branches, travel_reward=0, idle_reward=0, kind=None, robot=None, step=None
     ):
         total = sum(p for p, _ in branches)
         if abs(total - 1.0) > 1e-12:
             raise InvariantViolation(f"distribution sums to {total}, not 1")
-        self.label = label
         self.branches = tuple(branches)
         self.travel_reward = travel_reward
         self.idle_reward = idle_reward
@@ -339,12 +337,10 @@ def _sync_status(ctx, state, instance):
     return ready, common, target
 
 
-def _enumerate_choices(
-    ctx: ClusterContext, state: tuple, failures: bool
-) -> list[Choice]:
-    """Every action of ``state``; without ``failures``, each stochastic
-    action keeps only its success outcome, with probability 1."""
-    choices: list[Choice] = []
+def _enumerate_choices(ctx: ClusterContext, state: tuple, failures: bool):
+    """Yield every action of ``state``, each robot's in robot order, then
+    the syncs; without ``failures``, each stochastic action keeps only its
+    success outcome, with probability 1."""
     tt = ctx.tt
     # joint instance -> _sync_status, computed for its first arrived participant
     statuses: dict[str, tuple] = {}
@@ -361,12 +357,7 @@ def _enumerate_choices(
             succ = _with_robot(state, i, pos + 1, BEFORE, clock)
             if step.tracked_idx >= 0:
                 succ = _with_done_time(ctx, succ, step.tracked_idx, clock)
-            choices.append(
-                Choice(
-                    f"recover_{rid}", ((1.0, succ),),
-                    kind="recover", robot=rid, step=step,
-                )
-            )
+            yield Choice(((1.0, succ),), kind="recover", robot=rid, step=step)
             continue
 
         # the clock this robot must wait for before it can act, if any
@@ -380,12 +371,9 @@ def _enumerate_choices(
                 target = status[2]
             elif clock + step.travel_time <= tt:
                 succ = _with_robot(state, i, pos, ARRIVED, clock + step.travel_time)
-                choices.append(
-                    Choice(
-                        f"goto_{rid}_{step.instance}", ((1.0, succ),),
-                        travel_reward=step.hop_dist,
-                        kind="travel", robot=rid, step=step,
-                    )
+                yield Choice(
+                    ((1.0, succ),), travel_reward=step.hop_dist,
+                    kind="travel", robot=rid, step=step,
                 )
         else:
             target = _pred_target(ctx, state, step)
@@ -402,12 +390,9 @@ def _enumerate_choices(
                         _with_robot(state, i, pos, FAILED, done_t), ctx.fail_slot, 1
                     )
                     branches = ((q, ok), (1.0 - q, bad))
-                choices.append(
-                    Choice(
-                        f"do_{rid}_{step.instance}", branches,
-                        travel_reward=step.hop_dist,
-                        kind="task", robot=rid, step=step,
-                    )
+                yield Choice(
+                    branches, travel_reward=step.hop_dist,
+                    kind="task", robot=rid, step=step,
                 )
 
         # wait: only while catching up to a joint partner or a predecessor,
@@ -420,18 +405,13 @@ def _enumerate_choices(
                 waited -= step.travel_time
             if waited <= ctx.idle_caps[i]:
                 succ = _with_robot(state, i, pos, phase, target)
-                choices.append(
-                    Choice(
-                        f"idle_{rid}", ((1.0, succ),),
-                        idle_reward=target - clock,
-                        kind="idle", robot=rid, step=step,
-                    )
+                yield Choice(
+                    ((1.0, succ),), idle_reward=target - clock,
+                    kind="idle", robot=rid, step=step,
                 )
 
     # synchronized joint actions, one per ready instance; every participant
     # of a ready instance has arrived and not failed, so it has a status
-    if not statuses:
-        return choices
     for instance in sorted(statuses):
         ready, common, _ = statuses[instance]
         if not ready:
@@ -456,11 +436,7 @@ def _enumerate_choices(
                 bad = _with_robot(bad, ri, k, FAILED, done_t)
             bad = _with_flag(bad, ctx.fail_slot, 1)
             branches = ((prob, ok), (1.0 - prob, bad))
-        choices.append(
-            Choice(f"sync_{instance}", branches, kind="sync", step=step0)
-        )
-
-    return choices
+        yield Choice(branches, kind="sync", step=step0)
 
 
 def earliest_start_feasible(ctx: ClusterContext) -> bool:
@@ -534,7 +510,8 @@ def build_mdp(
     outcomes, recovery and the ``success`` label; without, it is the chain
     of the failure-lumped model described in the module docstring: one
     action per state, the first the lumped state offers, labeled ``done``
-    only.  Raises :class:`StateExplosion` when more than
+    only.  The chain asks each state for its first action only and never
+    builds the others.  Raises :class:`StateExplosion` when more than
     ``state_cap`` states are discovered, or, in a model wider than
     ``_CAP_WIDTH``, more than ``state_cap`` states of that width would
     hold in memory.
@@ -547,10 +524,8 @@ def build_mdp(
     raw_choices: list[list[Choice]] = []
 
     for state in states:  # breadth-first: the loop reads what it appends
-        choices = _enumerate_choices(ctx, state, failures)
-        if not failures:
-            del choices[1:]  # confluent: the first action stands for all
-        for choice in choices:
+        choices = []
+        for choice in _enumerate_choices(ctx, state, failures):
             branches = []
             for prob, succ in choice.branches:
                 tid = index.get(succ)
@@ -567,6 +542,9 @@ def build_mdp(
                     states.append(succ)
                 branches.append((prob, tid))
             choice.branches = tuple(branches)
+            choices.append(choice)
+            if not failures:
+                break  # confluent: the first action stands for all
         raw_choices.append(choices)
 
     done_ids = [i for i, s in enumerate(states) if ctx.is_done(s)]

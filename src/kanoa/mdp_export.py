@@ -10,14 +10,26 @@ from __future__ import annotations
 
 from .mdp import Mdp
 
+# Choice.kind -> the action's name in the dump, from its robot and instance
+_ACTION_NAMES = {
+    "task": "do_{robot}_{instance}",
+    "travel": "goto_{robot}_{instance}",
+    "idle": "idle_{robot}",
+    "recover": "recover_{robot}",
+    "sync": "sync_{instance}",
+}
+
 
 def write_mdp_text(mdp: Mdp) -> str:
     lines = [f"mdp states={mdp.n_states} initial={mdp.initial}"]
     for s, choices in enumerate(mdp.choices):
         for choice in choices:
+            action = _ACTION_NAMES[choice.kind].format(
+                robot=choice.robot, instance=choice.step.instance
+            )
             for prob, t in choice.branches:
                 lines.append(
-                    f"{s} {choice.label} {prob!r} {t} "
+                    f"{s} {action} {prob!r} {t} "
                     f"{choice.travel_reward} {choice.idle_reward}"
                 )
     for name in sorted(mdp.labels):

@@ -77,7 +77,7 @@ def assert_lumped_matches_full(case):
         j = at[s]
         assert len(lumped.choices[i]) == min(1, len(full.choices[j]))
         for c, fc in zip(lumped.choices[i], full.choices[j]):
-            assert c.label == fc.label
+            assert (c.kind, c.robot, c.step) == (fc.kind, fc.robot, fc.step)
             [(p, t)] = c.branches
             assert p == 1.0 and lumped.states[t] == full.states[fc.branches[0][1]]
         assert reach[i] == pytest.approx(full_reach[j], abs=1e-9)

@@ -13,9 +13,10 @@ from helpers import (
     wide_joint_task_text,
 )
 
+import kanoa.mdp
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
-from kanoa.mdp import Choice, ClusterContext, build_mdp
+from kanoa.mdp import Choice, ClusterContext, _enumerate_choices, build_mdp
 from kanoa.permutations import travel_cost
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
@@ -129,13 +130,13 @@ def test_distributions_sum_to_one_and_done_absorbing(hospital):
 )
 def test_choice_rejects_distribution_not_summing_to_one(branches):
     with pytest.raises(InvariantViolation, match="distribution sums to"):
-        Choice("a", branches)
+        Choice(branches)
 
 
 def test_choice_accepts_complementary_and_certain_branches():
     for q in (0.9, 0.8, 0.7, 1 / 3, 0.123456789, 1e-9, 1.0 - 1e-9):
-        assert Choice("a", ((q, 1), (1.0 - q, 2))).branches == ((q, 1), (1.0 - q, 2))
-    assert Choice("a", ((1.0, 1),)).branches == ((1.0, 1),)
+        assert Choice(((q, 1), (1.0 - q, 2))).branches == ((q, 1), (1.0 - q, 2))
+    assert Choice(((1.0, 1),)).branches == ((1.0, 1),)
 
 
 def test_time_monotone_acyclic(hospital):
@@ -190,6 +191,25 @@ def test_state_cap_counts_states_up_to_the_fixtures_width(failures):
         build_mdp(ctx, state_cap=cap, failures=failures)
     assert (info.value.cluster_size, info.value.state_count) == (5, cap + 1)
     assert build_mdp(ctx, state_cap=states, failures=failures).n_states == states
+
+
+def test_chain_builds_one_action_per_state(monkeypatch):
+    # the chain asks each state for its first action only: its initial
+    # state offers five travels, one per robot, yet one Choice is built
+    # for each chain state that holds an action
+    ctx = wide_joint_context(5)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(Choice(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(kanoa.mdp, "Choice", counting)
+    chain = build_mdp(ctx, failures=False)
+    kept = [c for choices in chain.choices for c in choices]
+    assert built == kept
+    assert len(built) == sum(1 for choices in chain.choices if choices) == 6
+    assert len(list(_enumerate_choices(ctx, chain.states[0], False))) == 5
 
 
 def test_state_cap_scales_with_model_width():

@@ -48,7 +48,6 @@ def random_mdp(rng: random.Random, n=10, cyclic=True):
                 branches.append((p, t))
             acts.append(
                 Choice(
-                    f"a{s}_{len(acts)}",
                     tuple(branches),
                     travel_reward=rng.randint(0, 3),
                     idle_reward=rng.randint(0, 3),
@@ -165,10 +164,10 @@ def test_min_reward_simple_chain():
     # two routes to the target: costly-direct or cheap-detour
     choices = [
         [
-            Choice("direct", ((1.0, 2),), idle_reward=5),
-            Choice("detour", ((1.0, 1),), idle_reward=1),
+            Choice(((1.0, 2),), idle_reward=5),
+            Choice(((1.0, 1),), idle_reward=1),
         ],
-        [Choice("hop", ((1.0, 2),), idle_reward=1)],
+        [Choice(((1.0, 2),), idle_reward=1)],
         [],
     ]
     mdp = Mdp(states=[0, 1, 2], choices=choices, labels={"done": {2}}, initial=0)
@@ -179,8 +178,8 @@ def test_min_reward_avoids_lossy_action():
     # the cheap action risks a dead end, so the sure one must be chosen
     choices = [
         [
-            Choice("risky", ((0.5, 2), (0.5, 3)), idle_reward=0),
-            Choice("sure", ((1.0, 2),), idle_reward=7),
+            Choice(((0.5, 2), (0.5, 3)), idle_reward=0),
+            Choice(((1.0, 2),), idle_reward=7),
         ],
         [],
         [],
@@ -200,15 +199,15 @@ def _nearly_sure_model(front=False, detour=False):
     successors all do.  ``front`` puts state 4 before state 0, and
     ``detour`` gives state 4 a costlier sure action straight to the target."""
     choices = [
-        [Choice("split", ((0.5, 1), (0.5, 2)), idle_reward=1)],
+        [Choice(((0.5, 1), (0.5, 2)), idle_reward=1)],
         [],
-        [Choice("leak", ((1.0 - 1.5e-9, 1), (1.5e-9, 3)), idle_reward=1)],
+        [Choice(((1.0 - 1.5e-9, 1), (1.5e-9, 3)), idle_reward=1)],
         [],
     ]
     if front:
-        choices.append([Choice("enter", ((1.0, 0),), idle_reward=1)])
+        choices.append([Choice(((1.0, 0),), idle_reward=1)])
         if detour:
-            choices[4].append(Choice("detour", ((1.0, 1),), idle_reward=9))
+            choices[4].append(Choice(((1.0, 1),), idle_reward=9))
     return Mdp(states=list(range(len(choices))), choices=choices,
                labels={"done": {1}}, initial=4 if front else 0)
 
