@@ -167,10 +167,7 @@ class SearchSpace:
             if precedence is None:
                 precedence = robot_precedence(allocation, whole, self.pairs)
                 self._precedence[a] = precedence
-            drawn = random_task_permutation(
-                allocation, whole, self.pairs, seed=f"{self.seed}:{a}:{p}",
-                precedence=precedence,
-            )
+            drawn = random_task_permutation(precedence, seed=f"{self.seed}:{a}:{p}")
             self._drawn[(a, p)] = drawn
         return drawn
 

@@ -55,23 +55,16 @@ def robot_precedence(
 
 
 def random_task_permutation(
-    allocation: dict[str, frozenset[str]],
-    cluster: RobotCluster,
-    pairs: list[PrecedencePair],
-    seed,
-    precedence: list[tuple[str, dict[str, frozenset[str]]]] | None = None,
+    precedence: list[tuple[str, dict[str, frozenset[str]]]], seed
 ) -> dict[str, tuple[str, ...]]:
-    """Seeded random topological order of each robot's assigned instances.
+    """Seeded random topological order of each robot's assigned instances,
+    given their :func:`robot_precedence`.
 
     At every step one of the currently unconstrained tasks is drawn
     uniformly, so any order compatible with the robot's own precedence can
-    occur; the global precedence graph is consulted so chains running
-    through other robots' tasks are respected too.  ``precedence`` is
-    :func:`robot_precedence` of the other arguments, for callers that draw
-    many orders of one allocation; it is computed when not given.
+    occur; that precedence follows the global precedence graph, so chains
+    running through other robots' tasks are respected too.
     """
-    if precedence is None:
-        precedence = robot_precedence(allocation, cluster, pairs)
     rng = random.Random(seed)
     per_robot = {}
     for robot, preds in precedence:

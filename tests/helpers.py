@@ -16,7 +16,7 @@ from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, build_mdp
 from kanoa.parser import parse_problem
-from kanoa.permutations import random_task_permutation, travel_cost
+from kanoa.permutations import random_task_permutation, robot_precedence, travel_cost
 from kanoa.plans import extract_plan
 from kanoa.problem import ValidatedProblem
 from kanoa.reporting import PipelineConfig
@@ -61,7 +61,8 @@ def build_single_cluster_mdp(v, seed=0, permutation=None):
     assert len(clusters) == 1
     cluster = clusters[0]
     if permutation is None:
-        permutation = random_task_permutation(allocation, cluster, pairs, seed=seed)
+        precedence = robot_precedence(allocation, cluster, pairs)
+        permutation = random_task_permutation(precedence, seed=seed)
     ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx)
     return mdp, allocation, cluster, permutation
@@ -289,7 +290,7 @@ def random_clusters(rng: random.Random, idle_caps: bool = False, draws: int = 1)
         clusters = cluster_robots(allocation, subtrees)
         cluster = clusters[rng.randrange(len(clusters))]
         permutation = random_task_permutation(
-            allocation, cluster, pairs, seed=rng.random()
+            robot_precedence(allocation, cluster, pairs), seed=rng.random()
         )
         made.append((v, allocation, cluster, permutation, pairs, instances))
     return made

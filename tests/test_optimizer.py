@@ -28,7 +28,7 @@ from kanoa.optimizer import (
     nsga2_run,
     prepare_search,
 )
-from kanoa.permutations import random_task_permutation
+from kanoa.permutations import random_task_permutation, robot_precedence
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
 from kanoa.scheduling import schedule_cluster
@@ -345,7 +345,8 @@ def test_lazy_pool_entries_equal_eager_draws(fixtures_dir, name, order):
     for a, p in keys:
         allocation = space.allocations[a]
         whole = RobotCluster(used_robots(allocation), frozenset(allocation))
-        eager = random_task_permutation(allocation, whole, space.pairs, seed=f"{seed}:{a}:{p}")
+        precedence = robot_precedence(allocation, whole, space.pairs)
+        eager = random_task_permutation(precedence, seed=f"{seed}:{a}:{p}")
         assert space.permutation(a, p) == eager, (a, p)
 
 

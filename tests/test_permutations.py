@@ -3,7 +3,7 @@ from itertools import permutations as iterperms
 
 from helpers import expanded, first_allocation, load
 
-from kanoa.permutations import random_task_permutation, travel_cost
+from kanoa.permutations import random_task_permutation, robot_precedence, travel_cost
 
 FORCED = """
 world { loc a (0,0) }
@@ -24,8 +24,9 @@ mission { task x at a; task y at a; task z at a; time 10 }
 def test_forced_order_all_seeds():
     v = load(FORCED)
     allocation, clusters, instances, pairs = first_allocation(v)
+    precedence = robot_precedence(allocation, clusters[0], pairs)
     for seed in range(50):
-        p = random_task_permutation(allocation, clusters[0], pairs, seed)
+        p = random_task_permutation(precedence, seed)
         assert p["r"] == ("x_0", "y_0")
 
 
@@ -33,8 +34,9 @@ def test_all_six_orders_observed():
     v = load(FREE3)
     allocation, clusters, instances, pairs = first_allocation(v)
     seen = set()
+    precedence = robot_precedence(allocation, clusters[0], pairs)
     for seed in range(1000):
-        p = random_task_permutation(allocation, clusters[0], pairs, seed)
+        p = random_task_permutation(precedence, seed)
         seen.add(p["r"])
     expected = {
         tuple(f"{t}_0" for t in perm) for perm in iterperms(["x", "y", "z"])
@@ -45,8 +47,9 @@ def test_all_six_orders_observed():
 def test_seed_reproducible():
     v = load(FREE3)
     allocation, clusters, instances, pairs = first_allocation(v)
-    a = random_task_permutation(allocation, clusters[0], pairs, seed="s")
-    b = random_task_permutation(allocation, clusters[0], pairs, seed="s")
+    precedence = robot_precedence(allocation, clusters[0], pairs)
+    a = random_task_permutation(precedence, seed="s")
+    b = random_task_permutation(precedence, seed="s")
     assert a == b
 
 
@@ -59,8 +62,9 @@ def test_notify_always_first(hospital):
         hospital, leaves, AllocatorConfig(max_allocations=1)
     )[0]
     for cluster in cluster_robots(allocation, subtrees):
+        precedence = robot_precedence(allocation, cluster, pairs)
         for seed in range(30):
-            p = random_task_permutation(allocation, cluster, pairs, seed)
+            p = random_task_permutation(precedence, seed)
             for robot, order in p.items():
                 for room in range(4):
                     have = [
@@ -94,8 +98,9 @@ mission { task c at a; time 30;  }
         "z_0": frozenset({"r1"}),
     }
     cluster = cluster_robots(allocation, subtrees)[0]
+    precedence = robot_precedence(allocation, cluster, pairs)
     for seed in range(40):
-        p = random_task_permutation(allocation, cluster, pairs, seed)
+        p = random_task_permutation(precedence, seed)
         order = p["r1"]
         assert order.index("x_0") < order.index("z_0")
 
