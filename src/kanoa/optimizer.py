@@ -161,10 +161,10 @@ class SearchSpace:
         if drawn is None:
             if not (0 <= a < len(self.allocations) and 0 <= p < self.pool_size):
                 raise IndexError(f"no pool entry ({a}, {p})")
-            allocation = self.allocations[a]
-            whole = RobotCluster(used_robots(allocation), frozenset(allocation))
             precedence = self._precedence.get(a)
             if precedence is None:
+                allocation = self.allocations[a]
+                whole = RobotCluster(used_robots(allocation), frozenset(allocation))
                 precedence = robot_precedence(allocation, whole, self.pairs)
                 self._precedence[a] = precedence
             drawn = random_task_permutation(precedence, seed=f"{self.seed}:{a}:{p}")
