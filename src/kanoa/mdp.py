@@ -179,21 +179,26 @@ class _Step:
         self.tracked_idx = tracked_idx
 
 
-class ClusterContext:
-    """Static data shared by every state of one cluster model: the cluster's
-    robots, their fixed task orders under ``permutation``, and the time
-    budget ``tt``, which is the mission's ``time`` constraint."""
+class ClusterFacts:
+    """What an (allocation, cluster) pair fixes for every permutation of
+    the cluster: its sorted robots, the time budget ``tt`` (the mission's
+    ``time`` constraint) and each robot's idle cap, the tracked instances,
+    and for each instance of the cluster ``(pred_tracked, tracked_idx,
+    participants, duration)``.  ``duration`` is the joint execution time,
+    the slowest participant's, and None for a one-robot instance."""
+
+    __slots__ = ("tt", "robots", "robot_index", "idle_caps", "tracked", "instances")
 
     def __init__(
         self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
-        cluster: RobotCluster, permutation: dict[str, tuple[str, ...]],
-        pairs: list[PrecedencePair], instances: dict[str, TaskInstance],
+        cluster: RobotCluster, pairs: list[PrecedencePair],
+        instances: dict[str, TaskInstance],
     ):
         self.tt = tt = v.time_available
         self.robots = tuple(sorted(cluster.robots))
         self.robot_index = {r: i for i, r in enumerate(self.robots)}
         self.idle_caps = [
-            v.max_idle(r) if v.max_idle(r) is not None else tt for r in self.robots
+            tt if (cap := v.max_idle(r)) is None else cap for r in self.robots
         ]
 
         in_cluster = cluster.instances
@@ -215,53 +220,97 @@ class ClusterContext:
             if p.before in tr_index and p.after in in_cluster:
                 preds.setdefault(p.after, set()).add(p.before)
 
+        self.instances = {}
+        for inst_id in in_cluster:
+            inst = instances[inst_id]
+            participants = tuple(sorted(team[inst_id]))
+            duration = None
+            if inst.robots_needed >= 2:
+                duration = max(
+                    v.robot(r).capability_for(inst.type_id).required_time
+                    for r in participants
+                )
+            self.instances[inst_id] = (
+                tuple(sorted(tr_index[x] for x in preds.get(inst_id, ()))),
+                tr_index.get(inst_id, -1),
+                participants,
+                duration,
+            )
+
+
+def _make_step(v, rid, here, inst, participants, duration, pred_tracked, tracked_idx):
+    robot = v.robot(rid)
+    cap = robot.capability_for(inst.type_id)
+    return _Step(
+        instance=inst.instance_id,
+        location=inst.location,
+        hop_from=here,
+        hop_dist=v.distance(here, inst.location),
+        travel_time=v.travel_time(robot, here, inst.location),
+        duration=cap.required_time if duration is None else duration,
+        success_prob=cap.success_prob,
+        joint=duration is not None,
+        participants=participants,
+        pred_tracked=pred_tracked,
+        tracked_idx=tracked_idx,
+    )
+
+
+class ClusterContext:
+    """Static data shared by every state of one cluster model: the cluster's
+    :class:`ClusterFacts` and its robots' steps in their fixed task orders
+    under ``permutation``.
+
+    A search passes the facts of the allocation's cluster and its memo of
+    steps, ``steps``, shared by every context of the search.  A step is
+    keyed on every input it is built from: ``(robot, hop origin, instance,
+    participants, pred_tracked, tracked_idx)``; within one problem and one
+    set of instances, equal keys give equal steps.  Without them the
+    context builds its own facts and an empty memo.
+    """
+
+    def __init__(
+        self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
+        cluster: RobotCluster, permutation: dict[str, tuple[str, ...]],
+        pairs: list[PrecedencePair], instances: dict[str, TaskInstance],
+        *, facts: ClusterFacts | None = None,
+        steps: dict[tuple, _Step] | None = None,
+    ):
+        if facts is None:
+            facts = ClusterFacts(v, allocation, cluster, pairs, instances)
+        if steps is None:
+            steps = {}
+        self.tt = facts.tt
+        self.robots = facts.robots
+        self.robot_index = facts.robot_index
+        self.idle_caps = facts.idle_caps
+        self.tracked = facts.tracked
+        per_instance = facts.instances
+
         self.steps: list[list[_Step]] = []
         self.cum: list[list[int]] = []
-        for rid in self.robots:
-            robot = v.robot(rid)
-            here = robot.initial_loc
-            row: list[_Step] = []
-            cum = [0]
-            for inst_id in permutation[rid]:
-                inst: TaskInstance = instances[inst_id]
-                participants = tuple(sorted(team[inst_id]))
-                joint = inst.robots_needed >= 2
-                if joint:
-                    duration = max(
-                        v.robot(r).capability_for(inst.type_id).required_time
-                        for r in participants
-                    )
-                else:
-                    duration = robot.capability_for(inst.type_id).required_time
-                dist = v.distance(here, inst.location)
-                row.append(
-                    _Step(
-                        instance=inst_id,
-                        location=inst.location,
-                        hop_from=here,
-                        hop_dist=dist,
-                        travel_time=v.travel_time(robot, here, inst.location),
-                        duration=duration,
-                        success_prob=robot.capability_for(inst.type_id).success_prob,
-                        joint=joint,
-                        participants=participants,
-                        pred_tracked=tuple(
-                            sorted(tr_index[x] for x in preds.get(inst_id, ()))
-                        ),
-                        tracked_idx=tr_index.get(inst_id, -1),
-                    )
-                )
-                cum.append(cum[-1] + row[-1].travel_time + duration)
-                here = inst.location
-            self.steps.append(row)
-            self.cum.append(cum)
-
         # joint instances: participant -> (robot index, step position)
         self.joint_positions: dict[str, list[tuple[int, int]]] = {}
-        for ri, row in enumerate(self.steps):
-            for k, step in enumerate(row):
-                if step.joint:
-                    self.joint_positions.setdefault(step.instance, []).append((ri, k))
+        for ri, rid in enumerate(self.robots):
+            here = v.robot(rid).initial_loc
+            row: list[_Step] = []
+            cum = [0]
+            for k, inst_id in enumerate(permutation[rid]):
+                pred_tracked, tracked_idx, participants, duration = per_instance[inst_id]
+                key = (rid, here, inst_id, participants, pred_tracked, tracked_idx)
+                step = steps.get(key)
+                if step is None:
+                    step = steps[key] = _make_step(
+                        v, rid, here, instances[inst_id], participants, duration,
+                        pred_tracked, tracked_idx,
+                    )
+                row.append(step)
+                cum.append(cum[-1] + step.travel_time + step.duration)
+                if duration is not None:
+                    self.joint_positions.setdefault(inst_id, []).append((ri, k))
+                here = step.location
+            self.steps.append(row)
+            self.cum.append(cum)
 
         self.nrobots = len(self.robots)
         self.fail_slot = _SLOTS * self.nrobots  # global any-failure bit
@@ -466,37 +515,38 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
     while progress:
         progress = False
         for i, row in enumerate(ctx.steps):
-            if pos[i] == len(row):
-                continue
-            step = row[pos[i]]
-            if any(t not in done for t in step.pred_tracked):
-                continue
-            ready = max((done[t] for t in step.pred_tracked), default=0)
-            if step.joint:
-                members = ctx.joint_positions[step.instance]
-                if any(pos[r] != k for r, k in members):
-                    continue
-                arrive = [clock[r] + ctx.steps[r][k].travel_time for r, k in members]
-                start = max(ready, *arrive)
-                end = start + step.duration
-                waits = [(r, start - a) for (r, _), a in zip(members, arrive)]
-            else:
-                members = [(i, pos[i])]
-                start = max(ready, clock[i])
-                end = start + step.travel_time + step.duration
-                waits = [(i, start - clock[i])]
-            if end > tt:
-                return False
-            for r, wait in waits:
-                idle[r] += wait
-                if idle[r] > ctx.idle_caps[r]:
+            # advance robot i as far as it can; earliest starts do not
+            # depend on the order in which they are computed
+            while pos[i] < len(row):
+                step = row[pos[i]]
+                if any(t not in done for t in step.pred_tracked):
+                    break
+                ready = max((done[t] for t in step.pred_tracked), default=0)
+                if step.joint:
+                    members = ctx.joint_positions[step.instance]
+                    if any(pos[r] != k for r, k in members):
+                        break
+                    arrive = [clock[r] + ctx.steps[r][k].travel_time for r, k in members]
+                    start = max(ready, *arrive)
+                    end = start + step.duration
+                    waits = [(r, start - a) for (r, _), a in zip(members, arrive)]
+                else:
+                    members = [(i, pos[i])]
+                    start = max(ready, clock[i])
+                    end = start + step.travel_time + step.duration
+                    waits = [(i, start - clock[i])]
+                if end > tt:
                     return False
-            for r, _ in members:
-                clock[r] = end
-                pos[r] += 1
-            if step.tracked_idx >= 0:
-                done[step.tracked_idx] = end
-            progress = True
+                for r, wait in waits:
+                    idle[r] += wait
+                    if idle[r] > ctx.idle_caps[r]:
+                        return False
+                for r, _ in members:
+                    clock[r] = end
+                    pos[r] += 1
+                if step.tracked_idx >= 0:
+                    done[step.tracked_idx] = end
+                progress = True
     return all(p == len(row) for p, row in zip(pos, ctx.steps))
 
 
@@ -547,7 +597,10 @@ def build_mdp(
                 break  # confluent: the first action stands for all
         raw_choices.append(choices)
 
-    done_ids = [i for i, s in enumerate(states) if ctx.is_done(s)]
+    # a done state offers no action
+    done_ids = [
+        i for i, s in enumerate(states) if not raw_choices[i] and ctx.is_done(s)
+    ]
     labels = {"done": done_ids}
     if failures:
         labels["success"] = [i for i in done_ids if not ctx.ever_failed(states[i])]

@@ -14,7 +14,9 @@ chromosome's result, and each :class:`SearchSpace` keeps each cluster
 schedule, keyed on the cluster's per-robot task orders.  Distinct
 chromosomes often give a cluster the same orders: a robot with few tasks
 has few orders to draw, and allocations that differ only in other robots'
-tasks share the cluster.  Such a cluster is solved once per search.
+tasks share the cluster.  Such a cluster is solved once per search.  What
+an allocation fixes for its clusters, and each robot's steps, are built
+once per search too, and shared by every schedule that needs them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 from .allocation import AllocatorConfig, enumerate_allocations, used_robots
 from .clustering import RobotCluster, cluster_robots
 from .errors import NoFeasibleSolution, StateExplosion
-from .mdp import DEFAULT_STATE_CAP
+from .mdp import DEFAULT_STATE_CAP, ClusterFacts
 from .permutations import random_task_permutation, robot_precedence
 from .plans import Plan
 from .problem import ValidatedProblem
@@ -115,11 +117,16 @@ class SearchSpace:
     schedule reads.  Equal keys therefore give equal results.  Only returned
     results are kept, feasible or not; a cluster whose model exceeds the
     state cap raises :class:`StateExplosion` each time it is scheduled.
+
+    ``_facts`` keeps the :class:`ClusterFacts` of each (allocation index,
+    cluster index) and ``_steps`` the steps memo of the whole search; both
+    are passed to :func:`schedule_cluster`, which builds its
+    :class:`ClusterContext` from them.
     """
 
     __slots__ = (
         "v", "instances", "pairs", "allocations", "clusters", "pool_size", "seed",
-        "state_cap", "_precedence", "_drawn", "_schedules",
+        "state_cap", "_precedence", "_drawn", "_schedules", "_facts", "_steps",
     )
 
     def __init__(
@@ -145,11 +152,31 @@ class SearchSpace:
         self._precedence: dict[int, list] = {}
         self._drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = {}
         self._schedules: dict[tuple, SchedulingResult] = {}
+        # (allocation index, cluster index) -> ClusterFacts, and the steps
+        # memo of every ClusterContext of the search; both fill on first
+        # use.  Held after a search of the benchmark's fleet sub-instance 0
+        # of --seed 11 (tracemalloc): 279 facts records of one robot and
+        # about three tasks, 0.9 KB each, and 2,077 memo entries, 280 B
+        # each with their steps, 0.84 MB in all.  Hospital's five-robot
+        # records hold about 2.8 KB each.
+        self._facts: dict[tuple[int, int], ClusterFacts] = {}
+        self._steps: dict[tuple, object] = {}
 
     def chromosomes(self):
         for a in range(len(self.allocations)):
             for p in range(self.pool_size):
                 yield Chromosome(a, p)
+
+    def facts(self, a: int, ci: int) -> ClusterFacts:
+        """The :class:`ClusterFacts` of cluster ``ci`` of allocation ``a``,
+        built on first request and kept."""
+        facts = self._facts.get((a, ci))
+        if facts is None:
+            facts = self._facts[(a, ci)] = ClusterFacts(
+                self.v, self.allocations[a], self.clusters[a][ci], self.pairs,
+                self.instances,
+            )
+        return facts
 
     def permutation(self, a: int, p: int) -> dict[str, tuple[str, ...]]:
         """Pool entry ``p`` of allocation ``a``, drawn on first request and
@@ -224,7 +251,7 @@ def evaluate(
     travel = 0
     timelines: dict[str, tuple] = {}
     try:
-        for cluster in space.clusters[ch.alloc_idx]:
+        for ci, cluster in enumerate(space.clusters[ch.alloc_idx]):
             orders = tuple((r, permutation[r]) for r in sorted(cluster.robots))
             sched = space._schedules.get(orders)
             if sched is None:
@@ -236,6 +263,8 @@ def evaluate(
                     space.pairs,
                     space.instances,
                     state_cap=space.state_cap,
+                    facts=space.facts(ch.alloc_idx, ci),
+                    steps=space._steps,
                 )
                 space._schedules[orders] = sched
             if not sched.feasible:

@@ -7,6 +7,7 @@ joint instance appears in every participant's order.
 from __future__ import annotations
 
 import random
+from bisect import insort
 
 from .clustering import RobotCluster
 from .problem import ValidatedProblem
@@ -63,20 +64,28 @@ def random_task_permutation(
     At every step one of the currently unconstrained tasks is drawn
     uniformly, so any order compatible with the robot's own precedence can
     occur; that precedence follows the global precedence graph, so chains
-    running through other robots' tasks are respected too.
+    running through other robots' tasks are respected too.  The ready
+    tasks are kept sorted as they are released, so each draw picks from
+    the list that sorting every ready task afresh would give.
     """
     rng = random.Random(seed)
     per_robot = {}
     for robot, preds in precedence:
-        remaining = dict(preds)
+        # the unplaced predecessors of each task, and who waits on each task
+        waiting = {t: len(ps) for t, ps in preds.items()}
+        released: dict[str, list[str]] = {}
+        for t, ps in preds.items():
+            for p in ps:
+                released.setdefault(p, []).append(t)
+        ready = sorted(t for t, n in waiting.items() if not n)
         order = []
-        placed: set[str] = set()
-        while remaining:
-            ready = sorted(t for t, ps in remaining.items() if ps <= placed)
-            pick = ready[rng.randrange(len(ready))]
+        for _ in range(len(preds)):
+            pick = ready.pop(rng.randrange(len(ready)))
             order.append(pick)
-            placed.add(pick)
-            del remaining[pick]
+            for t in released.get(pick, ()):
+                waiting[t] -= 1
+                if not waiting[t]:
+                    insort(ready, t)
         per_robot[robot] = tuple(order)
     return per_robot
 

@@ -107,10 +107,20 @@ class ValidatedProblem:
     ``distance`` is symmetric over all location pairs.  A declared distance
     is read in either direction; an undeclared pair gets the integer
     ceiling of the straight-line distance, computed on first use and kept.
+    The time budget and each robot's idle cap are read from the
+    constraints once, here.
     """
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
+        self._time_available = next(
+            (c.budget for c in problem.constraints if c.kind == "timeAvailable"), None
+        )
+        idle = [c for c in problem.constraints if c.kind == "maxIdle"]
+        self._max_idle = {
+            r.id: min((c.budget for c in idle if c.subject in ("all", r.id)), default=None)
+            for r in problem.robots
+        }
         self._distances: dict[tuple[str, str], int] = {}
         for d in problem.distances:
             self._distances[(d.frm, d.to)] = self._distances[(d.to, d.frm)] = d.distance
@@ -157,19 +167,13 @@ class ValidatedProblem:
 
     @property
     def time_available(self) -> int:
-        for c in self.problem.constraints:
-            if c.kind == "timeAvailable":
-                return c.budget
-        raise InvariantViolation("validated problem lacks a time constraint")
+        if self._time_available is None:
+            raise InvariantViolation("validated problem lacks a time constraint")
+        return self._time_available
 
     def max_idle(self, robot_id: str) -> int | None:
         """Effective idle budget for a robot: the tightest applicable bound."""
-        budgets = [
-            c.budget
-            for c in self.problem.constraints
-            if c.kind == "maxIdle" and c.subject in ("all", robot_id)
-        ]
-        return min(budgets) if budgets else None
+        return self._max_idle[robot_id]
 
     def boundaries(self, robot_id: str) -> list[Rect]:
         return [

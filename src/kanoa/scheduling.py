@@ -9,10 +9,10 @@ from .errors import InvariantViolation
 from .mdp import (
     DEFAULT_STATE_CAP,
     ClusterContext,
+    ClusterFacts,
     build_mdp,
     earliest_start_feasible,
 )
-from .permutations import travel_cost
 from .plans import Plan, extract_plan
 from .problem import ValidatedProblem
 from .solver import max_reach_probability, min_expected_reward_policy
@@ -54,6 +54,9 @@ def schedule_cluster(
     pairs: list[PrecedencePair],
     instances: dict[str, TaskInstance],
     state_cap: int = DEFAULT_STATE_CAP,
+    *,
+    facts: ClusterFacts | None = None,
+    steps: dict | None = None,
 ) -> SchedulingResult:
     """Build and solve one cluster's failure-lumped chain under the
     mission's time budget.
@@ -66,13 +69,17 @@ def schedule_cluster(
     values and plan.  Feasible when the done label is reachable
     (probability exactly 1 on these models); the attached plan realizes the
     minimum-idle policy.  The success probability is the closed-form
-    :func:`success_probability`, and travel is permutation-determined and
-    equals the model's travel reward along any completing policy.
+    :func:`success_probability`, and travel, the sum of the steps' hops, is
+    permutation-determined and equals the model's travel reward along any
+    completing policy.  ``facts`` and ``steps`` are a search's shared
+    records, passed on to :class:`ClusterContext`.
     Infeasible clusters are rejected in closed form by
     :func:`earliest_start_feasible` before any model is built;
     :class:`InvariantViolation` is raised when the model disagrees.
     """
-    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
+    ctx = ClusterContext(
+        v, allocation, cluster, permutation, pairs, instances, facts=facts, steps=steps
+    )
     if not earliest_start_feasible(ctx):
         return SchedulingResult(False, 0.0, None, None, None)
 
@@ -92,6 +99,6 @@ def schedule_cluster(
         feasible=True,
         p_success=success_probability(v, allocation, cluster, instances),
         idle=idle,
-        travel=travel_cost(permutation, v, instances),
+        travel=sum(step.hop_dist for row in ctx.steps for step in row),
         plan=plan,
     )

@@ -324,11 +324,12 @@ def with_time_available(case, tt):
 
 def reference_schedule(
     v, allocation, cluster, permutation, pairs, instances,
-    state_cap=DEFAULT_STATE_CAP,
+    state_cap=DEFAULT_STATE_CAP, *, facts=None, steps=None,
 ):
     """``schedule_cluster`` without its closed-form rejections and on the
     paper's full model: always build it, then reach, minimum-idle policy
-    and plan extraction."""
+    and plan extraction.  It ignores a search's shared ``facts`` and
+    ``steps`` and builds its context cold."""
     ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx, state_cap)
     if max_reach_probability(mdp, "done") < 1.0:

@@ -11,6 +11,8 @@ here compute the same results the slow, obvious way:
 * a robot's finishing clock with no waiting at all;
 * a cluster's minimum-idle plan, by simulating the earliest-start schedule
   of its fixed per-robot orders instead of building and solving a model;
+* a permutation pool entry, by sorting every ready task afresh at each
+  step of the draw;
 * NSGA-II's nondominated fronts, by comparing every pair of population
   members instead of every pair of distinct objective vectors;
 * the solver's reach and minimum-reward queries, by the two-pass method
@@ -298,6 +300,26 @@ def reference_task_permutation(allocation, cluster, pairs, seed):
             ready = sorted(t for t, ps in remaining.items() if ps <= set(order))
             pick = ready[rng.randrange(len(ready))]
             order.append(pick)
+            del remaining[pick]
+        per_robot[robot] = tuple(order)
+    return per_robot
+
+
+def resorted_task_permutation(precedence, seed):
+    """:func:`kanoa.permutations.random_task_permutation` as it drew before
+    keeping its ready list sorted: every step sorts every ready task
+    afresh."""
+    rng = random.Random(seed)
+    per_robot = {}
+    for robot, preds in precedence:
+        remaining = dict(preds)
+        order = []
+        placed: set[str] = set()
+        while remaining:
+            ready = sorted(t for t, ps in remaining.items() if ps <= placed)
+            pick = ready[rng.randrange(len(ready))]
+            order.append(pick)
+            placed.add(pick)
             del remaining[pick]
         per_robot[robot] = tuple(order)
     return per_robot

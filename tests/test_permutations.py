@@ -1,8 +1,13 @@
 import random
 from itertools import permutations as iterperms
 
-from helpers import expanded, first_allocation, load
+import pytest
+from helpers import expanded, first_allocation, load, perfbench_mission
+from oracles import resorted_task_permutation
 
+import kanoa.optimizer
+from kanoa.allocation import AllocatorConfig
+from kanoa.optimizer import nsga2_run, prepare_search
 from kanoa.permutations import random_task_permutation, robot_precedence, travel_cost
 
 FORCED = """
@@ -103,6 +108,59 @@ mission { task c at a; time 30;  }
         p = random_task_permutation(precedence, seed)
         order = p["r1"]
         assert order.index("x_0") < order.index("z_0")
+
+
+# -- the sorted ready list against re-sorting at every step ---------------------
+
+
+def random_precedence(rng):
+    """One to four robots, each with up to eight tasks under a random
+    precedence: each task may wait on any task listed before it.  Task
+    names are shuffled, so their sorted order is not the listing order."""
+    precedence = []
+    for r in range(rng.randint(1, 4)):
+        names = [f"t{r}_{k}" for k in range(rng.randint(0, 8))]
+        rng.shuffle(names)
+        preds = {}
+        for k, name in enumerate(names):
+            preds[name] = frozenset(p for p in names[:k] if rng.random() < 0.3)
+        precedence.append((f"r{r}", dict(sorted(preds.items()))))
+    return precedence
+
+
+def test_draws_match_resorting_oracle_on_random_precedences():
+    rng = random.Random(19)
+    for _ in range(400):
+        precedence = random_precedence(rng)
+        seed = rng.random()
+        drawn = random_task_permutation(precedence, seed)
+        assert list(drawn.items()) == list(
+            resorted_task_permutation(precedence, seed).items()
+        )
+
+
+@pytest.mark.parametrize("workload", ["hospital", "relay", "fleet"])
+def test_draws_match_resorting_oracle_on_benchmark_runs(workload, monkeypatch):
+    """Every pool entry drawn by a search of sub-instance 0 of the
+    benchmark's ``--seed 11`` basket equals the re-sorting draw."""
+    draws = []
+    original = kanoa.optimizer.random_task_permutation
+
+    def recording(precedence, seed):
+        drawn = original(precedence, seed)
+        draws.append((precedence, seed, drawn))
+        return drawn
+
+    monkeypatch.setattr(kanoa.optimizer, "random_task_permutation", recording)
+    text, cfg = perfbench_mission(workload, seed=11)
+    space = prepare_search(
+        load(text), AllocatorConfig(max_allocations=cfg.allocations), cfg.ga()
+    )
+    nsga2_run(space, cfg.ga())
+    assert len(draws) > 30
+    for precedence, seed, drawn in draws:
+        expected = resorted_task_permutation(precedence, seed)
+        assert list(drawn.items()) == list(expected.items()), seed
 
 
 def test_travel_cost_no_tasks():

@@ -9,9 +9,9 @@ from helpers import compound_chain_text, many_locations_text
 from oracles import reference_find_cycles
 
 import kanoa.validation
-from kanoa.errors import ValidationError
+from kanoa.errors import InvariantViolation, ValidationError
 from kanoa.parser import parse_problem
-from kanoa.problem import CompoundTaskDef, euclidean_ceil
+from kanoa.problem import CompoundTaskDef, ValidatedProblem, euclidean_ceil
 from kanoa.validation import (
     MAX_INSTANCES,
     MAX_NESTING,
@@ -44,6 +44,14 @@ def errors_of(spec):
 def test_valid_problem_passes():
     v = validate_problem(make())
     assert v.time_available == 10
+
+
+def test_missing_time_constraint_raises_on_access():
+    spec = validate_problem(make()).problem
+    untimed = ValidatedProblem(spec._replace(constraints=()))
+    assert untimed.max_idle("r") is None
+    with pytest.raises(InvariantViolation, match="time constraint"):
+        untimed.time_available
 
 
 def test_self_cyclic_compound():
