@@ -506,7 +506,7 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
     robot's total wait exceeds its idle cap.  Retries, or durations that
     depend on the outcome, would make this check inexact.
     """
-    tt = ctx.tt
+    tt, caps = ctx.tt, ctx.idle_caps
     clock = [0] * ctx.nrobots
     idle = [0] * ctx.nrobots
     pos = [0] * ctx.nrobots
@@ -519,9 +519,11 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
             # depend on the order in which they are computed
             while pos[i] < len(row):
                 step = row[pos[i]]
-                if any(t not in done for t in step.pred_tracked):
-                    break
-                ready = max((done[t] for t in step.pred_tracked), default=0)
+                ready = 0
+                if step.pred_tracked:
+                    if any(t not in done for t in step.pred_tracked):
+                        break
+                    ready = max(done[t] for t in step.pred_tracked)
                 if step.joint:
                     members = ctx.joint_positions[step.instance]
                     if any(pos[r] != k for r, k in members):
@@ -529,21 +531,21 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
                     arrive = [clock[r] + ctx.steps[r][k].travel_time for r, k in members]
                     start = max(ready, *arrive)
                     end = start + step.duration
-                    waits = [(r, start - a) for (r, _), a in zip(members, arrive)]
+                    for (r, _), a in zip(members, arrive):
+                        idle[r] += start - a
+                    if end > tt or any(idle[r] > caps[r] for r, _ in members):
+                        return False
+                    for r, _ in members:
+                        clock[r] = end
+                        pos[r] += 1
                 else:
-                    members = [(i, pos[i])]
                     start = max(ready, clock[i])
                     end = start + step.travel_time + step.duration
-                    waits = [(i, start - clock[i])]
-                if end > tt:
-                    return False
-                for r, wait in waits:
-                    idle[r] += wait
-                    if idle[r] > ctx.idle_caps[r]:
+                    idle[i] += start - clock[i]
+                    if end > tt or idle[i] > caps[i]:
                         return False
-                for r, _ in members:
-                    clock[r] = end
-                    pos[r] += 1
+                    clock[i] = end
+                    pos[i] += 1
                 if step.tracked_idx >= 0:
                     done[step.tracked_idx] = end
                 progress = True
