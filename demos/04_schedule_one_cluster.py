@@ -2,7 +2,8 @@
 
 Builds the model for the two equipment movers, checks feasibility as a
 maximal reachability query, minimizes expected idle time, and extracts
-the concrete timed plan.  The search solves a chain instead: the
+the concrete timed plan.  The search scores clusters from their
+earliest-start schedules, and the front's plans come from a chain: the
 failure-lumped model with one action per state, which gives the same
 plan.
 """
@@ -57,7 +58,7 @@ print(f"minimum expected idle: {min_expected_reward(mdp, 'idle', 'done')}")
 print(f"maximum success probability: "
       f"{max_reach_probability(mdp, 'success'):.4f}")
 chain = build_mdp(ctx, failures=False)
-print(f"search's chain: {chain.n_states} states against the full model's "
+print(f"plan's chain: {chain.n_states} states against the full model's "
       f"{mdp.n_states}, minimum expected idle "
       f"{min_expected_reward(chain, 'idle', 'done')}")
 

@@ -46,7 +46,8 @@ from .plans import Plan, PlanEvent, check_plan, extract_plan
 from .printer import pretty_print
 from .problem import ProblemSpec, ValidatedProblem
 from .reporting import PipelineConfig, RunReport, run
-from .scheduling import SchedulingResult, schedule_cluster, success_probability
+from .scheduling import SchedulingResult, schedule_cluster, score_cluster
+from .scheduling import success_probability
 from .solver import max_reach_probability, min_expected_reward
 from .taskgraph import (
     PrecedencePair,

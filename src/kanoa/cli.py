@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--pop", type=int, help="GA population size")
     plan.add_argument("--gens", type=int, help="GA generations")
     plan.add_argument("--seed", type=int, help="random seed")
-    plan.add_argument("--state-cap", type=int, help="MDP state cap")
+    plan.add_argument("--state-cap", type=int, help="state cap of front and dumped models")
     plan.add_argument(
         "--dump-allocations", action="store_true", help="write allocations.json"
     )
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
-    except StateExplosion as exc:  # only --dump-mdp lets one escape
+    except StateExplosion as exc:  # a front or --dump-mdp model over the cap
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InfeasibleAllocation, NoFeasibleSolution) as exc:

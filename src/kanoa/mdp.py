@@ -62,14 +62,15 @@ action of each state thus gives the reach value, the minimum idle and the
 plan of the whole lumped model: an exact confluence reduction (Groote &
 Sellink 1996, *Confluence for process verification*; Timmer, Stoelinga &
 van de Pol 2011, *Confluence reduction for probabilistic systems*).  With
-``failures=False``, :func:`build_mdp` builds that chain, the search's
-model: it asks each state for its first action only, so the other
-actions are never built.  Each task step of a robot takes one task or travel action and at
-most one idle, and each joint instance one sync, so the chain has at most
-1 + 2 * (task steps) + (joint instances) states.
+``failures=False``, :func:`build_mdp` builds that chain, the model of
+the front's plans: it asks each state for its first action only, so the
+other actions are never built.  Each task step of a robot takes one task
+or travel action and at most one idle, and each joint instance one sync,
+so the chain has at most 1 + 2 * (task steps) + (joint instances) states.
 
-:func:`earliest_start_feasible` answers the ``done`` reachability query in
-closed form, without building the model.
+:func:`earliest_start_idle` answers the ``done`` reachability query and
+the minimum-idle query in closed form, without building the model; the
+search scores every cluster with it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .problem import ValidatedProblem
 from .taskgraph import PrecedencePair, TaskInstance
 
 # The cap bounds every model build_mdp makes, but only the full model that
-# --dump-mdp writes comes near it: the search's chain grows linearly with
+# --dump-mdp writes comes near it: the front's chains grow linearly with
 # the task steps.  Built and solved, the largest full model over the
 # bundled hospital mission at the default config, GA seeds 0-3, costs
 # (tracemalloc peak) about 1.5 KB per state (8,570 states, five robots).
@@ -179,15 +180,34 @@ class _Step:
         self.tracked_idx = tracked_idx
 
 
+def success_probability(
+    v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
+    instances: dict[str, TaskInstance],
+) -> float:
+    """Product of the capability success probabilities over every execution.
+
+    A joint instance contributes every participant's probability, matching
+    the synchronized action's branching in the scheduling model.
+    """
+    prob = 1.0
+    for inst_id in sorted(cluster.instances):
+        type_id = instances[inst_id].type_id
+        for rid in sorted(allocation[inst_id]):
+            prob *= v.robot(rid).capability_for(type_id).success_prob
+    return prob
+
+
 class ClusterFacts:
     """What an (allocation, cluster) pair fixes for every permutation of
     the cluster: its sorted robots, the time budget ``tt`` (the mission's
     ``time`` constraint) and each robot's idle cap, the tracked instances,
-    and for each instance of the cluster ``(pred_tracked, tracked_idx,
-    participants, duration)``.  ``duration`` is the joint execution time,
-    the slowest participant's, and None for a one-robot instance."""
+    the :func:`success_probability` ``p_success``, and for each instance
+    of the cluster ``(pred_tracked, tracked_idx, participants, duration)``.
+    ``duration`` is the joint execution time, the slowest participant's,
+    and None for a one-robot instance."""
 
-    __slots__ = ("tt", "robots", "robot_index", "idle_caps", "tracked", "instances")
+    __slots__ = ("tt", "robots", "robot_index", "idle_caps", "tracked", "p_success",
+                 "instances")
 
     def __init__(
         self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
@@ -200,6 +220,7 @@ class ClusterFacts:
         self.idle_caps = [
             tt if (cap := v.max_idle(r)) is None else cap for r in self.robots
         ]
+        self.p_success = success_probability(v, allocation, cluster, instances)
 
         in_cluster = cluster.instances
         team = {i: allocation[i] for i in in_cluster}
@@ -285,6 +306,7 @@ class ClusterContext:
         self.robot_index = facts.robot_index
         self.idle_caps = facts.idle_caps
         self.tracked = facts.tracked
+        self.p_success = facts.p_success
         per_instance = facts.instances
 
         self.steps: list[list[_Step]] = []
@@ -488,8 +510,9 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple, failures: bool):
         yield Choice(branches, kind="sync", step=step0)
 
 
-def earliest_start_feasible(ctx: ClusterContext) -> bool:
-    """Whether the cluster's model reaches ``done``, without building it.
+def earliest_start_idle(ctx: ClusterContext) -> int | None:
+    """The cluster's minimum total idle, or None when its model does not
+    reach ``done``; builds no model.
 
     Exact under two preconditions of the model above: a task takes the
     same time whether it succeeds or fails (outcome-independent
@@ -497,7 +520,9 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
     robot clock depends on an outcome, the maximal reach probability is 0
     or 1, and the model reaches ``done`` exactly when the earliest-start
     schedule of the fixed per-robot orders completes (critical-path
-    scheduling over a simple temporal network).  Timing follows
+    scheduling over a simple temporal network, Kelley & Walker 1959).  By
+    confluence every completing path of the chain waits the same, so that
+    schedule's idle total is the chain's minimum idle.  Timing follows
     :func:`_enumerate_choices`: a solo step departs at the later of its
     robot's clock and its tracked predecessors' completions; a joint step's
     participants travel first and the shared execution starts at the
@@ -534,7 +559,7 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
                     for (r, _), a in zip(members, arrive):
                         idle[r] += start - a
                     if end > tt or any(idle[r] > caps[r] for r, _ in members):
-                        return False
+                        return None
                     for r, _ in members:
                         clock[r] = end
                         pos[r] += 1
@@ -543,13 +568,13 @@ def earliest_start_feasible(ctx: ClusterContext) -> bool:
                     end = start + step.travel_time + step.duration
                     idle[i] += start - clock[i]
                     if end > tt or idle[i] > caps[i]:
-                        return False
+                        return None
                     clock[i] = end
                     pos[i] += 1
                 if step.tracked_idx >= 0:
                     done[step.tracked_idx] = end
                 progress = True
-    return all(p == len(row) for p, row in zip(pos, ctx.steps))
+    return sum(idle) if all(p == len(row) for p, row in zip(pos, ctx.steps)) else None
 
 
 def build_mdp(

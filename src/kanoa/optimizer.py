@@ -3,20 +3,21 @@
 A chromosome is a pair of small indices: into the allocation list, and
 into that allocation's pool of whole-allocation task permutations.  A pool
 entry is drawn, from its own seed, the first time it is used.  Evaluation
-schedules each robot cluster and aggregates the three objectives; a
-cluster that fails the closed-form feasibility check builds no model.
-Infeasible chromosomes rank below every feasible one (constrained
-domination).  Everything is driven by a single seed and fully
-reproducible.
+scores each robot cluster in closed form and aggregates the three
+objectives; the search builds no model and carries no plan.  Infeasible
+chromosomes rank below every feasible one (constrained domination).
+After the last generation, only the chromosomes of the final front get
+their plans, from each cluster's model.  Everything is driven by a single
+seed and fully reproducible.
 
 Two memos keep the search from repeating work.  ``evaluate`` keeps each
 chromosome's result, and each :class:`SearchSpace` keeps each cluster
-schedule, keyed on the cluster's per-robot task orders.  Distinct
+score, keyed on the cluster's per-robot task orders.  Distinct
 chromosomes often give a cluster the same orders: a robot with few tasks
 has few orders to draw, and allocations that differ only in other robots'
-tasks share the cluster.  Such a cluster is solved once per search.  What
+tasks share the cluster.  Such a cluster is scored once per search.  What
 an allocation fixes for its clusters, and each robot's steps, are built
-once per search too, and shared by every schedule that needs them.
+once per search too, and shared by every score and plan that needs them.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from typing import NamedTuple
 
 from .allocation import AllocatorConfig, enumerate_allocations, used_robots
 from .clustering import RobotCluster, cluster_robots
-from .errors import NoFeasibleSolution, StateExplosion
+from .errors import NoFeasibleSolution
 from .mdp import DEFAULT_STATE_CAP, ClusterFacts
 from .permutations import random_task_permutation, robot_precedence
 from .plans import Plan
 from .problem import ValidatedProblem
-from .scheduling import SchedulingResult, schedule_cluster
+from .scheduling import SchedulingResult, schedule_cluster, score_cluster
 from .taskgraph import (
     PrecedencePair,
     TaskInstance,
@@ -99,34 +100,31 @@ class GaConfig:
 class EvalResult(NamedTuple):
     feasible: bool
     objectives: Objectives | None = None
-    plan: Plan | None = None
-    capped: bool = False  # infeasible because a model exceeded the state cap
 
 
 class SearchSpace:
     """Pools and cached structure shared by every evaluation.
 
-    ``_schedules`` memoizes :func:`schedule_cluster` on a cluster's
-    per-robot orders, ``((robot, order), ...)`` in robot order.  Within one
-    space, ``v``, ``pairs``, ``instances`` and the state cap are fixed, and
-    so is the time budget, which every schedule reads from the mission's
-    ``time`` constraint in ``v``.  Every robot's order lists every instance
-    allocated to it, and every instance's team lies inside one cluster, so
-    the orders determine the cluster's instances and each instance's team,
-    which are the only parts of the allocation and the cluster that a
-    schedule reads.  Equal keys therefore give equal results.  Only returned
-    results are kept, feasible or not; a cluster whose model exceeds the
-    state cap raises :class:`StateExplosion` each time it is scheduled.
+    ``_scores`` memoizes :func:`score_cluster` on a cluster's per-robot
+    orders, ``((robot, order), ...)`` in robot order.  Within one space,
+    ``v``, ``pairs`` and ``instances`` are fixed, and so is the time
+    budget, which every score reads from the mission's ``time`` constraint
+    in ``v``.  Every robot's order lists every instance allocated to it,
+    and every instance's team lies inside one cluster, so the orders
+    determine the cluster's instances and each instance's team, which are
+    the only parts of the allocation and the cluster that a score reads.
+    Equal keys therefore give equal results, feasible or not.
 
     ``_facts`` keeps the :class:`ClusterFacts` of each (allocation index,
     cluster index) and ``_steps`` the steps memo of the whole search; both
-    are passed to :func:`schedule_cluster`, which builds its
-    :class:`ClusterContext` from them.
+    are passed to :func:`score_cluster` and :func:`schedule_cluster`,
+    which build their :class:`ClusterContext` from them.  ``state_cap``
+    bounds the models that :func:`schedule_cluster` builds for the front.
     """
 
     __slots__ = (
         "v", "instances", "pairs", "allocations", "clusters", "pool_size", "seed",
-        "state_cap", "_precedence", "_drawn", "_schedules", "_facts", "_steps",
+        "state_cap", "_precedence", "_drawn", "_scores", "_facts", "_steps",
     )
 
     def __init__(
@@ -151,7 +149,7 @@ class SearchSpace:
         # allocation index -> robot_precedence of its whole robot set
         self._precedence: dict[int, list] = {}
         self._drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = {}
-        self._schedules: dict[tuple, SchedulingResult] = {}
+        self._scores: dict[tuple, SchedulingResult] = {}
         # (allocation index, cluster index) -> ClusterFacts, and the steps
         # memo of every ClusterContext of the search; both fill on first
         # use.  Held after a search of the benchmark's fleet sub-instance 0
@@ -228,16 +226,13 @@ def prepare_search(
 
 
 def evaluate(
-    space: SearchSpace,
-    ch: Chromosome,
-    cache: dict[Chromosome, EvalResult],
+    space: SearchSpace, ch: Chromosome, cache: dict[Chromosome, EvalResult]
 ) -> EvalResult:
-    """Solve every cluster of the chromosome's allocation; memoized.
+    """Score every cluster of the chromosome's allocation; memoized.
 
     Objectives aggregate across clusters: failure probability composes
     multiplicatively, idle and travel add.  Any infeasible cluster makes
-    the chromosome infeasible; a state-space blowup is reported as an
-    infeasible result marked ``capped`` rather than an error.
+    the chromosome infeasible.
     """
     hit = cache.get(ch)
     if hit is not None:
@@ -245,44 +240,23 @@ def evaluate(
 
     allocation = space.allocations[ch.alloc_idx]
     permutation = space.permutation(*ch)
-    feasible, capped = True, False
-    p_success = 1.0
-    idle = 0
-    travel = 0
-    timelines: dict[str, tuple] = {}
-    try:
-        for ci, cluster in enumerate(space.clusters[ch.alloc_idx]):
-            orders = tuple((r, permutation[r]) for r in sorted(cluster.robots))
-            sched = space._schedules.get(orders)
-            if sched is None:
-                sched = schedule_cluster(
-                    space.v,
-                    allocation,
-                    cluster,
-                    dict(orders),
-                    space.pairs,
-                    space.instances,
-                    state_cap=space.state_cap,
-                    facts=space.facts(ch.alloc_idx, ci),
-                    steps=space._steps,
-                )
-                space._schedules[orders] = sched
-            if not sched.feasible:
-                feasible = False
-                break
-            p_success *= sched.p_success
-            idle += sched.idle
-            travel += sched.travel
-            timelines.update(sched.plan.timelines)
-    except StateExplosion:
-        feasible, capped = False, True
-
-    if feasible:
-        objectives = Objectives(1.0 - p_success, idle, travel)
-        result = EvalResult(True, objectives, Plan(timelines))
-    else:
-        result = EvalResult(False, capped=capped)
-    cache[ch] = result
+    p_success, idle, travel = 1.0, 0, 0
+    for ci, cluster in enumerate(space.clusters[ch.alloc_idx]):
+        orders = tuple((r, permutation[r]) for r in sorted(cluster.robots))
+        score = space._scores.get(orders)
+        if score is None:
+            score = space._scores[orders] = score_cluster(
+                space.v, allocation, cluster, dict(orders), space.pairs,
+                space.instances, facts=space.facts(ch.alloc_idx, ci),
+                steps=space._steps,
+            )
+        if not score.feasible:
+            result = cache[ch] = EvalResult(False)
+            return result
+        p_success *= score.p_success
+        idle += score.idle
+        travel += score.travel
+    result = cache[ch] = EvalResult(True, Objectives(1.0 - p_success, idle, travel))
     return result
 
 
@@ -436,17 +410,14 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
         combined_results = [evaluate(space, ch, cache) for ch in combined]
         population = _environmental_selection(combined, combined_results, cfg)
 
-    final_results = [evaluate(space, ch, cache) for ch in population]
-    front = _feasible_front(population, final_results)
+    final = [(ch, evaluate(space, ch, cache)) for ch in population]
+    front = _nondominated(space, [(ch, res) for ch, res in final if res.feasible])
     if not front:
         evaluated = len(cache)
         infeasible = sum(1 for r in cache.values() if not r.feasible)
-        capped = sum(1 for r in cache.values() if r.capped)
-        why = f"{infeasible} infeasible"
-        if capped:
-            why += f"; {capped} exceeded the state cap of {space.state_cap}"
         raise NoFeasibleSolution(
-            f"no feasible chromosome among {evaluated} evaluated ({why})",
+            f"no feasible chromosome among {evaluated} evaluated "
+            f"({infeasible} infeasible)",
             evaluated=evaluated,
             infeasible=infeasible,
         )
@@ -491,33 +462,45 @@ def _environmental_selection(combined, results, cfg) -> list[Chromosome]:
     return [combined[i] for i in chosen]
 
 
-def _feasible_front(population, results) -> list[ParetoEntry]:
-    return _nondominated(
-        [(ch, res) for ch, res in zip(population, results) if res.feasible]
-    )
+def _plan(space: SearchSpace, ch: Chromosome) -> Plan:
+    """The plan of a chromosome: each cluster's :func:`schedule_cluster`
+    plan, built under the space's state cap, robots in cluster order."""
+    a = ch.alloc_idx
+    permutation = space.permutation(*ch)
+    timelines: dict[str, tuple] = {}
+    for ci, cluster in enumerate(space.clusters[a]):
+        timelines.update(schedule_cluster(
+            space.v, space.allocations[a], cluster,
+            {r: permutation[r] for r in sorted(cluster.robots)}, space.pairs,
+            space.instances, state_cap=space.state_cap,
+            facts=space.facts(a, ci), steps=space._steps,
+        ).plan.timelines)
+    return Plan(timelines)
 
 
-def _nondominated(feasible) -> list[ParetoEntry]:
+def _nondominated(space: SearchSpace, feasible) -> list[ParetoEntry]:
     """The nondominated (chromosome, result) pairs of a feasible list, as
     entries sorted by objectives, then chromosome, with one entry per plan.
 
     Dominance is decided once per distinct objective vector, since members
-    with equal vectors are dominated by the same members.  Distinct
+    with equal vectors are dominated by the same members.  Each distinct
+    candidate chromosome gets its plan from :func:`_plan`; a model over
+    the space's state cap raises :class:`StateExplosion`.  Distinct
     chromosomes often give every robot the same order, since pool entries
     repeat orders, and so the same plan; only the first in that order is
-    kept.  A repeated chromosome repeats its plan too.
+    kept.
     """
     vectors = {res.objectives for _, res in feasible}
     kept = {o for o in vectors if not any(dominates(p, o) for p in vectors)}
-    front = [(ch, res) for ch, res in feasible if res.objectives in kept]
-    front.sort(key=lambda e: (e[1].objectives, e[0]))
+    front = sorted({(res.objectives, ch) for ch, res in feasible if res.objectives in kept})
     seen = set()
     entries = []
-    for ch, res in front:
-        plan = tuple(sorted(res.plan.timelines.items()))
-        if plan not in seen:
-            seen.add(plan)
-            entries.append(ParetoEntry(ch, res.objectives, res.plan))
+    for objectives, ch in front:
+        plan = _plan(space, ch)
+        key = tuple(sorted(plan.timelines.items()))
+        if key not in seen:
+            seen.add(key)
+            entries.append(ParetoEntry(ch, objectives, plan))
     return entries
 
 
@@ -529,4 +512,4 @@ def brute_force_front(space: SearchSpace, cache=None) -> list[ParetoEntry]:
     """
     cache = {} if cache is None else cache
     evaluated = [(ch, evaluate(space, ch, cache)) for ch in space.chromosomes()]
-    return _nondominated([(ch, res) for ch, res in evaluated if res.feasible])
+    return _nondominated(space, [(ch, res) for ch, res in evaluated if res.feasible])

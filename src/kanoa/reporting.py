@@ -85,8 +85,8 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     Writes pareto.csv / pareto.json, one plan_<k>.json and plan_<k>.svg per
     front entry, instances.json, and report.txt, then the ``--dump-mdp``
     models.  Raises the underlying error on bad input, an empty feasible
-    set or a dumped model over the state cap; the CLI maps those to exit
-    codes.  ``out_dir`` is created only once the mission validates and its
+    set or a model over the state cap; the CLI maps those to exit codes.
+    ``out_dir`` is created only once the mission validates and its
     allocations are drawn.
     """
     timings: dict[str, float] = {}
@@ -136,7 +136,7 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
         for i, groups in enumerate(space.clusters)
     ]
     models = _front_models(space, front) if cfg.dump_mdp else []
-    # release the schedule memo and the drawn pool entries before writing
+    # release the score memo and the drawn pool entries before writing
     del space
 
     idle_caps = {
@@ -198,8 +198,8 @@ def _front_models(space, front: ParetoFront) -> list[tuple[str, ClusterContext]]
 def _dump_model(name: str, ctx: ClusterContext, state_cap: int, out: Path):
     """Write the paper's full model of one cluster.
 
-    The search solves failure-lumped models, which are smaller, so a full
-    model can exceed a state cap that the search stayed under: that raises
+    The front's plans come from smaller, failure-lumped chains, so a full
+    model can exceed a state cap that the chains stayed under: that raises
     :class:`StateExplosion` naming the file, the cluster and the cap.
     """
     try:

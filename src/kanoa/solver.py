@@ -6,7 +6,7 @@ expected rewards are computed exactly by backward induction over a
 topological order.  A cyclic model is a builder bug and raises
 :class:`InvariantViolation`.
 
-The search's models are chains (see :mod:`kanoa.mdp`), so each query
+The front's plan models are chains (see :mod:`kanoa.mdp`), so each query
 sorts its model and sweeps its reach values once, and nothing is kept
 between queries.
 """

@@ -36,27 +36,30 @@ def fixtures_dir():
 @pytest.fixture(scope="session")
 def hospital_reference_run(hospital_path, tmp_path_factory):
     """(calls, out) of a hospital run at the default config, GA seed 0,
-    written to ``out``, whose every ``schedule_cluster`` call is
-    ``helpers.reference_schedule``: it always builds and solves the full
+    written to ``out``, whose every ``score_cluster`` call is
+    ``helpers.reference_score`` and every ``schedule_cluster`` call
+    ``helpers.reference_schedule``: both always build and solve the full
     model, so the run takes the same path as a real run exactly when the
-    two agree.  ``calls`` lists (args, kwargs, reference result) per call."""
-    from helpers import reference_schedule
+    two agree.  ``calls`` lists (args, kwargs, reference result) per
+    ``score_cluster`` call, feasible or not."""
+    from helpers import reference_schedule, reference_score
 
     calls = []
 
     def record(*args, **kwargs):
-        ref = reference_schedule(*args, **kwargs)
+        ref = reference_score(*args, **kwargs)
         calls.append((args, kwargs, ref))
         return ref
 
     out = tmp_path_factory.mktemp("hospital_reference") / "out"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kanoa.optimizer, "schedule_cluster", record)
+        mp.setattr(kanoa.optimizer, "score_cluster", record)
+        mp.setattr(kanoa.optimizer, "schedule_cluster", reference_schedule)
         run(hospital_path, PipelineConfig(seed=0), out)
     return calls, out
 
 
 @pytest.fixture(scope="session")
 def hospital_calls(hospital_reference_run):
-    """Every ``schedule_cluster`` call of :func:`hospital_reference_run`."""
+    """Every ``score_cluster`` call of :func:`hospital_reference_run`."""
     return hospital_reference_run[0]

@@ -322,26 +322,46 @@ def with_time_available(case, tt):
     return (ValidatedProblem(problem), *rest)
 
 
-def reference_schedule(
-    v, allocation, cluster, permutation, pairs, instances,
-    state_cap=DEFAULT_STATE_CAP, *, facts=None, steps=None,
-):
-    """``schedule_cluster`` without its closed-form rejections and on the
-    paper's full model: always build it, then reach, minimum-idle policy
-    and plan extraction.  It ignores a search's shared ``facts`` and
-    ``steps`` and builds its context cold."""
+def _solve_full_model(v, allocation, cluster, permutation, pairs, instances, state_cap):
+    """(result with no plan, (model, minimum-idle policy) or None) of the
+    paper's full model, built cold and solved for reach and minimum idle."""
     ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx, state_cap)
     if max_reach_probability(mdp, "done") < 1.0:
-        return SchedulingResult(False, 0.0, None, None, None)
+        return SchedulingResult(False, 0.0, None, None, None), None
     idle, policy = min_expected_reward_policy(mdp, "idle", "done")
     return SchedulingResult(
         feasible=True,
         p_success=success_probability(v, allocation, cluster, instances),
         idle=round(idle),
         travel=travel_cost(permutation, v, instances),
-        plan=extract_plan(mdp, policy),
+        plan=None,
+    ), (mdp, policy)
+
+
+def reference_score(
+    v, allocation, cluster, permutation, pairs, instances, *, facts=None, steps=None,
+):
+    """``score_cluster`` on the paper's full model instead of the
+    earliest-start schedule: its verdict, minimum idle, success
+    probability and travel, with no plan.  It ignores a search's shared
+    ``facts`` and ``steps`` and builds its context cold."""
+    return _solve_full_model(
+        v, allocation, cluster, permutation, pairs, instances, DEFAULT_STATE_CAP
+    )[0]
+
+
+def reference_schedule(
+    v, allocation, cluster, permutation, pairs, instances,
+    state_cap=DEFAULT_STATE_CAP, *, facts=None, steps=None,
+):
+    """``schedule_cluster`` on the paper's full model: always build it,
+    then reach, minimum-idle policy and plan extraction.  Like
+    :func:`reference_score`, it builds its context cold."""
+    result, solved = _solve_full_model(
+        v, allocation, cluster, permutation, pairs, instances, state_cap
     )
+    return result if solved is None else result._replace(plan=extract_plan(*solved))
 
 
 # -- artifacts ------------------------------------------------------------------

@@ -253,10 +253,11 @@ def pairwise_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
     return fronts
 
 
-def pairwise_front(feasible) -> list[tuple]:
+def pairwise_front(feasible, plan_of) -> list[tuple]:
     """The nondominated (chromosome, result) pairs of a feasible list,
     comparing every member with every other, sorted by objectives, then
-    chromosome, with the first of each plan kept."""
+    chromosome, with the first of each plan kept; ``plan_of(chromosome)``
+    gives a member's plan."""
     front = [
         (ch, res)
         for ch, res in feasible
@@ -266,10 +267,11 @@ def pairwise_front(feasible) -> list[tuple]:
     seen = set()
     kept = []
     for ch, res in front:
-        plan = tuple(sorted(res.plan.timelines.items()))
-        if plan not in seen:
-            seen.add(plan)
-            kept.append((ch, res.objectives, res.plan))
+        plan = plan_of(ch)
+        key = tuple(sorted(plan.timelines.items()))
+        if key not in seen:
+            seen.add(key)
+            kept.append((ch, res.objectives, plan))
     return kept
 
 

@@ -276,16 +276,16 @@ def test_criterion_8_scaling_smoke(tmp_path):
     cfg = GaConfig(
         population_size=8, generations=2, permutations_per_allocation=5, seed=0
     )
-    # one joint task for all robots: the search's model of the cluster is a
-    # chain of one travel per robot and the sync, so its work grows with
-    # the robot count.  One to three cleaners each work alone and cost
+    # one joint task for all robots: scoring the cluster walks an
+    # earliest-start schedule of one travel per robot and the sync, so its
+    # work grows with the robot count.  One to three cleaners each work alone and cost
     # about the same per chromosome.
     missions = [(n, load(wide_joint_task_text(n))) for n in (2, 8, 32)]
 
     def timed(v):
         """Seconds per chromosome of one evaluation pass, the space and the
-        chromosome count.  The space is fresh, so that no cluster schedule
-        is already memoized."""
+        chromosome count.  The space is fresh, so that no cluster score is
+        already memoized."""
         space = prepare_search(v, AllocatorConfig(max_allocations=5), cfg)
         cache = {}
         t0 = time.perf_counter()

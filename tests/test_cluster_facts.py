@@ -1,10 +1,11 @@
 """A search's shared cluster records against a cold context.
 
-``evaluate`` passes ``schedule_cluster`` the :class:`ClusterFacts` of the
-allocation's cluster and the search's memo of steps.  A context built from
-them must equal one built cold from the mission, field by field, and so
-must the scheduling result: on every call of a default hospital run, and
-on random clusters that share one memo per mission.
+``evaluate`` passes ``score_cluster``, and the front's plans pass
+``schedule_cluster``, the :class:`ClusterFacts` of the allocation's
+cluster and the search's memo of steps.  A context built from them must
+equal one built cold from the mission, field by field, and so must the
+score and the scheduling result: on every scoring call of a default
+hospital run, and on random clusters that share one memo per mission.
 """
 
 import random
@@ -13,40 +14,44 @@ from helpers import random_clusters
 
 from kanoa.mdp import ClusterContext, ClusterFacts, _Step
 from kanoa.permutations import random_task_permutation, robot_precedence
-from kanoa.scheduling import schedule_cluster
+from kanoa.scheduling import schedule_cluster, score_cluster, success_probability
 
 
 def context_fields(ctx):
     """Everything a schedule or a model reads from a context."""
     return (
-        ctx.tt, ctx.robots, ctx.robot_index, ctx.tracked, ctx.idle_caps, ctx.cum,
-        ctx.joint_positions,
+        ctx.tt, ctx.robots, ctx.robot_index, ctx.tracked, ctx.idle_caps, ctx.p_success,
+        ctx.cum, ctx.joint_positions,
         [[tuple(getattr(s, f) for f in _Step.__slots__) for s in row] for row in ctx.steps],
     )
 
 
-def assert_shared_equals_cold(args, facts, steps, state_cap=None):
-    """The context and result from ``facts`` and ``steps`` equal the cold
-    ones; returns the number of steps the context holds."""
+def assert_shared_equals_cold(args, facts, steps):
+    """The context, score and result from ``facts`` and ``steps`` equal
+    the cold ones; returns the number of steps the context holds."""
     shared = ClusterContext(*args, facts=facts, steps=steps)
     assert context_fields(shared) == context_fields(ClusterContext(*args))
-    extra = {} if state_cap is None else {"state_cap": state_cap}
-    assert schedule_cluster(*args, **extra, facts=facts, steps=steps) == (
-        schedule_cluster(*args, **extra)
-    )
+    assert score_cluster(*args, facts=facts, steps=steps) == score_cluster(*args)
+    assert schedule_cluster(*args, facts=facts, steps=steps) == schedule_cluster(*args)
     return sum(len(row) for row in shared.steps)
 
 
 def test_hospital_calls_share_records_equal_to_cold(hospital_calls):
     built = 0
     for args, kwargs, _ in hospital_calls:
-        built += assert_shared_equals_cold(
-            args, kwargs["facts"], kwargs["steps"], kwargs["state_cap"]
-        )
+        built += assert_shared_equals_cold(args, kwargs["facts"], kwargs["steps"])
     # one memo for the whole search, which built most of its steps once
     memos = {id(kwargs["steps"]): kwargs["steps"] for _, kwargs, _ in hospital_calls}
     (memo,) = memos.values()
     assert 0 < len(memo) < built / 2
+
+
+def test_facts_success_probability_equals_closed_form(hospital_calls):
+    # every scoring call of the run, feasible or not, on its shared facts
+    assert len(hospital_calls) == 123
+    for (v, allocation, cluster, _, _, instances), kwargs, _ in hospital_calls:
+        expected = success_probability(v, allocation, cluster, instances)
+        assert kwargs["facts"].p_success == expected
 
 
 def test_random_clusters_share_records_equal_to_cold():

@@ -1,14 +1,15 @@
-"""The closed-form earliest-start check against the explicit model.
+"""The closed-form earliest-start schedule against the explicit model.
 
-``schedule_cluster`` rejects a cluster before building its model when the
-earliest-start schedule of the cluster's fixed per-robot orders does not
-fit.  These tests hold the check to the model's verdict, and the whole
-``SchedulingResult`` to a reference that always builds and solves the
-full model, on random clusters, on hand-built edge cases and on every
-cluster solved by a default hospital run.  The plan and idle of every
+``score_cluster`` decides a cluster's feasibility and minimum idle from
+the earliest-start schedule of its fixed per-robot orders, without a
+model, and ``schedule_cluster`` adds the plan of the cluster's chain.
+These tests hold the schedule to the model's verdict and idle, and both
+``SchedulingResult`` values to a reference that always builds and solves
+the full model, on random clusters, on hand-built edge cases and on every
+cluster scored by a default hospital run.  The plan and idle of every
 feasible cluster are also held to ``oracles.earliest_start_plan``, which
 simulates the schedule without a model.  Last, the tests guard the two
-preconditions that the check and the failure-lumped model rest on:
+preconditions that the schedule and the failure-lumped model rest on:
 outcome-independent durations and zero-time recovery.
 """
 
@@ -28,8 +29,8 @@ from oracles import earliest_start_plan, min_completion
 import kanoa.scheduling
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation
-from kanoa.mdp import ClusterContext, build_mdp, earliest_start_feasible
-from kanoa.scheduling import schedule_cluster
+from kanoa.mdp import ClusterContext, build_mdp, earliest_start_idle
+from kanoa.scheduling import schedule_cluster, score_cluster
 
 RELAY = """
 world { loc room (0,0) loc dock (4,0) }
@@ -100,7 +101,7 @@ def context(case):
 
 
 def check(case):
-    return earliest_start_feasible(context(case))
+    return earliest_start_idle(context(case)) is not None
 
 
 def chains_fit(case):
@@ -112,9 +113,10 @@ def chains_fit(case):
 
 def verdicts(case):
     """(check verdict, model verdict), after asserting that the whole
-    result equals the reference's."""
+    result, and the score without its plan, equal the reference's."""
     ref = reference_schedule(*case)
     assert schedule_cluster(*case) == ref
+    assert score_cluster(*case) == ref._replace(plan=None)
     return check(case), ref.feasible
 
 
@@ -165,23 +167,30 @@ def test_cross_robot_deadlock(make):
 
 
 def test_model_disagreeing_with_check_raises(monkeypatch):
-    monkeypatch.setattr(
-        kanoa.scheduling, "earliest_start_feasible", lambda *a, **k: True
-    )
-    with pytest.raises(InvariantViolation, match="earliest-start"):
+    # at tt=11 the schedule does not fit, and at tt=12 wiper idles 10
+    assert not score_cluster(*relay_case(tt=11)).feasible
+    assert score_cluster(*relay_case(tt=12)).idle == 10
+    # a schedule claiming that tt=11 fits meets a chain that misses done
+    monkeypatch.setattr(kanoa.scheduling, "earliest_start_idle", lambda ctx: 10)
+    with pytest.raises(InvariantViolation, match="reaches done with probability 0"):
         schedule_cluster(*relay_case(tt=11))
+    # one claiming 9 at tt=12 meets the chain's minimum idle of 10
+    monkeypatch.setattr(kanoa.scheduling, "earliest_start_idle", lambda ctx: 9)
+    with pytest.raises(InvariantViolation, match="idles 9 in its earliest-start"):
+        schedule_cluster(*relay_case(tt=12))
 
 
 # -- every cluster of a default hospital run ------------------------------------
 
 
 def test_hospital_calls_match_reference(hospital_calls):
-    # a rejected call builds no model, and a feasible one solves the
+    # a score builds no model; a feasible schedule solves the
     # failure-lumped model where the reference solves the full one
     rejected = 0
     for args, kwargs, ref in hospital_calls:
         assert check(args) == ref.feasible
-        assert schedule_cluster(*args, **kwargs) == ref
+        assert score_cluster(*args, **kwargs) == ref
+        assert schedule_cluster(*args, **kwargs)._replace(plan=None) == ref
         rejected += not ref.feasible and chains_fit(args)
     assert rejected > len(hospital_calls) / 2
     assert any(ref.feasible for *_, ref in hospital_calls)
@@ -217,10 +226,9 @@ def test_random_clusters_match_plan_oracle(idle_caps):
 
 
 def test_hospital_calls_match_plan_oracle(hospital_calls):
-    # each reference result equals what schedule_cluster returns on that
-    # call (test_hospital_calls_match_reference)
     feasible = sum(
-        matches_plan_oracle(ref, context(args)) for args, _, ref in hospital_calls
+        matches_plan_oracle(schedule_cluster(*args, **kwargs), context(args))
+        for args, kwargs, _ in hospital_calls
     )
     assert feasible > 0
 

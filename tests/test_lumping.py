@@ -1,11 +1,12 @@
-"""The failure-lumped chain that ``schedule_cluster`` solves, against the
-paper's full model that ``--dump-mdp`` writes.
+"""The failure-lumped chain that ``schedule_cluster`` solves for the
+front's plans, against the paper's full model that ``--dump-mdp`` writes.
 
 The chain keeps only the success outcome of every stochastic action and
 only the first action of every state (``build_mdp(ctx, failures=False)``).
 These tests hold it to the full model state by state, on random clusters
-and on every cluster of a default hospital run, and hold whole runs to
-runs whose every scheduling call builds and solves the full model.
+and on every cluster a default hospital run scores, and hold whole runs
+to runs whose every scoring and scheduling call builds and solves the
+full model.
 """
 
 import random
@@ -17,6 +18,7 @@ from helpers import (
     perfbench_mission,
     random_clusters,
     reference_schedule,
+    reference_score,
     with_time_available,
 )
 
@@ -112,9 +114,9 @@ def test_hospital_lumped_models_match_full(hospital_calls):
 @pytest.mark.parametrize("name", ["hospital_0", "hospital_1", "relay", "fleet"])
 def test_run_artifacts_match_full_model_runs(name, tmp_path, monkeypatch, request):
     """pareto.csv, pareto.json and plan_*.json of a real run equal, byte
-    for byte, those of a run whose every scheduling call builds and solves
-    the full model.  For hospital GA seed 0 that run is the session's
-    ``hospital_reference_run``."""
+    for byte, those of a run whose every scoring and scheduling call builds
+    and solves the full model.  For hospital GA seed 0 that run is the
+    session's ``hospital_reference_run``."""
     if name.startswith("hospital"):
         mission = ROOT / "fixtures" / "hospital.kanoa"
         cfg = PipelineConfig(seed=int(name[-1]))
@@ -126,6 +128,7 @@ def test_run_artifacts_match_full_model_runs(name, tmp_path, monkeypatch, reques
     if name == "hospital_0":
         full = request.getfixturevalue("hospital_reference_run")[1]
     else:
+        monkeypatch.setattr(kanoa.optimizer, "score_cluster", reference_score)
         monkeypatch.setattr(kanoa.optimizer, "schedule_cluster", reference_schedule)
         full = tmp_path / "full"
         run(mission, cfg, full)

@@ -186,7 +186,7 @@ def wide_joint_context(robots):
 def test_state_cap_counts_states_up_to_the_fixtures_width(failures):
     # five robots and 16 slots: no wider than the fixtures' widest model,
     # so the cap trips at the state count it names (the full model has 65
-    # states; the search's chain has 7, five travels and the sync apart)
+    # states; the chain has 7, five travels and the sync apart)
     ctx = wide_joint_context(5)
     assert len(ctx.initial_state()) == 16
     states, cap = (65, 10) if failures else (7, 5)
@@ -219,8 +219,8 @@ def test_state_cap_scales_with_model_width():
     # 80 robots: 241 slots and up to 80 choices a state, a width of
     # 76 + 8 * 241 + 271 * 80 = 23,684 B against the fixtures' widest
     # 1,591 B, so a cap of 2,000 admits 2,000 * 1,591 // 23,684 = 134 states.
-    # The full model holds every subset of arrived robots; the search's
-    # chain, 82 states, stays under that limit.
+    # The full model holds every subset of arrived robots; the chain, 82
+    # states, stays under that limit.
     ctx = wide_joint_context(80)
     assert build_mdp(ctx, state_cap=2000, failures=False).n_states == 82
     with pytest.raises(StateExplosion) as info:

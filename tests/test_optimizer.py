@@ -12,7 +12,7 @@ from oracles import (
 import kanoa.optimizer
 from kanoa.allocation import AllocatorConfig, used_robots
 from kanoa.clustering import RobotCluster
-from kanoa.errors import NoFeasibleSolution
+from kanoa.errors import NoFeasibleSolution, StateExplosion
 from kanoa.optimizer import (
     Chromosome,
     EvalResult,
@@ -31,7 +31,7 @@ from kanoa.optimizer import (
 from kanoa.permutations import random_task_permutation, robot_precedence
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
-from kanoa.scheduling import schedule_cluster
+from kanoa.scheduling import schedule_cluster, score_cluster
 
 SMALL = """
 world { loc a (0,0) loc b (4,0) loc c (0,3) }
@@ -72,10 +72,10 @@ def test_single_chromosome_passthrough():
     p = 1.0
     idle = travel = 0
     for orders in _cluster_orders(space, 0, 0):
-        sched = space._schedules[orders]
-        p *= sched.p_success
-        idle += sched.idle
-        travel += sched.travel
+        score = space._scores[orders]
+        p *= score.p_success
+        idle += score.idle
+        travel += score.travel
     assert res.objectives == Objectives(1.0 - p, idle, travel)
 
 
@@ -89,21 +89,12 @@ def test_infeasible_time_budget():
 
 def test_cache_hit_no_reevaluation(monkeypatch):
     space, _ = space_for(SMALL, allocations=2, perms=2)
-    calls = {"n": 0}
-    import kanoa.optimizer as opt
-
-    original = opt.schedule_cluster
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(opt, "schedule_cluster", counting)
+    calls = _count_calls(monkeypatch, "score_cluster")
     cache = {}
     evaluate(space, Chromosome(0, 0), cache)
-    first = calls["n"]
+    first = len(calls)
     evaluate(space, Chromosome(0, 0), cache)
-    assert calls["n"] == first  # memoized
+    assert len(calls) == first > 0  # memoized
 
 
 def test_front_nondominated_and_feasible():
@@ -172,7 +163,8 @@ def test_front_sorted_by_objectives():
 
 def random_feasible_members(rng):
     """0-60 feasible (chromosome, result) pairs over at most 6 objective
-    vectors and 4 plans, so equal vectors and repeated plans are common."""
+    vectors, and each chromosome's plan out of at most 4, so equal vectors
+    and repeated plans are common."""
     vectors = [
         Objectives(rng.choice((0.0, 0.25, 0.5)), rng.randrange(3), rng.randrange(4))
         for _ in range(rng.randint(1, 6))
@@ -180,18 +172,22 @@ def random_feasible_members(rng):
     plans = [
         Plan({"r1": (PlanEvent("idle", 0, k),)}) for k in range(rng.randint(1, 4))
     ]
-    return [
+    plan_of = {Chromosome(a, p): rng.choice(plans) for a in range(4) for p in range(4)}
+    members = [
         (Chromosome(rng.randrange(4), rng.randrange(4)),
-         EvalResult(True, rng.choice(vectors), rng.choice(plans)))
+         EvalResult(True, rng.choice(vectors)))
         for _ in range(rng.randint(0, 60))
     ]
+    return members, plan_of
 
 
-def test_front_matches_member_pair_front_on_random_populations():
+def test_front_matches_member_pair_front_on_random_populations(monkeypatch):
     rng = random.Random("final-front")
     for _ in range(500):
-        members = random_feasible_members(rng)
-        assert [tuple(e) for e in _nondominated(members)] == pairwise_front(members)
+        members, plan_of = random_feasible_members(rng)
+        monkeypatch.setattr(kanoa.optimizer, "_plan", lambda space, ch: plan_of[ch])
+        front = [tuple(e) for e in _nondominated(None, members)]
+        assert front == pairwise_front(members, plan_of.__getitem__)
 
 
 def test_no_feasible_solution_error():
@@ -203,18 +199,19 @@ def test_no_feasible_solution_error():
     assert info.value.infeasible == info.value.evaluated
 
 
-# -- cluster schedules memoized per search space ---------------------------------
+# -- cluster scores memoized per search space; plans for the front only ----------
 
 
-def _count_schedules(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every later call of ``kanoa.optimizer.<name>``."""
     calls = []
-    original = kanoa.optimizer.schedule_cluster
+    original = getattr(kanoa.optimizer, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kanoa.optimizer, "schedule_cluster", counting)
+    monkeypatch.setattr(kanoa.optimizer, name, counting)
     return calls
 
 
@@ -236,48 +233,45 @@ def test_equal_cluster_orders_scheduled_once(monkeypatch, pair, distinct):
     space, _ = space_for(SMALL, allocations=4, perms=3)
     (a1, p1), (a2, p2) = pair
     assert _cluster_orders(space, a1, p1) == _cluster_orders(space, a2, p2)
-    calls = _count_schedules(monkeypatch)
+    calls = _count_calls(monkeypatch, "score_cluster")
     cache = {}
     first = evaluate(space, Chromosome(a1, p1), cache)
     second = evaluate(space, Chromosome(a2, p2), cache)
     assert len(cache) == 2 and first.feasible and second.feasible
-    assert len(calls) == len(space._schedules) == distinct
-    # the second chromosome's plan is made of the first one's cluster results
-    assert all(
-        first.plan.timelines[r] is second.plan.timelines[r]
-        for r in first.plan.timelines
-    )
+    assert len(calls) == len(space._scores) == distinct
+    # the second chromosome is scored from the first one's cluster scores
+    assert first == second
 
 
-def test_state_explosion_not_memoized(monkeypatch):
-    space, _ = space_for(SMALL, allocations=4, perms=3)
+def test_state_cap_bounds_the_front_models_only(monkeypatch):
+    # the search builds no model, so a cap of 1 rejects no chromosome;
+    # the first plan built for the front then exceeds it
+    space, cfg = space_for(SMALL, allocations=4, perms=3)
     space.state_cap = 1
-    calls = _count_schedules(monkeypatch)
+    calls = _count_calls(monkeypatch, "schedule_cluster")
     cache = {}
-    for p in (0, 2):  # equal orders, as in test_equal_cluster_orders_scheduled_once
-        res = evaluate(space, Chromosome(0, p), cache)
-        assert not res.feasible and res.capped
-    assert len(calls) == 2 and space._schedules == {}
+    assert all(evaluate(space, ch, cache).feasible for ch in space.chromosomes())
+    assert not calls
+    with pytest.raises(StateExplosion, match="state cap 1 exceeded"):
+        nsga2_run(space, cfg)
+    assert len(calls) == 1
 
 
 def test_fresh_space_starts_with_empty_memo(monkeypatch):
     space, _ = space_for(SMALL, allocations=4, perms=3)
-    assert space._schedules == {}
-    calls = _count_schedules(monkeypatch)
+    assert space._scores == {}
+    calls = _count_calls(monkeypatch, "score_cluster")
     evaluate(space, Chromosome(1, 0), {})
-    assert len(space._schedules) == len(calls) == 2
+    assert len(space._scores) == len(calls) == 2
     again, _ = space_for(SMALL, allocations=4, perms=3)
-    assert again._schedules == {}
+    assert again._scores == {}
     evaluate(again, Chromosome(1, 0), {})
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("name", ["fleet", "hospital"])
-def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
-    """Every cluster result of every chromosome a whole search evaluated
-    equals a direct ``schedule_cluster`` call on that cluster, up to the
-    first infeasible cluster, and that cluster decides the chromosome's
-    verdict."""
+def _benchmark_space(name, fixtures_dir):
+    """The search space and GA config of a default hospital run, GA seed
+    0, or of sub-instance 0 of a benchmark workload's ``--seed 1``."""
     if name == "hospital":
         text = (fixtures_dir / "hospital.kanoa").read_text(encoding="utf-8")
         run_cfg = PipelineConfig(seed=0)
@@ -288,6 +282,16 @@ def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
         load(text), AllocatorConfig(max_allocations=run_cfg.allocations), cfg,
         state_cap=run_cfg.state_cap,
     )
+    return space, cfg
+
+
+@pytest.mark.parametrize("name", ["fleet", "hospital"])
+def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
+    """Every cluster score of every chromosome a whole search evaluated
+    equals a direct ``score_cluster`` call on that cluster, and
+    ``schedule_cluster`` without its plan, up to the first infeasible
+    cluster, and that cluster decides the chromosome's verdict."""
+    space, cfg = _benchmark_space(name, fixtures_dir)
     caches = []
     original = kanoa.optimizer.evaluate
 
@@ -299,23 +303,49 @@ def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
     monkeypatch.setattr(kanoa.optimizer, "evaluate", capturing)
     nsga2_run(space, cfg)
     (cache,) = caches
-    assert len(space._schedules) > 0
+    assert len(space._scores) > 0
     results = 0
     for (a, p), res in cache.items():
         allocation = space.allocations[a]
         feasible = True
         for cluster, orders in zip(space.clusters[a], _cluster_orders(space, a, p)):
-            direct = schedule_cluster(
-                space.v, allocation, cluster, dict(orders),
-                space.pairs, space.instances, state_cap=space.state_cap,
+            args = (
+                space.v, allocation, cluster, dict(orders), space.pairs, space.instances
             )
-            assert space._schedules[orders] == direct, (a, p, sorted(cluster.robots))
+            direct = score_cluster(*args)
+            assert space._scores[orders] == direct, (a, p, sorted(cluster.robots))
+            assert schedule_cluster(*args)._replace(plan=None) == direct
             results += 1
             if not direct.feasible:
                 feasible = False
                 break
         assert res.feasible == feasible, (a, p)
     assert results > len(cache)
+
+
+@pytest.mark.parametrize("name", ["hospital", "relay", "fleet"])
+def test_plans_built_for_front_candidates_only(name, fixtures_dir, monkeypatch):
+    """A search schedules each cluster of each distinct chromosome whose
+    objectives no member of the final population dominates, once, and
+    nothing else."""
+    space, cfg = _benchmark_space(name, fixtures_dir)
+    finals = []
+    original = kanoa.optimizer._nondominated
+
+    def capturing(space, feasible):
+        finals.append(feasible)
+        return original(space, feasible)
+
+    monkeypatch.setattr(kanoa.optimizer, "_nondominated", capturing)
+    calls = _count_calls(monkeypatch, "schedule_cluster")
+    front = nsga2_run(space, cfg)
+    (feasible,) = finals
+    candidates = {
+        ch for ch, res in feasible
+        if not any(dominates(o.objectives, res.objectives) for _, o in feasible)
+    }
+    assert len(calls) == sum(len(space.clusters[ch.alloc_idx]) for ch in candidates)
+    assert 0 < len(front.entries) <= len(candidates) < len(feasible)
 
 
 # -- permutation pools drawn on first use ---------------------------------------

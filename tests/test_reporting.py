@@ -303,22 +303,22 @@ def test_cli_infeasible_exit_two(fixtures_dir, tmp_path, capsys):
     assert err == "no feasible plan: no feasible chromosome among 20 evaluated (20 infeasible)\n"
 
 
-def test_cli_state_cap_exit_two_names_the_cap(fixtures_dir, tmp_path, capsys):
-    # the search's failure-lumped model of minimal.kanoa has 2 states
+def test_cli_state_cap_exit_one_names_the_cap(fixtures_dir, tmp_path, capsys):
+    # the search builds no model; the failure-lumped chain built for the
+    # front's plan of minimal.kanoa has 2 states
     code = cli_main([
         "plan", "--input", str(fixtures_dir / "minimal.kanoa"),
         "--out", str(tmp_path), "--state-cap", "1",
     ])
-    assert code == 2
+    assert code == 1
     assert capsys.readouterr().err == (
-        "no feasible plan: no feasible chromosome among 20 evaluated "
-        "(20 infeasible; 20 exceeded the state cap of 1)\n"
+        "error: state cap 1 exceeded for cluster of 1 robots\n"
     )
 
 
 def test_cli_dump_over_state_cap_exit_one(fixtures_dir, tmp_path, capsys):
-    # the search fits its 2-state models under the cap, but --dump-mdp
-    # writes the full model, which has 4
+    # the front's 2-state chains fit under the cap, but --dump-mdp writes
+    # the full model, which has 4
     code = cli_main([
         "plan", "--input", str(fixtures_dir / "minimal.kanoa"),
         "--out", str(tmp_path), "--state-cap", "3", "--dump-mdp",
@@ -779,7 +779,7 @@ def test_cli_allocation_limit_counts_feasible_allocations(fixtures_dir, tmp_path
 
 
 def test_cli_wide_cluster_trips_state_cap_quickly(tmp_path):
-    # one task for 80 robots at once.  The search's chain has 82 states, so
+    # one task for 80 robots at once.  The front's chain has 82 states, so
     # the run plans; the full model that --dump-mdp writes holds every
     # subset of arrived robots, 241 slots and up to 80 choices a state.
     # Counting plain states, it ran out of a 2 GB address-space limit
