@@ -35,7 +35,6 @@ from .optimizer import (
     ParetoFront,
     SearchSpace,
     brute_force_front,
-    dominates,
     evaluate,
     nsga2_run,
     prepare_search,

@@ -610,8 +610,8 @@ def build_mdp(
                     tid = len(states)
                     if tid >= limit:
                         raise StateExplosion(
-                            f"state cap {state_cap} exceeded for cluster of "
-                            f"{ctx.nrobots} robots",
+                            f"state cap {state_cap} exceeded for cluster "
+                            f"{{{','.join(ctx.robots)}}}",
                             cluster_size=ctx.nrobots,
                             state_count=tid + 1,
                         )

@@ -43,13 +43,11 @@ from .taskgraph import (
 CROSSOVER_RATE = 0.9  # chance that a selected pair swaps genes
 MUTATION_RATE = 0.2  # chance that an offspring redraws one gene
 
-# Largest population a search may hold.  Each member costs about 730 B of
-# search bookkeeping (tracemalloc, one generation on minimal.kanoa and on
-# hospital.kanoa at 100,000 members): the population and its offspring,
-# their results, ranks and crowding distances.  At this limit one
-# generation of either peaked at 88 MB resident; a population of 100
-# million ran out of a 768 MB address-space limit while drawing its first
-# members.  See docs/formats.md.
+# Largest population a search may hold (measured in docs/formats.md).  At
+# this limit one generation of minimal.kanoa or hospital.kanoa peaked at
+# 88 MB resident.  A fleet mission holds nearly one objective vector per
+# member: one generation of it at 10,000 members took 6.5 s and 83 MB
+# resident; 100,000 was not run there.
 MAX_POPULATION = 100_000
 
 
@@ -66,11 +64,6 @@ class Objectives(NamedTuple):
     def as_tuple(self) -> Objectives:
         """The record itself, which is already a tuple."""
         return self
-
-
-def dominates(a: Objectives, b: Objectives) -> bool:
-    """Pareto dominance: no worse everywhere, strictly better somewhere."""
-    return all(x <= y for x, y in zip(a, b)) and a != b
 
 
 class GaConfig:
@@ -263,51 +256,55 @@ def evaluate(
 # -- NSGA-II machinery -------------------------------------------------------
 
 
+def _key_fronts(vectors) -> list[list[Objectives]]:
+    """The nondominated fronts of distinct objective vectors (efficient
+    nondominated sort with sequential search, Zhang et al. 2015).
+
+    In lexicographic order a vector follows all that dominate it, and it
+    joins the first front that holds none.  An earlier vector dominates it
+    when no worse in idle and travel.  Each front is searched from its
+    latest vector, the nearest in order and the likeliest dominator.
+    """
+    fronts: list[list[Objectives]] = []
+    for b in sorted(vectors):
+        _, b1, b2 = b
+        for front in fronts:
+            if not any(a1 <= b1 and a2 <= b2 for _, a1, a2 in reversed(front)):
+                front.append(b)
+                break
+        else:
+            fronts.append([b])
+    return fronts
+
+
 def fast_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
     """Deb's nondominated sort under constrained domination.
 
-    Members with equal objectives dominate, and are dominated by, the same
-    members, so dominance is decided once per pair of distinct keys: the
-    objective tuple of a feasible member, or None, which every feasible
-    key dominates, for an infeasible one.  A key's domination count is
-    the number of members, not keys, that dominate it.  The fronts list
-    members in the order of Deb's member-by-member peeling: front 0 in
-    ascending index order; each later front in the order its members'
-    counts reach zero while the previous front is walked, ascending index
-    among members that the same member releases.
+    The fronts of feasible members are those of their distinct objectives
+    (:func:`_key_fronts`); infeasible members come last.  Each front lists
+    its members in the order of Deb's member-by-member peeling, by which
+    crowding distance breaks ties: front 0 by index; a later member by the
+    position of the last member of the previous front that dominates it,
+    then by index.
     """
     members: dict[Objectives | None, list[int]] = {}
-    key_of = []
     for i, r in enumerate(results):
-        key = r.objectives if r.feasible else None
-        members.setdefault(key, []).append(i)
-        key_of.append(key)
-    beats: dict[Objectives | None, list] = {key: [] for key in members}
-    count = dict.fromkeys(members, 0)
-    feasible = [key for key in members if key is not None]
-    for a in feasible:
-        a0, a1, a2 = a
-        weight = len(members[a])
-        for b in feasible:
-            if a0 <= b[0] and a1 <= b[1] and a2 <= b[2] and b is not a:
-                beats[a].append(b)
-                count[b] += weight
-        if None in members:
-            beats[a].append(None)
-            count[None] += weight
-
+        members.setdefault(r.objectives if r.feasible else None, []).append(i)
+    infeasible = members.pop(None, [])
     fronts: list[list[int]] = []
-    front = sorted(i for key, idx in members.items() if not count[key] for i in idx)
-    while front:
+    last: dict[Objectives, int] = {}  # vector -> last position in the previous front
+    for keys in _key_fronts(members):
+        latest = sorted(last.items(), key=lambda e: -e[1])
+        released = []
+        for b in keys:
+            at = next((pos for a, pos in latest
+                       if a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]), 0)
+            released += [(at, i) for i in members[b]]
+        front = [i for _, i in sorted(released)]
+        last = {results[i].objectives: pos for pos, i in enumerate(front)}
         fronts.append(front)
-        front = []
-        for p in fronts[-1]:
-            released = []
-            for b in beats[key_of[p]]:
-                count[b] -= 1
-                if not count[b]:
-                    released += members[b]
-            front += sorted(released)
+    if infeasible:
+        fronts.append(infeasible)
     return fronts
 
 
@@ -482,16 +479,15 @@ def _nondominated(space: SearchSpace, feasible) -> list[ParetoEntry]:
     """The nondominated (chromosome, result) pairs of a feasible list, as
     entries sorted by objectives, then chromosome, with one entry per plan.
 
-    Dominance is decided once per distinct objective vector, since members
-    with equal vectors are dominated by the same members.  Each distinct
-    candidate chromosome gets its plan from :func:`_plan`; a model over
-    the space's state cap raises :class:`StateExplosion`.  Distinct
-    chromosomes often give every robot the same order, since pool entries
-    repeat orders, and so the same plan; only the first in that order is
-    kept.
+    The nondominated vectors are the first front of :func:`_key_fronts`.
+    Each distinct candidate chromosome gets its plan from :func:`_plan`; a
+    model over the space's state cap raises :class:`StateExplosion`.
+    Distinct chromosomes often give every robot the same order, since pool
+    entries repeat orders, and so the same plan; only the first in that
+    order is kept.
     """
-    vectors = {res.objectives for _, res in feasible}
-    kept = {o for o in vectors if not any(dominates(p, o) for p in vectors)}
+    fronts = _key_fronts({res.objectives for _, res in feasible})
+    kept = set(fronts[0]) if fronts else set()
     front = sorted({(res.objectives, ch) for ch, res in feasible if res.objectives in kept})
     seen = set()
     entries = []

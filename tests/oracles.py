@@ -13,8 +13,9 @@ here compute the same results the slow, obvious way:
   of its fixed per-robot orders instead of building and solving a model;
 * a permutation pool entry, by sorting every ready task afresh at each
   step of the draw;
-* NSGA-II's nondominated fronts, by comparing every pair of population
-  members instead of every pair of distinct objective vectors;
+* Pareto dominance, and NSGA-II's nondominated fronts, by comparing every
+  pair of population members instead of sorting distinct objective
+  vectors;
 * the solver's reach and minimum-reward queries, by the two-pass method
   written out separately: Kahn's algorithm on an explicit queue, then
   backward sweeps in which every choice looks its reward up by name;
@@ -34,7 +35,7 @@ from kanoa.allocation import eligible_robots, used_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
 from kanoa.errors import InvariantViolation, UndefinedReward
 from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
-from kanoa.optimizer import EvalResult, dominates
+from kanoa.optimizer import EvalResult, Objectives
 from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
 from kanoa.taskgraph import TaskInstance
@@ -212,6 +213,11 @@ def earliest_start_plan(ctx: ClusterContext) -> tuple[Plan, int] | None:
         return None
     plan = Plan({rid: tuple(events[r]) for r, rid in enumerate(ctx.robots)})
     return plan, sum(idle)
+
+
+def dominates(a: Objectives, b: Objectives) -> bool:
+    """Pareto dominance: no worse everywhere, strictly better somewhere."""
+    return all(x <= y for x, y in zip(a, b)) and a != b
 
 
 def _constrained_dominates(a: EvalResult, b: EvalResult) -> bool:

@@ -23,6 +23,7 @@ from oracles import (
     brute_force_allocations,
     closure_by_multiplication,
     clusters,
+    dominates,
     relation_matrix,
     transitive_closure,
 )
@@ -38,7 +39,6 @@ from kanoa.mdp import build_mdp
 from kanoa.optimizer import (
     GaConfig,
     brute_force_front,
-    dominates,
     evaluate,
     nsga2_run,
     prepare_search,

@@ -226,7 +226,8 @@ def test_state_cap_scales_with_model_width():
     with pytest.raises(StateExplosion) as info:
         build_mdp(ctx, state_cap=2000)
     assert (info.value.cluster_size, info.value.state_count) == (80, 135)
-    assert str(info.value) == "state cap 2000 exceeded for cluster of 80 robots"
+    robots = ",".join(sorted(f"r{i}" for i in range(80)))
+    assert str(info.value) == f"state cap 2000 exceeded for cluster {{{robots}}}"
 
 
 def test_undefined_reward_when_unreachable():

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from helpers import load, perfbench_mission, random_problem_text
 from oracles import (
+    dominates,
     pairwise_front,
     pairwise_nondominated_sort,
     reference_task_permutation,
@@ -20,7 +21,6 @@ from kanoa.optimizer import (
     Objectives,
     brute_force_front,
     crowding_distance,
-    dominates,
     evaluate,
     fast_nondominated_sort,
     _initial_population,
@@ -185,6 +185,33 @@ def test_front_matches_member_pair_front_on_random_populations(monkeypatch):
     rng = random.Random("final-front")
     for _ in range(500):
         members, plan_of = random_feasible_members(rng)
+        monkeypatch.setattr(kanoa.optimizer, "_plan", lambda space, ch: plan_of[ch])
+        front = [tuple(e) for e in _nondominated(None, members)]
+        assert front == pairwise_front(members, plan_of.__getitem__)
+
+
+def many_vectors(rng):
+    """1-100 objective vectors over 6 failure probabilities and 12 idle
+    and travel values each: few repeat, but many tie in one objective."""
+    return [
+        Objectives(rng.choice((0.0, 0.1, 0.25, 0.3, 0.5, 0.75)),
+                   rng.randrange(12), rng.randrange(12))
+        for _ in range(rng.randint(1, 100))
+    ]
+
+
+def test_front_matches_member_pair_front_on_many_vector_populations(monkeypatch):
+    rng = random.Random("final-front-many")
+    for _ in range(100):
+        vectors = many_vectors(rng)
+        plans = [Plan({"r1": (PlanEvent("idle", 0, k),)}) for k in range(4)]
+        plan_of = {Chromosome(a, p): rng.choice(plans)
+                   for a in range(12) for p in range(12)}
+        members = [
+            (Chromosome(rng.randrange(12), rng.randrange(12)),
+             EvalResult(True, rng.choice(vectors)))
+            for _ in range(rng.randint(1, 150))
+        ]
         monkeypatch.setattr(kanoa.optimizer, "_plan", lambda space, ch: plan_of[ch])
         front = [tuple(e) for e in _nondominated(None, members)]
         assert front == pairwise_front(members, plan_of.__getitem__)
@@ -519,6 +546,39 @@ def test_sort_matches_pairwise_oracle_on_random_populations():
     for _ in range(2000):
         rs = random_population(rng)
         assert fast_nondominated_sort(rs) == pairwise_nondominated_sort(rs)
+
+
+def test_sort_matches_pairwise_oracle_on_many_vector_populations():
+    # up to 150 members over up to 100 vectors, about 10% infeasible: many
+    # fronts hold several vectors, released by different members
+    rng = random.Random("nondominated-sort-many")
+    for _ in range(100):
+        vectors = many_vectors(rng)
+        rs = [
+            infeasible() if rng.random() < 0.1 else scored(*rng.choice(vectors))
+            for _ in range(rng.randint(1, 150))
+        ]
+        assert fast_nondominated_sort(rs) == pairwise_nondominated_sort(rs)
+
+
+def test_sort_memory_stays_linear_in_distinct_vectors():
+    # 4,000 members over about 3,000 distinct vectors, as a fleet mission's
+    # population holds nearly one vector per member.  A sort that keeps,
+    # for every vector, the vectors it dominates peaks near 11 MB here;
+    # the sort holds little more than its fronts, about 0.6 MB.
+    rng = random.Random("nondominated-sort-memory")
+    vectors = [scored(rng.randrange(1000) / 1000, rng.randrange(1000), rng.randrange(1000))
+               for _ in range(3000)]
+    rs = vectors + [rng.choice(vectors) for _ in range(1000)]
+    rng.shuffle(rs)
+    tracemalloc.start()
+    try:
+        fronts = fast_nondominated_sort(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(i for front in fronts for i in front) == list(range(len(rs)))
+    assert peak < 2 * 1024 * 1024, peak
 
 
 @pytest.mark.parametrize("rs", [

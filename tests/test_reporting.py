@@ -312,7 +312,7 @@ def test_cli_state_cap_exit_one_names_the_cap(fixtures_dir, tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: state cap 1 exceeded for cluster of 1 robots\n"
+        "error: state cap 1 exceeded for cluster {r1}\n"
     )
 
 
