@@ -68,12 +68,15 @@ other actions are never built.  Each task step of a robot takes one task
 or travel action and at most one idle, and each joint instance one sync,
 so the chain has at most 1 + 2 * (task steps) + (joint instances) states.
 
-:func:`earliest_start_idle` answers the ``done`` reachability query and
-the minimum-idle query in closed form, without building the model; the
-search scores every cluster with it.
+:func:`kanoa.scheduling.earliest_start` answers the ``done`` reachability
+query and the minimum-idle query in closed form, from the cluster's
+facts, its per-robot orders and a :class:`Hops` memo, without a context
+or a model; the search scores every cluster with it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .clustering import RobotCluster
 from .errors import InvariantViolation, StateExplosion
@@ -155,29 +158,45 @@ class Mdp:
         return self.labels.get(name, frozenset())
 
 
-class _Step:
+class _Step(NamedTuple):
     """One task of a robot's fixed order: where, how long, and what it awaits."""
 
-    __slots__ = (
-        "instance", "location", "hop_from", "hop_dist", "travel_time", "duration",
-        "success_prob", "joint", "participants", "pred_tracked", "tracked_idx",
-    )
+    instance: str
+    location: str
+    hop_from: str
+    hop_dist: int
+    travel_time: int
+    duration: int
+    success_prob: float
+    joint: bool
+    participants: tuple[str, ...]
+    pred_tracked: tuple[int, ...]
+    tracked_idx: int
 
-    def __init__(
-        self, instance, location, hop_from, hop_dist, travel_time, duration,
-        success_prob, joint, participants, pred_tracked, tracked_idx,
-    ):
-        self.instance = instance
-        self.location = location
-        self.hop_from = hop_from
-        self.hop_dist = hop_dist
-        self.travel_time = travel_time
-        self.duration = duration
-        self.success_prob = success_prob
-        self.joint = joint
-        self.participants = participants
-        self.pred_tracked = pred_tracked
-        self.tracked_idx = tracked_idx
+
+class Hops(dict):
+    """A search's memo of hops, keyed ``(robot, origin location,
+    instance)``: the instance's location, the hop distance, the robot's
+    travel time over it and the robot's own execution time of the
+    instance.  Within one problem and one set of instances, equal keys
+    give equal hops; a missing hop is computed on lookup and kept."""
+
+    __slots__ = ("v", "instances")
+
+    def __init__(self, v: ValidatedProblem, instances: dict[str, TaskInstance]):
+        super().__init__()
+        self.v = v
+        self.instances = instances
+
+    def __missing__(self, key):
+        rid, here, inst_id = key
+        robot, inst = self.v.robot(rid), self.instances[inst_id]
+        hop = self[key] = (
+            inst.location, self.v.distance(here, inst.location),
+            self.v.travel_time(robot, here, inst.location),
+            robot.capability_for(inst.type_id).required_time,
+        )
+        return hop
 
 
 def success_probability(
@@ -206,8 +225,8 @@ class ClusterFacts:
     ``duration`` is the joint execution time, the slowest participant's,
     and None for a one-robot instance."""
 
-    __slots__ = ("tt", "robots", "robot_index", "idle_caps", "tracked", "p_success",
-                 "instances")
+    __slots__ = ("tt", "robots", "starts", "robot_index", "idle_caps", "tracked",
+                 "p_success", "instances")
 
     def __init__(
         self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
@@ -216,6 +235,7 @@ class ClusterFacts:
     ):
         self.tt = tt = v.time_available
         self.robots = tuple(sorted(cluster.robots))
+        self.starts = tuple(v.robot(r).initial_loc for r in self.robots)
         self.robot_index = {r: i for i, r in enumerate(self.robots)}
         self.idle_caps = [
             tt if (cap := v.max_idle(r)) is None else cap for r in self.robots
@@ -259,78 +279,51 @@ class ClusterFacts:
             )
 
 
-def _make_step(v, rid, here, inst, participants, duration, pred_tracked, tracked_idx):
-    robot = v.robot(rid)
-    cap = robot.capability_for(inst.type_id)
-    return _Step(
-        instance=inst.instance_id,
-        location=inst.location,
-        hop_from=here,
-        hop_dist=v.distance(here, inst.location),
-        travel_time=v.travel_time(robot, here, inst.location),
-        duration=cap.required_time if duration is None else duration,
-        success_prob=cap.success_prob,
-        joint=duration is not None,
-        participants=participants,
-        pred_tracked=pred_tracked,
-        tracked_idx=tracked_idx,
-    )
-
-
 class ClusterContext:
-    """Static data shared by every state of one cluster model: the cluster's
-    :class:`ClusterFacts` and its robots' steps in their fixed task orders
-    under ``permutation``.
-
-    A search passes the facts of the allocation's cluster and its memo of
-    steps, ``steps``, shared by every context of the search.  A step is
-    keyed on every input it is built from: ``(robot, hop origin, instance,
-    participants, pred_tracked, tracked_idx)``; within one problem and one
-    set of instances, equal keys give equal steps.  Without them the
-    context builds its own facts and an empty memo.
-    """
+    """The model's view of one (allocation, cluster, permutation): the
+    cluster's :class:`ClusterFacts`, its robots' steps in their fixed task
+    orders, read from a :class:`Hops` memo, and the state layout of
+    :func:`build_mdp`.  A search passes its facts and memo; without them
+    the context builds its own.  Only the front's plans and ``--dump-mdp``
+    build a context."""
 
     def __init__(
         self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
         cluster: RobotCluster, permutation: dict[str, tuple[str, ...]],
         pairs: list[PrecedencePair], instances: dict[str, TaskInstance],
-        *, facts: ClusterFacts | None = None,
-        steps: dict[tuple, _Step] | None = None,
+        *, facts: ClusterFacts | None = None, hops: Hops | None = None,
     ):
         if facts is None:
             facts = ClusterFacts(v, allocation, cluster, pairs, instances)
-        if steps is None:
-            steps = {}
+        if hops is None:
+            hops = Hops(v, instances)
         self.tt = facts.tt
         self.robots = facts.robots
         self.robot_index = facts.robot_index
         self.idle_caps = facts.idle_caps
         self.tracked = facts.tracked
-        self.p_success = facts.p_success
-        per_instance = facts.instances
 
         self.steps: list[list[_Step]] = []
         self.cum: list[list[int]] = []
         # joint instances: participant -> (robot index, step position)
         self.joint_positions: dict[str, list[tuple[int, int]]] = {}
-        for ri, rid in enumerate(self.robots):
-            here = v.robot(rid).initial_loc
+        for ri, (rid, here) in enumerate(zip(self.robots, facts.starts)):
             row: list[_Step] = []
             cum = [0]
             for k, inst_id in enumerate(permutation[rid]):
-                pred_tracked, tracked_idx, participants, duration = per_instance[inst_id]
-                key = (rid, here, inst_id, participants, pred_tracked, tracked_idx)
-                step = steps.get(key)
-                if step is None:
-                    step = steps[key] = _make_step(
-                        v, rid, here, instances[inst_id], participants, duration,
-                        pred_tracked, tracked_idx,
-                    )
+                pred_tracked, tracked_idx, participants, duration = facts.instances[inst_id]
+                location, hop_dist, travel_time, own = hops[rid, here, inst_id]
+                cap = v.robot(rid).capability_for(instances[inst_id].type_id)
+                step = _Step(
+                    inst_id, location, here, hop_dist, travel_time,
+                    own if duration is None else duration, cap.success_prob,
+                    duration is not None, participants, pred_tracked, tracked_idx,
+                )
                 row.append(step)
-                cum.append(cum[-1] + step.travel_time + step.duration)
+                cum.append(cum[-1] + travel_time + step.duration)
                 if duration is not None:
                     self.joint_positions.setdefault(inst_id, []).append((ri, k))
-                here = step.location
+                here = location
             self.steps.append(row)
             self.cum.append(cum)
 
@@ -347,9 +340,7 @@ class ClusterContext:
         return state[_SLOTS * i + 2]
 
     def is_done(self, state: tuple) -> bool:
-        return all(
-            state[_SLOTS * i] == len(self.steps[i]) for i in range(self.nrobots)
-        )
+        return all(state[_SLOTS * i] == len(row) for i, row in enumerate(self.steps))
 
     def ever_failed(self, state: tuple) -> bool:
         return bool(state[self.fail_slot])
@@ -510,73 +501,6 @@ def _enumerate_choices(ctx: ClusterContext, state: tuple, failures: bool):
         yield Choice(branches, kind="sync", step=step0)
 
 
-def earliest_start_idle(ctx: ClusterContext) -> int | None:
-    """The cluster's minimum total idle, or None when its model does not
-    reach ``done``; builds no model.
-
-    Exact under two preconditions of the model above: a task takes the
-    same time whether it succeeds or fails (outcome-independent
-    durations), and recovery takes no time (zero-time recovery).  Then no
-    robot clock depends on an outcome, the maximal reach probability is 0
-    or 1, and the model reaches ``done`` exactly when the earliest-start
-    schedule of the fixed per-robot orders completes (critical-path
-    scheduling over a simple temporal network, Kelley & Walker 1959).  By
-    confluence every completing path of the chain waits the same, so that
-    schedule's idle total is the chain's minimum idle.  Timing follows
-    :func:`_enumerate_choices`: a solo step departs at the later of its
-    robot's clock and its tracked predecessors' completions; a joint step's
-    participants travel first and the shared execution starts at the
-    latest arrival or tracked-predecessor completion.  The schedule fails
-    when it deadlocks, when a step ends after the budget, or when a
-    robot's total wait exceeds its idle cap.  Retries, or durations that
-    depend on the outcome, would make this check inexact.
-    """
-    tt, caps = ctx.tt, ctx.idle_caps
-    clock = [0] * ctx.nrobots
-    idle = [0] * ctx.nrobots
-    pos = [0] * ctx.nrobots
-    done: dict[int, int] = {}  # tracked index -> completion time
-    progress = True
-    while progress:
-        progress = False
-        for i, row in enumerate(ctx.steps):
-            # advance robot i as far as it can; earliest starts do not
-            # depend on the order in which they are computed
-            while pos[i] < len(row):
-                step = row[pos[i]]
-                ready = 0
-                if step.pred_tracked:
-                    if any(t not in done for t in step.pred_tracked):
-                        break
-                    ready = max(done[t] for t in step.pred_tracked)
-                if step.joint:
-                    members = ctx.joint_positions[step.instance]
-                    if any(pos[r] != k for r, k in members):
-                        break
-                    arrive = [clock[r] + ctx.steps[r][k].travel_time for r, k in members]
-                    start = max(ready, *arrive)
-                    end = start + step.duration
-                    for (r, _), a in zip(members, arrive):
-                        idle[r] += start - a
-                    if end > tt or any(idle[r] > caps[r] for r, _ in members):
-                        return None
-                    for r, _ in members:
-                        clock[r] = end
-                        pos[r] += 1
-                else:
-                    start = max(ready, clock[i])
-                    end = start + step.travel_time + step.duration
-                    idle[i] += start - clock[i]
-                    if end > tt or idle[i] > caps[i]:
-                        return None
-                    clock[i] = end
-                    pos[i] += 1
-                if step.tracked_idx >= 0:
-                    done[step.tracked_idx] = end
-                progress = True
-    return sum(idle) if all(p == len(row) for p, row in zip(pos, ctx.steps)) else None
-
-
 def build_mdp(
     ctx: ClusterContext, state_cap: int = DEFAULT_STATE_CAP, *, failures: bool = True
 ) -> Mdp:
@@ -631,10 +555,4 @@ def build_mdp(
     labels = {"done": done_ids}
     if failures:
         labels["success"] = [i for i in done_ids if not ctx.ever_failed(states[i])]
-    return Mdp(
-        states=states,
-        choices=raw_choices,
-        labels=labels,
-        initial=0,
-        context=ctx,
-    )
+    return Mdp(states, raw_choices, labels, initial=0, context=ctx)

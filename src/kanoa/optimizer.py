@@ -16,7 +16,7 @@ score, keyed on the cluster's per-robot task orders.  Distinct
 chromosomes often give a cluster the same orders: a robot with few tasks
 has few orders to draw, and allocations that differ only in other robots'
 tasks share the cluster.  Such a cluster is scored once per search.  What
-an allocation fixes for its clusters, and each robot's steps, are built
+an allocation fixes for its clusters, and each robot's hops, are built
 once per search too, and shared by every score and plan that needs them.
 """
 
@@ -28,8 +28,8 @@ from typing import NamedTuple
 from .allocation import AllocatorConfig, enumerate_allocations, used_robots
 from .clustering import RobotCluster, cluster_robots
 from .errors import NoFeasibleSolution
-from .mdp import DEFAULT_STATE_CAP, ClusterFacts
-from .permutations import random_task_permutation, robot_precedence
+from .mdp import DEFAULT_STATE_CAP, ClusterFacts, Hops
+from .permutations import draw_state, random_task_permutation, robot_precedence
 from .plans import Plan
 from .problem import ValidatedProblem
 from .scheduling import SchedulingResult, schedule_cluster, score_cluster
@@ -109,15 +109,15 @@ class SearchSpace:
     Equal keys therefore give equal results, feasible or not.
 
     ``_facts`` keeps the :class:`ClusterFacts` of each (allocation index,
-    cluster index) and ``_steps`` the steps memo of the whole search; both
-    are passed to :func:`score_cluster` and :func:`schedule_cluster`,
-    which build their :class:`ClusterContext` from them.  ``state_cap``
-    bounds the models that :func:`schedule_cluster` builds for the front.
+    cluster index) and ``_hops`` the search's one :class:`Hops` memo.  A
+    score reads both in :func:`earliest_start`, with no context;
+    :func:`schedule_cluster` builds the front's :class:`ClusterContext`
+    from them, under ``state_cap``.
     """
 
     __slots__ = (
         "v", "instances", "pairs", "allocations", "clusters", "pool_size", "seed",
-        "state_cap", "_precedence", "_drawn", "_scores", "_facts", "_steps",
+        "state_cap", "_draws", "_robots", "_drawn", "_scores", "_facts", "_hops",
     )
 
     def __init__(
@@ -139,19 +139,16 @@ class SearchSpace:
         self.pool_size = pool_size
         self.seed = seed
         self.state_cap = state_cap
-        # allocation index -> robot_precedence of its whole robot set
-        self._precedence: dict[int, list] = {}
+        # allocation index -> draw_state of its whole robot set, and the
+        # sorted robots of each of its clusters
+        self._draws: dict[int, list] = {}
+        self._robots: dict[int, list[tuple[str, ...]]] = {}
         self._drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = {}
         self._scores: dict[tuple, SchedulingResult] = {}
-        # (allocation index, cluster index) -> ClusterFacts, and the steps
-        # memo of every ClusterContext of the search; both fill on first
-        # use.  Held after a search of the benchmark's fleet sub-instance 0
-        # of --seed 11 (tracemalloc): 279 facts records of one robot and
-        # about three tasks, 0.9 KB each, and 2,077 memo entries, 280 B
-        # each with their steps, 0.84 MB in all.  Hospital's five-robot
-        # records hold about 2.8 KB each.
+        # (allocation index, cluster index) -> ClusterFacts, and the hop
+        # memo of the search; both fill on first use.
         self._facts: dict[tuple[int, int], ClusterFacts] = {}
-        self._steps: dict[tuple, object] = {}
+        self._hops = Hops(v, instances)
 
     def chromosomes(self):
         for a in range(len(self.allocations)):
@@ -173,19 +170,21 @@ class SearchSpace:
         """Pool entry ``p`` of allocation ``a``, drawn on first request and
         kept.  Each entry has its own seed, ``f"{seed}:{a}:{p}"``, so it
         does not depend on which entries were drawn before it.  The
-        allocation's precedence structure is computed for its first entry
-        and shared by the rest."""
+        allocation's :func:`draw_state` and its clusters' sorted robots are
+        computed for its first entry and shared by the rest."""
         drawn = self._drawn.get((a, p))
         if drawn is None:
             if not (0 <= a < len(self.allocations) and 0 <= p < self.pool_size):
                 raise IndexError(f"no pool entry ({a}, {p})")
-            precedence = self._precedence.get(a)
-            if precedence is None:
+            state = self._draws.get(a)
+            if state is None:
                 allocation = self.allocations[a]
                 whole = RobotCluster(used_robots(allocation), frozenset(allocation))
-                precedence = robot_precedence(allocation, whole, self.pairs)
-                self._precedence[a] = precedence
-            drawn = random_task_permutation(precedence, seed=f"{self.seed}:{a}:{p}")
+                state = self._draws[a] = draw_state(
+                    robot_precedence(allocation, whole, self.pairs)
+                )
+                self._robots[a] = [tuple(sorted(c.robots)) for c in self.clusters[a]]
+            drawn = random_task_permutation(state, seed=f"{self.seed}:{a}:{p}")
             self._drawn[(a, p)] = drawn
         return drawn
 
@@ -231,17 +230,17 @@ def evaluate(
     if hit is not None:
         return hit
 
-    allocation = space.allocations[ch.alloc_idx]
+    a = ch.alloc_idx
     permutation = space.permutation(*ch)
     p_success, idle, travel = 1.0, 0, 0
-    for ci, cluster in enumerate(space.clusters[ch.alloc_idx]):
-        orders = tuple((r, permutation[r]) for r in sorted(cluster.robots))
+    for ci, robots in enumerate(space._robots[a]):
+        orders = tuple([(r, permutation[r]) for r in robots])
         score = space._scores.get(orders)
         if score is None:
             score = space._scores[orders] = score_cluster(
-                space.v, allocation, cluster, dict(orders), space.pairs,
-                space.instances, facts=space.facts(ch.alloc_idx, ci),
-                steps=space._steps,
+                space.v, space.allocations[a], space.clusters[a][ci], permutation,
+                space.pairs, space.instances, facts=space.facts(a, ci),
+                hops=space._hops,
             )
         if not score.feasible:
             result = cache[ch] = EvalResult(False)
@@ -467,10 +466,9 @@ def _plan(space: SearchSpace, ch: Chromosome) -> Plan:
     timelines: dict[str, tuple] = {}
     for ci, cluster in enumerate(space.clusters[a]):
         timelines.update(schedule_cluster(
-            space.v, space.allocations[a], cluster,
-            {r: permutation[r] for r in sorted(cluster.robots)}, space.pairs,
+            space.v, space.allocations[a], cluster, permutation, space.pairs,
             space.instances, state_cap=space.state_cap,
-            facts=space.facts(a, ci), steps=space._steps,
+            facts=space.facts(a, ci), hops=space._hops,
         ).plan.timelines)
     return Plan(timelines)
 

@@ -55,31 +55,43 @@ def robot_precedence(
     return per_robot
 
 
-def random_task_permutation(
-    precedence: list[tuple[str, dict[str, frozenset[str]]]], seed
-) -> dict[str, tuple[str, ...]]:
+def draw_state(precedence: list[tuple[str, dict[str, frozenset[str]]]]) -> list[tuple]:
+    """What every draw from a :func:`robot_precedence` starts from, per
+    robot: its task count, the number of predecessors of each task that
+    has any, the tasks that wait on each task, and the sorted first ready
+    list.  Built once, it serves any number of draws."""
+    state = []
+    for robot, preds in precedence:
+        waiting = {t: len(ps) for t, ps in preds.items() if ps}
+        released: dict[str, list[str]] = {}
+        for t, ps in preds.items():
+            for p in ps:
+                released.setdefault(p, []).append(t)
+        ready = sorted(t for t in preds if t not in waiting)
+        state.append((robot, len(preds), waiting, released, ready))
+    return state
+
+
+def random_task_permutation(state, seed) -> dict[str, tuple[str, ...]]:
     """Seeded random topological order of each robot's assigned instances,
-    given their :func:`robot_precedence`.
+    from their :func:`draw_state`.
 
     At every step one of the currently unconstrained tasks is drawn
     uniformly, so any order compatible with the robot's own precedence can
     occur; that precedence follows the global precedence graph, so chains
     running through other robots' tasks are respected too.  The ready
     tasks are kept sorted as they are released, so each draw picks from
-    the list that sorting every ready task afresh would give.
+    the list that sorting every ready task afresh would give.  A draw
+    copies the ready lists, and the waiting counts where there are any.
     """
     rng = random.Random(seed)
     per_robot = {}
-    for robot, preds in precedence:
-        # the unplaced predecessors of each task, and who waits on each task
-        waiting = {t: len(ps) for t, ps in preds.items()}
-        released: dict[str, list[str]] = {}
-        for t, ps in preds.items():
-            for p in ps:
-                released.setdefault(p, []).append(t)
-        ready = sorted(t for t, n in waiting.items() if not n)
+    for robot, n, waiting, released, ready in state:
+        ready = ready.copy()
+        if waiting:
+            waiting = waiting.copy()
         order = []
-        for _ in range(len(preds)):
+        for _ in range(n):
             pick = ready.pop(rng.randrange(len(ready)))
             order.append(pick)
             for t in released.get(pick, ()):

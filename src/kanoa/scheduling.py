@@ -6,8 +6,7 @@ from typing import NamedTuple
 
 from .clustering import RobotCluster
 from .errors import InvariantViolation
-from .mdp import DEFAULT_STATE_CAP, ClusterContext, ClusterFacts, build_mdp
-from .mdp import earliest_start_idle
+from .mdp import DEFAULT_STATE_CAP, ClusterContext, ClusterFacts, Hops, build_mdp
 from .mdp import success_probability  # noqa: F401  (kept importable from here)
 from .plans import Plan, extract_plan
 from .problem import ValidatedProblem
@@ -23,41 +22,115 @@ class SchedulingResult(NamedTuple):
     plan: Plan | None
 
 
-def _score(ctx: ClusterContext) -> SchedulingResult:
-    idle = earliest_start_idle(ctx)
-    if idle is None:
-        return SchedulingResult(False, 0.0, None, None, None)
-    travel = sum(step.hop_dist for row in ctx.steps for step in row)
-    return SchedulingResult(True, ctx.p_success, idle, travel, None)
+def earliest_start(
+    facts: ClusterFacts, permutation: dict[str, tuple[str, ...]], hops: Hops
+) -> tuple[int, int] | tuple[None, None]:
+    """(idle, travel) totals of the earliest-start schedule of the
+    cluster's per-robot orders in ``permutation``, or (None, None) when it
+    fails; reads each step from ``facts`` and ``hops``, and builds no
+    context and no model.
+
+    Exact under two preconditions of the model in :mod:`kanoa.mdp`: a
+    task takes the same time whether it succeeds or fails, and recovery
+    takes no time.  Then no robot clock depends on an outcome, and the
+    model reaches ``done`` (with probability 1, else 0) exactly when this
+    schedule completes (critical-path scheduling over a simple temporal
+    network, Kelley & Walker 1959); by confluence, its idle is the chain's
+    minimum idle, and its travel, the sum of the hops, the travel reward
+    of any completing policy.  Timing follows the model's actions: a solo
+    step departs at the later of its robot's clock and its tracked
+    predecessors' completions; a joint step's participants travel first
+    and execute from the latest arrival or predecessor completion.  The
+    schedule fails when it deadlocks, when a step ends after the budget,
+    or when a robot's total wait exceeds its idle cap.
+    """
+    tt, caps, robots, index = facts.tt, facts.idle_caps, facts.robots, facts.robot_index
+    orders = [permutation[r] for r in robots]
+    n = len(robots)
+    clock, idle, pos, here = [0] * n, [0] * n, [0] * n, list(facts.starts)
+    travel = 0
+    done: dict[int, int] = {}  # tracked index -> completion time
+    progress = True
+    while progress:
+        progress = False
+        for i, order in enumerate(orders):
+            # advance robot i as far as it can; earliest starts do not
+            # depend on the order in which they are computed
+            while pos[i] < len(order):
+                inst_id = order[pos[i]]
+                pred_tracked, tracked_idx, team, duration = facts.instances[inst_id]
+                ready = 0
+                if pred_tracked:
+                    if any(t not in done for t in pred_tracked):
+                        break
+                    ready = max(done[t] for t in pred_tracked)
+                if duration is None:
+                    location, dist, travel_time, own = hops[robots[i], here[i], inst_id]
+                    start = max(ready, clock[i])
+                    end = start + travel_time + own
+                    idle[i] += start - clock[i]
+                    if end > tt or idle[i] > caps[i]:
+                        return None, None
+                    clock[i], here[i] = end, location
+                    pos[i] += 1
+                    travel += dist
+                else:
+                    members = [index[r] for r in team]
+                    if any(pos[r] == len(orders[r]) or orders[r][pos[r]] != inst_id
+                           for r in members):
+                        break
+                    moves = [hops[robots[r], here[r], inst_id] for r in members]
+                    arrive = [clock[r] + hop[2] for r, hop in zip(members, moves)]
+                    start = max(ready, *arrive)
+                    end = start + duration
+                    for r, a in zip(members, arrive):
+                        idle[r] += start - a
+                    if end > tt or any(idle[r] > caps[r] for r in members):
+                        return None, None
+                    for r, hop in zip(members, moves):
+                        clock[r], here[r] = end, hop[0]
+                        pos[r] += 1
+                        travel += hop[1]
+                if tracked_idx >= 0:
+                    done[tracked_idx] = end
+                progress = True
+    if any(p < len(order) for p, order in zip(pos, orders)):
+        return None, None
+    return sum(idle), travel
 
 
 def score_cluster(
     v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
     permutation: dict[str, tuple[str, ...]], pairs: list[PrecedencePair],
     instances: dict[str, TaskInstance], *, facts: ClusterFacts | None = None,
-    steps: dict | None = None,
+    hops: Hops | None = None,
 ) -> SchedulingResult:
     """One cluster's verdict and objectives in closed form, with no plan.
 
-    Feasibility and the minimum idle are those of the earliest-start
-    schedule (:func:`earliest_start_idle`), which equal the reach and
-    minimum-idle values of the cluster's model (see :mod:`kanoa.mdp`).
-    The success probability is :func:`success_probability`, kept on the
-    cluster's facts, and travel, the sum of the steps' hops, is
-    permutation-determined and equals the model's travel reward along any
-    completing policy.  ``facts`` and ``steps`` are a search's shared
-    records, passed on to :class:`ClusterContext`.
+    Feasibility, the minimum idle and travel are those of the
+    earliest-start schedule (:func:`earliest_start`), which equal the
+    reach, minimum-idle and travel values of the cluster's model (see
+    :mod:`kanoa.mdp`); the success probability is
+    :func:`success_probability`, kept on the cluster's facts.  Only the
+    cluster's robots are read from ``permutation``.  ``facts`` and
+    ``hops`` are a search's shared records; without them the call builds
+    its own.
     """
-    return _score(ClusterContext(
-        v, allocation, cluster, permutation, pairs, instances, facts=facts, steps=steps
-    ))
+    if facts is None:
+        facts = ClusterFacts(v, allocation, cluster, pairs, instances)
+    if hops is None:
+        hops = Hops(v, instances)
+    idle, travel = earliest_start(facts, permutation, hops)
+    if idle is None:
+        return SchedulingResult(False, 0.0, None, None, None)
+    return SchedulingResult(True, facts.p_success, idle, travel, None)
 
 
 def schedule_cluster(
     v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
     permutation: dict[str, tuple[str, ...]], pairs: list[PrecedencePair],
     instances: dict[str, TaskInstance], state_cap: int = DEFAULT_STATE_CAP, *,
-    facts: ClusterFacts | None = None, steps: dict | None = None,
+    facts: ClusterFacts | None = None, hops: Hops | None = None,
 ) -> SchedulingResult:
     """:func:`score_cluster` with the plan of a feasible cluster.
 
@@ -67,16 +140,15 @@ def schedule_cluster(
     to one action per state (see :mod:`kanoa.mdp`), built under
     ``state_cap`` and solved for its minimum-idle policy.  It has at most
     1 + 2 * (task steps) + (joint instances) states.  An infeasible
-    cluster builds no model.  :class:`InvariantViolation` is raised when
-    the chain does not surely reach done or its minimum idle is not the
-    score's.
+    cluster builds no context and no model.  :class:`InvariantViolation`
+    is raised when the chain does not surely reach done or its minimum
+    idle is not the score's.
     """
-    ctx = ClusterContext(
-        v, allocation, cluster, permutation, pairs, instances, facts=facts, steps=steps
-    )
-    score = _score(ctx)
+    args = (v, allocation, cluster, permutation, pairs, instances)
+    score = score_cluster(*args, facts=facts, hops=hops)
     if not score.feasible:
         return score
+    ctx = ClusterContext(*args, facts=facts, hops=hops)
     mdp = build_mdp(ctx, state_cap, failures=False)
     reach = max_reach_probability(mdp, "done")
     if reach < 1.0:

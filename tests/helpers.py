@@ -16,7 +16,12 @@ from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, build_mdp
 from kanoa.parser import parse_problem
-from kanoa.permutations import random_task_permutation, robot_precedence, travel_cost
+from kanoa.permutations import (
+    draw_state,
+    random_task_permutation,
+    robot_precedence,
+    travel_cost,
+)
 from kanoa.plans import extract_plan
 from kanoa.problem import ValidatedProblem
 from kanoa.reporting import PipelineConfig
@@ -61,7 +66,7 @@ def build_single_cluster_mdp(v, seed=0, permutation=None):
     assert len(clusters) == 1
     cluster = clusters[0]
     if permutation is None:
-        precedence = robot_precedence(allocation, cluster, pairs)
+        precedence = draw_state(robot_precedence(allocation, cluster, pairs))
         permutation = random_task_permutation(precedence, seed=seed)
     ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx)
@@ -290,7 +295,7 @@ def random_clusters(rng: random.Random, idle_caps: bool = False, draws: int = 1)
         clusters = cluster_robots(allocation, subtrees)
         cluster = clusters[rng.randrange(len(clusters))]
         permutation = random_task_permutation(
-            robot_precedence(allocation, cluster, pairs), seed=rng.random()
+            draw_state(robot_precedence(allocation, cluster, pairs)), seed=rng.random()
         )
         made.append((v, allocation, cluster, permutation, pairs, instances))
     return made
@@ -324,7 +329,9 @@ def with_time_available(case, tt):
 
 def _solve_full_model(v, allocation, cluster, permutation, pairs, instances, state_cap):
     """(result with no plan, (model, minimum-idle policy) or None) of the
-    paper's full model, built cold and solved for reach and minimum idle."""
+    paper's full model, built cold and solved for reach and minimum idle.
+    ``permutation`` may hold other clusters' robots, as a search passes
+    it; travel counts the cluster's robots only."""
     ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx, state_cap)
     if max_reach_probability(mdp, "done") < 1.0:
@@ -334,18 +341,18 @@ def _solve_full_model(v, allocation, cluster, permutation, pairs, instances, sta
         feasible=True,
         p_success=success_probability(v, allocation, cluster, instances),
         idle=round(idle),
-        travel=travel_cost(permutation, v, instances),
+        travel=travel_cost({r: permutation[r] for r in cluster.robots}, v, instances),
         plan=None,
     ), (mdp, policy)
 
 
 def reference_score(
-    v, allocation, cluster, permutation, pairs, instances, *, facts=None, steps=None,
+    v, allocation, cluster, permutation, pairs, instances, *, facts=None, hops=None,
 ):
     """``score_cluster`` on the paper's full model instead of the
     earliest-start schedule: its verdict, minimum idle, success
     probability and travel, with no plan.  It ignores a search's shared
-    ``facts`` and ``steps`` and builds its context cold."""
+    ``facts`` and ``hops`` and builds its context cold."""
     return _solve_full_model(
         v, allocation, cluster, permutation, pairs, instances, DEFAULT_STATE_CAP
     )[0]
@@ -353,7 +360,7 @@ def reference_score(
 
 def reference_schedule(
     v, allocation, cluster, permutation, pairs, instances,
-    state_cap=DEFAULT_STATE_CAP, *, facts=None, steps=None,
+    state_cap=DEFAULT_STATE_CAP, *, facts=None, hops=None,
 ):
     """``schedule_cluster`` on the paper's full model: always build it,
     then reach, minimum-idle policy and plan extraction.  Like

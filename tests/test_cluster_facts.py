@@ -1,47 +1,52 @@
-"""A search's shared cluster records against a cold context.
+"""A search's shared cluster records against cold ones.
 
 ``evaluate`` passes ``score_cluster``, and the front's plans pass
 ``schedule_cluster``, the :class:`ClusterFacts` of the allocation's
-cluster and the search's memo of steps.  A context built from them must
-equal one built cold from the mission, field by field, and so must the
-score and the scheduling result: on every scoring call of a default
+cluster and the search's :class:`Hops` memo.  A context built from them
+must equal one built cold from the mission, field by field, and so must
+the score and the scheduling result: on every scoring call of a default
 hospital run, and on random clusters that share one memo per mission.
+A search scores without a context: only the front's ``schedule_cluster``
+calls build one.
 """
 
 import random
 
-from helpers import random_clusters
+from helpers import load, random_clusters
 
-from kanoa.mdp import ClusterContext, ClusterFacts, _Step
-from kanoa.permutations import random_task_permutation, robot_precedence
+import kanoa.optimizer
+from kanoa.allocation import AllocatorConfig
+from kanoa.mdp import ClusterContext, ClusterFacts, Hops
+from kanoa.optimizer import nsga2_run, prepare_search
+from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
+from kanoa.reporting import PipelineConfig
 from kanoa.scheduling import schedule_cluster, score_cluster, success_probability
 
 
 def context_fields(ctx):
-    """Everything a schedule or a model reads from a context."""
+    """Everything a model reads from a context."""
     return (
-        ctx.tt, ctx.robots, ctx.robot_index, ctx.tracked, ctx.idle_caps, ctx.p_success,
-        ctx.cum, ctx.joint_positions,
-        [[tuple(getattr(s, f) for f in _Step.__slots__) for s in row] for row in ctx.steps],
+        ctx.tt, ctx.robots, ctx.robot_index, ctx.tracked, ctx.idle_caps,
+        ctx.cum, ctx.joint_positions, ctx.steps,
     )
 
 
-def assert_shared_equals_cold(args, facts, steps):
-    """The context, score and result from ``facts`` and ``steps`` equal
+def assert_shared_equals_cold(args, facts, hops):
+    """The context, score and result from ``facts`` and ``hops`` equal
     the cold ones; returns the number of steps the context holds."""
-    shared = ClusterContext(*args, facts=facts, steps=steps)
+    shared = ClusterContext(*args, facts=facts, hops=hops)
     assert context_fields(shared) == context_fields(ClusterContext(*args))
-    assert score_cluster(*args, facts=facts, steps=steps) == score_cluster(*args)
-    assert schedule_cluster(*args, facts=facts, steps=steps) == schedule_cluster(*args)
+    assert score_cluster(*args, facts=facts, hops=hops) == score_cluster(*args)
+    assert schedule_cluster(*args, facts=facts, hops=hops) == schedule_cluster(*args)
     return sum(len(row) for row in shared.steps)
 
 
 def test_hospital_calls_share_records_equal_to_cold(hospital_calls):
     built = 0
     for args, kwargs, _ in hospital_calls:
-        built += assert_shared_equals_cold(args, kwargs["facts"], kwargs["steps"])
-    # one memo for the whole search, which built most of its steps once
-    memos = {id(kwargs["steps"]): kwargs["steps"] for _, kwargs, _ in hospital_calls}
+        built += assert_shared_equals_cold(args, kwargs["facts"], kwargs["hops"])
+    # one memo for the whole search, which computed most of its hops once
+    memos = {id(kwargs["hops"]): kwargs["hops"] for _, kwargs, _ in hospital_calls}
     (memo,) = memos.values()
     assert 0 < len(memo) < built / 2
 
@@ -59,19 +64,86 @@ def test_random_clusters_share_records_equal_to_cold():
     built = distinct = checked = 0
     while checked < 600:
         made = random_clusters(rng, idle_caps=checked % 2 == 1, draws=4)
-        steps = {}
+        if not made:
+            continue
+        hops = Hops(made[0][0], made[0][5])  # one mission: one memo
         facts = {}
         for v, allocation, cluster, permutation, pairs, instances in made:
             key = (frozenset(allocation.items()), cluster)
             if key not in facts:
                 facts[key] = ClusterFacts(v, allocation, cluster, pairs, instances)
-            precedence = robot_precedence(allocation, cluster, pairs)
+            precedence = draw_state(robot_precedence(allocation, cluster, pairs))
             for p in [permutation] + [
                 random_task_permutation(precedence, seed=rng.random()) for _ in range(2)
             ]:
                 args = (v, allocation, cluster, p, pairs, instances)
-                built += assert_shared_equals_cold(args, facts[key], steps)
+                built += assert_shared_equals_cold(args, facts[key], hops)
                 checked += 1
-        distinct += len(steps)
-    # steps were shared across permutations and allocations
+        distinct += len(hops)
+    # hops were shared across permutations and allocations
     assert distinct < built / 2
+
+
+def hospital_space(text):
+    """The search space and GA config of a default hospital run, GA seed 0."""
+    cfg = PipelineConfig(seed=0)
+    space = prepare_search(
+        load(text), AllocatorConfig(max_allocations=cfg.allocations), cfg.ga()
+    )
+    return space, cfg.ga()
+
+
+def test_search_scores_from_one_hop_memo(hospital_text, monkeypatch):
+    """Every score of a default hospital search reads the search's one
+    memo, which holds fewer hops than the scores looked up."""
+    looked_up = []
+
+    class CountingHops(Hops):
+        def __getitem__(self, key):
+            looked_up.append(key)
+            return super().__getitem__(key)
+
+    space, cfg = hospital_space(hospital_text)
+    space._hops = CountingHops(space.v, space.instances)
+    memos = set()
+    original = kanoa.optimizer.score_cluster
+
+    def recording(*args, **kwargs):
+        memos.add(id(kwargs["hops"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kanoa.optimizer, "score_cluster", recording)
+    nsga2_run(space, cfg)
+    assert memos == {id(space._hops)}
+    assert 0 < len(space._hops) < len(looked_up) / 2
+    assert set(space._hops) == set(looked_up)
+
+
+def test_only_front_schedules_build_contexts(hospital_text, monkeypatch):
+    """During a default hospital search, a context is built only inside
+    ``schedule_cluster``, once per feasible cluster of the front's plans."""
+    inside = []  # depth of schedule_cluster calls
+    built = {"inside": 0, "outside": 0}
+    feasible = []
+    init, schedule = ClusterContext.__init__, kanoa.optimizer.schedule_cluster
+
+    def counting_init(self, *args, **kwargs):
+        built["inside" if inside else "outside"] += 1
+        init(self, *args, **kwargs)
+
+    def scheduling(*args, **kwargs):
+        inside.append(1)
+        try:
+            result = schedule(*args, **kwargs)
+        finally:
+            inside.pop()
+        feasible.append(result.feasible)
+        return result
+
+    monkeypatch.setattr(ClusterContext, "__init__", counting_init)
+    monkeypatch.setattr(kanoa.optimizer, "schedule_cluster", scheduling)
+    space, cfg = hospital_space(hospital_text)
+    front = nsga2_run(space, cfg)
+    assert front.entries
+    assert built == {"inside": sum(feasible), "outside": 0}
+    assert 0 < sum(feasible) == len(feasible)

@@ -29,8 +29,8 @@ from oracles import earliest_start_plan, min_completion
 import kanoa.scheduling
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation
-from kanoa.mdp import ClusterContext, build_mdp, earliest_start_idle
-from kanoa.scheduling import schedule_cluster, score_cluster
+from kanoa.mdp import ClusterContext, ClusterFacts, Hops, build_mdp
+from kanoa.scheduling import earliest_start, schedule_cluster, score_cluster
 
 RELAY = """
 world { loc room (0,0) loc dock (4,0) }
@@ -101,7 +101,9 @@ def context(case):
 
 
 def check(case):
-    return earliest_start_idle(context(case)) is not None
+    v, allocation, cluster, p, pairs, instances = case
+    facts = ClusterFacts(v, allocation, cluster, pairs, instances)
+    return earliest_start(facts, p, Hops(v, instances))[0] is not None
 
 
 def chains_fit(case):
@@ -171,11 +173,11 @@ def test_model_disagreeing_with_check_raises(monkeypatch):
     assert not score_cluster(*relay_case(tt=11)).feasible
     assert score_cluster(*relay_case(tt=12)).idle == 10
     # a schedule claiming that tt=11 fits meets a chain that misses done
-    monkeypatch.setattr(kanoa.scheduling, "earliest_start_idle", lambda ctx: 10)
+    monkeypatch.setattr(kanoa.scheduling, "earliest_start", lambda *_: (10, 4))
     with pytest.raises(InvariantViolation, match="reaches done with probability 0"):
         schedule_cluster(*relay_case(tt=11))
     # one claiming 9 at tt=12 meets the chain's minimum idle of 10
-    monkeypatch.setattr(kanoa.scheduling, "earliest_start_idle", lambda ctx: 9)
+    monkeypatch.setattr(kanoa.scheduling, "earliest_start", lambda *_: (9, 4))
     with pytest.raises(InvariantViolation, match="idles 9 in its earliest-start"):
         schedule_cluster(*relay_case(tt=12))
 

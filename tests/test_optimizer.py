@@ -28,7 +28,7 @@ from kanoa.optimizer import (
     nsga2_run,
     prepare_search,
 )
-from kanoa.permutations import random_task_permutation, robot_precedence
+from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
 from kanoa.scheduling import schedule_cluster, score_cluster
@@ -402,7 +402,7 @@ def test_lazy_pool_entries_equal_eager_draws(fixtures_dir, name, order):
     for a, p in keys:
         allocation = space.allocations[a]
         whole = RobotCluster(used_robots(allocation), frozenset(allocation))
-        precedence = robot_precedence(allocation, whole, space.pairs)
+        precedence = draw_state(robot_precedence(allocation, whole, space.pairs))
         eager = random_task_permutation(precedence, seed=f"{seed}:{a}:{p}")
         assert space.permutation(a, p) == eager, (a, p)
 

@@ -6,9 +6,15 @@ from helpers import expanded, first_allocation, load, perfbench_mission
 from oracles import resorted_task_permutation
 
 import kanoa.optimizer
-from kanoa.allocation import AllocatorConfig
+from kanoa.allocation import AllocatorConfig, used_robots
+from kanoa.clustering import RobotCluster
 from kanoa.optimizer import nsga2_run, prepare_search
-from kanoa.permutations import random_task_permutation, robot_precedence, travel_cost
+from kanoa.permutations import (
+    draw_state,
+    random_task_permutation,
+    robot_precedence,
+    travel_cost,
+)
 
 FORCED = """
 world { loc a (0,0) }
@@ -29,7 +35,7 @@ mission { task x at a; task y at a; task z at a; time 10 }
 def test_forced_order_all_seeds():
     v = load(FORCED)
     allocation, clusters, instances, pairs = first_allocation(v)
-    precedence = robot_precedence(allocation, clusters[0], pairs)
+    precedence = draw_state(robot_precedence(allocation, clusters[0], pairs))
     for seed in range(50):
         p = random_task_permutation(precedence, seed)
         assert p["r"] == ("x_0", "y_0")
@@ -39,7 +45,7 @@ def test_all_six_orders_observed():
     v = load(FREE3)
     allocation, clusters, instances, pairs = first_allocation(v)
     seen = set()
-    precedence = robot_precedence(allocation, clusters[0], pairs)
+    precedence = draw_state(robot_precedence(allocation, clusters[0], pairs))
     for seed in range(1000):
         p = random_task_permutation(precedence, seed)
         seen.add(p["r"])
@@ -52,7 +58,7 @@ def test_all_six_orders_observed():
 def test_seed_reproducible():
     v = load(FREE3)
     allocation, clusters, instances, pairs = first_allocation(v)
-    precedence = robot_precedence(allocation, clusters[0], pairs)
+    precedence = draw_state(robot_precedence(allocation, clusters[0], pairs))
     a = random_task_permutation(precedence, seed="s")
     b = random_task_permutation(precedence, seed="s")
     assert a == b
@@ -67,7 +73,7 @@ def test_notify_always_first(hospital):
         hospital, leaves, AllocatorConfig(max_allocations=1)
     )[0]
     for cluster in cluster_robots(allocation, subtrees):
-        precedence = robot_precedence(allocation, cluster, pairs)
+        precedence = draw_state(robot_precedence(allocation, cluster, pairs))
         for seed in range(30):
             p = random_task_permutation(precedence, seed)
             for robot, order in p.items():
@@ -103,7 +109,7 @@ mission { task c at a; time 30;  }
         "z_0": frozenset({"r1"}),
     }
     cluster = cluster_robots(allocation, subtrees)[0]
-    precedence = robot_precedence(allocation, cluster, pairs)
+    precedence = draw_state(robot_precedence(allocation, cluster, pairs))
     for seed in range(40):
         p = random_task_permutation(precedence, seed)
         order = p["r1"]
@@ -132,23 +138,27 @@ def test_draws_match_resorting_oracle_on_random_precedences():
     rng = random.Random(19)
     for _ in range(400):
         precedence = random_precedence(rng)
-        seed = rng.random()
-        drawn = random_task_permutation(precedence, seed)
-        assert list(drawn.items()) == list(
-            resorted_task_permutation(precedence, seed).items()
-        )
+        # one state serves several draws: a draw must not change it
+        state = draw_state(precedence)
+        for _ in range(3):
+            seed = rng.random()
+            drawn = random_task_permutation(state, seed)
+            assert list(drawn.items()) == list(
+                resorted_task_permutation(precedence, seed).items()
+            )
 
 
 @pytest.mark.parametrize("workload", ["hospital", "relay", "fleet"])
 def test_draws_match_resorting_oracle_on_benchmark_runs(workload, monkeypatch):
     """Every pool entry drawn by a search of sub-instance 0 of the
-    benchmark's ``--seed 11`` basket equals the re-sorting draw."""
+    benchmark's ``--seed 11`` basket, from its allocation's shared draw
+    state, equals the re-sorting draw from the allocation's precedence."""
     draws = []
     original = kanoa.optimizer.random_task_permutation
 
-    def recording(precedence, seed):
-        drawn = original(precedence, seed)
-        draws.append((precedence, seed, drawn))
+    def recording(state, seed):
+        drawn = original(state, seed)
+        draws.append((seed, drawn))
         return drawn
 
     monkeypatch.setattr(kanoa.optimizer, "random_task_permutation", recording)
@@ -158,7 +168,10 @@ def test_draws_match_resorting_oracle_on_benchmark_runs(workload, monkeypatch):
     )
     nsga2_run(space, cfg.ga())
     assert len(draws) > 30
-    for precedence, seed, drawn in draws:
+    for seed, drawn in draws:
+        allocation = space.allocations[int(seed.split(":")[1])]
+        whole = RobotCluster(used_robots(allocation), frozenset(allocation))
+        precedence = robot_precedence(allocation, whole, space.pairs)
         expected = resorted_task_permutation(precedence, seed)
         assert list(drawn.items()) == list(expected.items()), seed
 
