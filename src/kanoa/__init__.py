@@ -40,7 +40,8 @@ from .optimizer import (
     prepare_search,
 )
 from .parser import parse_problem
-from .permutations import random_task_permutation, travel_cost
+from .permutations import draw_state, random_task_permutation, robot_precedence
+from .permutations import travel_cost
 from .plans import Plan, PlanEvent, check_plan, extract_plan
 from .printer import pretty_print
 from .problem import ProblemSpec, ValidatedProblem

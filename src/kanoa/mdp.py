@@ -177,9 +177,10 @@ class _Step(NamedTuple):
 class Hops(dict):
     """A search's memo of hops, keyed ``(robot, origin location,
     instance)``: the instance's location, the hop distance, the robot's
-    travel time over it and the robot's own execution time of the
-    instance.  Within one problem and one set of instances, equal keys
-    give equal hops; a missing hop is computed on lookup and kept."""
+    travel time over it, and the robot's own execution time and success
+    probability of the instance.  Within one problem and one set of
+    instances, equal keys give equal hops; a missing hop is computed on
+    lookup and kept."""
 
     __slots__ = ("v", "instances")
 
@@ -191,10 +192,11 @@ class Hops(dict):
     def __missing__(self, key):
         rid, here, inst_id = key
         robot, inst = self.v.robot(rid), self.instances[inst_id]
+        cap = robot.capability_for(inst.type_id)
         hop = self[key] = (
             inst.location, self.v.distance(here, inst.location),
             self.v.travel_time(robot, here, inst.location),
-            robot.capability_for(inst.type_id).required_time,
+            cap.required_time, cap.success_prob,
         )
         return hop
 
@@ -312,11 +314,10 @@ class ClusterContext:
             cum = [0]
             for k, inst_id in enumerate(permutation[rid]):
                 pred_tracked, tracked_idx, participants, duration = facts.instances[inst_id]
-                location, hop_dist, travel_time, own = hops[rid, here, inst_id]
-                cap = v.robot(rid).capability_for(instances[inst_id].type_id)
+                location, hop_dist, travel_time, own, prob = hops[rid, here, inst_id]
                 step = _Step(
                     inst_id, location, here, hop_dist, travel_time,
-                    own if duration is None else duration, cap.success_prob,
+                    own if duration is None else duration, prob,
                     duration is not None, participants, pred_tracked, tracked_idx,
                 )
                 row.append(step)

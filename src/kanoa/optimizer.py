@@ -268,7 +268,10 @@ def _key_fronts(vectors) -> list[list[Objectives]]:
     for b in sorted(vectors):
         _, b1, b2 = b
         for front in fronts:
-            if not any(a1 <= b1 and a2 <= b2 for _, a1, a2 in reversed(front)):
+            for _, a1, a2 in reversed(front):
+                if a1 <= b1 and a2 <= b2:
+                    break
+            else:
                 front.append(b)
                 break
         else:
@@ -290,18 +293,26 @@ def fast_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
     for i, r in enumerate(results):
         members.setdefault(r.objectives if r.feasible else None, []).append(i)
     infeasible = members.pop(None, [])
-    fronts: list[list[int]] = []
-    last: dict[Objectives, int] = {}  # vector -> last position in the previous front
-    for keys in _key_fronts(members):
-        latest = sorted(last.items(), key=lambda e: -e[1])
+    keyed = _key_fronts(members)
+    fronts = [sorted([i for b in keyed[0] for i in members[b]])] if keyed else []
+    for keys in keyed[1:]:
+        # each vector of the previous front at its last position, latest first
+        latest, seen = [], set()
+        for pos in range(len(fronts[-1]) - 1, -1, -1):
+            a = results[fronts[-1][pos]].objectives
+            if a not in seen:
+                seen.add(a)
+                latest.append((pos, *a))
         released = []
         for b in keys:
-            at = next((pos for a, pos in latest
-                       if a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]), 0)
+            b0, b1, b2 = b
+            at = 0
+            for pos, a0, a1, a2 in latest:
+                if a0 <= b0 and a1 <= b1 and a2 <= b2:
+                    at = pos
+                    break
             released += [(at, i) for i in members[b]]
-        front = [i for _, i in sorted(released)]
-        last = {results[i].objectives: pos for pos, i in enumerate(front)}
-        fronts.append(front)
+        fronts.append([i for _, i in sorted(released)])
     if infeasible:
         fronts.append(infeasible)
     return fronts
@@ -314,17 +325,17 @@ def crowding_distance(front: list[int], results: list[EvalResult]) -> dict[int, 
         for i in scored:
             dist[i] = float("inf")
         return dist
+    vectors = [results[i].objectives for i in scored]
     for m in range(3):
-        ordered = sorted(scored, key=lambda i: results[i].objectives[m])
-        lo = results[ordered[0]].objectives[m]
-        hi = results[ordered[-1]].objectives[m]
-        dist[ordered[0]] = dist[ordered[-1]] = float("inf")
+        col = [vec[m] for vec in vectors]
+        ordered = sorted(range(len(col)), key=col.__getitem__)  # stable on ties
+        lo, hi = col[ordered[0]], col[ordered[-1]]
+        dist[scored[ordered[0]]] = dist[scored[ordered[-1]]] = float("inf")
         if hi == lo:
             continue
+        span = hi - lo
         for k in range(1, len(ordered) - 1):
-            prev = results[ordered[k - 1]].objectives[m]
-            nxt = results[ordered[k + 1]].objectives[m]
-            dist[ordered[k]] += (nxt - prev) / (hi - lo)
+            dist[scored[ordered[k]]] += (col[ordered[k + 1]] - col[ordered[k - 1]]) / span
     return dist
 
 

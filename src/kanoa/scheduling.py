@@ -43,8 +43,20 @@ def earliest_start(
     and execute from the latest arrival or predecessor completion.  The
     schedule fails when it deadlocks, when a step ends after the budget,
     or when a robot's total wait exceeds its idle cap.
+
+    A one-robot cluster has no joint and no tracked instance (every team
+    is its robot), so the robot never waits: its score is (0, the sum of
+    its hops), and since its clock never decreases it fails exactly when
+    its final clock exceeds the budget.  Idle caps are at least 1.
     """
     tt, caps, robots, index = facts.tt, facts.idle_caps, facts.robots, facts.robot_index
+    if len(robots) == 1:
+        rid, here, clock, travel = robots[0], facts.starts[0], 0, 0
+        for inst_id in permutation[rid]:
+            here, dist, travel_time, own, _ = hops[rid, here, inst_id]
+            clock += travel_time + own
+            travel += dist
+        return (0, travel) if clock <= tt else (None, None)
     orders = [permutation[r] for r in robots]
     n = len(robots)
     clock, idle, pos, here = [0] * n, [0] * n, [0] * n, list(facts.starts)
@@ -65,7 +77,7 @@ def earliest_start(
                         break
                     ready = max(done[t] for t in pred_tracked)
                 if duration is None:
-                    location, dist, travel_time, own = hops[robots[i], here[i], inst_id]
+                    location, dist, travel_time, own, _ = hops[robots[i], here[i], inst_id]
                     start = max(ready, clock[i])
                     end = start + travel_time + own
                     idle[i] += start - clock[i]

@@ -20,7 +20,12 @@ here compute the same results the slow, obvious way:
   written out separately: Kahn's algorithm on an explicit queue, then
   backward sweeps in which every choice looks its reward up by name;
 * the cyclic compound definitions, by a reachability search from each
-  compound.
+  compound;
+* the search's scorer, ranking and crowding as they were written before
+  their constant-factor rewrite: the earliest-start schedule of every
+  cluster by the general multi-robot loop, the ranking's release order
+  by sorting the previous front afresh for each front, and crowding by
+  looking every objective up through the results.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from kanoa.allocation import eligible_robots, used_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
 from kanoa.errors import InvariantViolation, UndefinedReward
-from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
+from kanoa.mdp import REWARD_ATTRS, ClusterContext, ClusterFacts, Hops, Mdp
 from kanoa.optimizer import EvalResult, Objectives
 from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
@@ -450,3 +455,128 @@ def reference_find_cycles(compound_by_id) -> list[str]:
         if cid in seen:
             cyclic.append(cid)
     return sorted(cyclic)
+
+
+# -- the search's hot path, as first written --------------------------------------
+
+
+def general_earliest_start(
+    facts: ClusterFacts, permutation: dict[str, tuple[str, ...]], hops: Hops
+) -> tuple[int, int] | tuple[None, None]:
+    """:func:`kanoa.scheduling.earliest_start` with no one-robot branch:
+    every cluster, one robot or many, runs the general loop."""
+    tt, caps, robots, index = facts.tt, facts.idle_caps, facts.robots, facts.robot_index
+    orders = [permutation[r] for r in robots]
+    n = len(robots)
+    clock, idle, pos, here = [0] * n, [0] * n, [0] * n, list(facts.starts)
+    travel = 0
+    done: dict[int, int] = {}  # tracked index -> completion time
+    progress = True
+    while progress:
+        progress = False
+        for i, order in enumerate(orders):
+            while pos[i] < len(order):
+                inst_id = order[pos[i]]
+                pred_tracked, tracked_idx, team, duration = facts.instances[inst_id]
+                ready = 0
+                if pred_tracked:
+                    if any(t not in done for t in pred_tracked):
+                        break
+                    ready = max(done[t] for t in pred_tracked)
+                if duration is None:
+                    location, dist, travel_time, own = hops[robots[i], here[i], inst_id][:4]
+                    start = max(ready, clock[i])
+                    end = start + travel_time + own
+                    idle[i] += start - clock[i]
+                    if end > tt or idle[i] > caps[i]:
+                        return None, None
+                    clock[i], here[i] = end, location
+                    pos[i] += 1
+                    travel += dist
+                else:
+                    members = [index[r] for r in team]
+                    if any(pos[r] == len(orders[r]) or orders[r][pos[r]] != inst_id
+                           for r in members):
+                        break
+                    moves = [hops[robots[r], here[r], inst_id] for r in members]
+                    arrive = [clock[r] + hop[2] for r, hop in zip(members, moves)]
+                    start = max(ready, *arrive)
+                    end = start + duration
+                    for r, a in zip(members, arrive):
+                        idle[r] += start - a
+                    if end > tt or any(idle[r] > caps[r] for r in members):
+                        return None, None
+                    for r, hop in zip(members, moves):
+                        clock[r], here[r] = end, hop[0]
+                        pos[r] += 1
+                        travel += hop[1]
+                if tracked_idx >= 0:
+                    done[tracked_idx] = end
+                progress = True
+    if any(p < len(order) for p, order in zip(pos, orders)):
+        return None, None
+    return sum(idle), travel
+
+
+def reference_key_fronts(vectors) -> list[list[Objectives]]:
+    """:func:`kanoa.optimizer._key_fronts`, each front scanned by ``any``
+    over a generator."""
+    fronts: list[list[Objectives]] = []
+    for b in sorted(vectors):
+        _, b1, b2 = b
+        for front in fronts:
+            if not any(a1 <= b1 and a2 <= b2 for _, a1, a2 in reversed(front)):
+                front.append(b)
+                break
+        else:
+            fronts.append([b])
+    return fronts
+
+
+def reference_nondominated_sort(results: list[EvalResult]) -> list[list[int]]:
+    """:func:`kanoa.optimizer.fast_nondominated_sort` over
+    :func:`reference_key_fronts`, with each front's release order found by
+    sorting the previous front's last positions afresh and searching them
+    with ``next`` over a generator."""
+    members: dict[Objectives | None, list[int]] = {}
+    for i, r in enumerate(results):
+        members.setdefault(r.objectives if r.feasible else None, []).append(i)
+    infeasible = members.pop(None, [])
+    fronts: list[list[int]] = []
+    last: dict[Objectives, int] = {}  # vector -> last position in the previous front
+    for keys in reference_key_fronts(members):
+        latest = sorted(last.items(), key=lambda e: -e[1])
+        released = []
+        for b in keys:
+            at = next((pos for a, pos in latest
+                       if a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]), 0)
+            released += [(at, i) for i in members[b]]
+        front = [i for _, i in sorted(released)]
+        last = {results[i].objectives: pos for pos, i in enumerate(front)}
+        fronts.append(front)
+    if infeasible:
+        fronts.append(infeasible)
+    return fronts
+
+
+def reference_crowding_distance(front: list[int], results: list[EvalResult]) -> dict[int, float]:
+    """:func:`kanoa.optimizer.crowding_distance`, sorting the front's
+    members by each objective read through ``results``."""
+    dist = {i: 0.0 for i in front}
+    scored = [i for i in front if results[i].feasible]
+    if len(scored) < 3:
+        for i in scored:
+            dist[i] = float("inf")
+        return dist
+    for m in range(3):
+        ordered = sorted(scored, key=lambda i: results[i].objectives[m])
+        lo = results[ordered[0]].objectives[m]
+        hi = results[ordered[-1]].objectives[m]
+        dist[ordered[0]] = dist[ordered[-1]] = float("inf")
+        if hi == lo:
+            continue
+        for k in range(1, len(ordered) - 1):
+            prev = results[ordered[k - 1]].objectives[m]
+            nxt = results[ordered[k + 1]].objectives[m]
+            dist[ordered[k]] += (nxt - prev) / (hi - lo)
+    return dist

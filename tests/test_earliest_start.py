@@ -5,8 +5,9 @@ the earliest-start schedule of its fixed per-robot orders, without a
 model, and ``schedule_cluster`` adds the plan of the cluster's chain.
 These tests hold the schedule to the model's verdict and idle, and both
 ``SchedulingResult`` values to a reference that always builds and solves
-the full model, on random clusters, on hand-built edge cases and on every
-cluster scored by a default hospital run.  The plan and idle of every
+the full model, on random clusters (one-robot clusters also at budgets on
+either side of their finishing time), on hand-built edge cases and on
+every cluster scored by a default hospital run.  The plan and idle of every
 feasible cluster are also held to ``oracles.earliest_start_plan``, which
 simulates the schedule without a model.  Last, the tests guard the two
 preconditions that the schedule and the failure-lumped model rest on:
@@ -21,6 +22,7 @@ from helpers import (
     load,
     random_clusters,
     reference_schedule,
+    reference_score,
     times,
     with_time_available,
 )
@@ -140,6 +142,28 @@ def test_random_clusters_match_reference(idle_caps):
     # both verdicts occur, and the check rejects clusters the chains pass
     assert 0.2 * checked < feasible < 0.8 * checked
     assert waits_reject > 0.02 * checked
+
+
+@pytest.mark.parametrize("idle_caps", [False, True])
+def test_one_robot_clusters_match_reference(idle_caps):
+    """A one-robot cluster's score, (0, its hop sum) when its bare chain
+    fits, equals the full model's at a random budget and at budgets of
+    exactly the robot's finishing time and one less."""
+    rng = random.Random(f"one-robot-{idle_caps}")
+    solo = 0
+    for _ in range(150):
+        for case in random_clusters(rng, idle_caps, draws=3):
+            if len(case[2].robots) != 1:
+                continue
+            solo += 1
+            finish = min_completion(context(case), 0)
+            for tt in (finish, finish - 1, rng.randint(4, 24)):
+                budgeted = with_time_available(case, tt)
+                expected = reference_score(*budgeted)
+                assert score_cluster(*budgeted) == expected
+                assert expected.feasible == (finish <= tt)
+                assert expected.idle == (0 if finish <= tt else None)
+    assert solo >= 100
 
 
 # -- hand-built edge cases ------------------------------------------------------

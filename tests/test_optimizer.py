@@ -5,12 +5,17 @@ import pytest
 from helpers import load, perfbench_mission, random_problem_text
 from oracles import (
     dominates,
+    general_earliest_start,
     pairwise_front,
     pairwise_nondominated_sort,
+    reference_crowding_distance,
+    reference_key_fronts,
+    reference_nondominated_sort,
     reference_task_permutation,
 )
 
 import kanoa.optimizer
+import kanoa.scheduling
 from kanoa.allocation import AllocatorConfig, used_robots
 from kanoa.clustering import RobotCluster
 from kanoa.errors import NoFeasibleSolution, StateExplosion
@@ -634,3 +639,63 @@ def test_crowding_infeasible_members_keep_zero():
     assert crowding_distance(list(range(5)), rs) == {
         0: float("inf"), 1: 0.0, 2: 3.0, 3: 0.0, 4: float("inf"),
     }
+
+
+def test_crowding_matches_reference_bit_for_bit():
+    """Crowding distances equal the reference's, float bits and key order
+    included, on random fronts: equal vectors, ties in one objective,
+    constant objectives, infeasible members and fewer than three feasible
+    members all occur."""
+    rng = random.Random("crowding-reference")
+    few = many = 0
+    for trial in range(3000):
+        if trial % 2:
+            rs = random_population(rng)
+        else:
+            rs = [infeasible() if rng.random() < 0.1 else scored(*rng.choice(vectors))
+                  for vectors in [many_vectors(rng)] for _ in range(rng.randint(1, 60))]
+        front = [i for i in range(len(rs)) if rng.random() < 0.8]
+        rng.shuffle(front)
+        got = crowding_distance(front, rs)
+        expected = reference_crowding_distance(front, rs)
+        assert [(i, d.hex()) for i, d in got.items()] == [
+            (i, d.hex()) for i, d in expected.items()
+        ]
+        feasible = sum(rs[i].feasible for i in front)
+        few += feasible < 3
+        many += feasible >= 3
+    assert few > 150 and many > 2000
+
+
+@pytest.mark.parametrize("workload", ["fleet", "relay", "hospital"])
+def test_search_matches_reference_scorer_and_ranking(workload, monkeypatch):
+    """On sub-instance 0 of the benchmark's ``--seed 1`` basket, a search
+    with the reference scorer, ranking and crowding of ``tests/oracles.py``
+    patched in returns the same front."""
+    text, cfg = perfbench_mission(workload)
+
+    def search():
+        space = prepare_search(
+            load(text), AllocatorConfig(max_allocations=cfg.allocations), cfg.ga()
+        )
+        return nsga2_run(space, cfg.ga())
+
+    front = search()
+    called = set()
+
+    def counted(name, reference):
+        def call(*args):
+            called.add(name)
+            return reference(*args)
+        return call
+
+    for module, name, reference in [
+        (kanoa.scheduling, "earliest_start", general_earliest_start),
+        (kanoa.optimizer, "_key_fronts", reference_key_fronts),
+        (kanoa.optimizer, "fast_nondominated_sort", reference_nondominated_sort),
+        (kanoa.optimizer, "crowding_distance", reference_crowding_distance),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, reference))
+    assert search() == front
+    assert called == {"earliest_start", "_key_fronts", "fast_nondominated_sort",
+                      "crowding_distance"}

@@ -5,6 +5,7 @@ import pytest
 from helpers import expanded, first_allocation, load, perfbench_mission
 from oracles import resorted_task_permutation
 
+import kanoa
 import kanoa.optimizer
 from kanoa.allocation import AllocatorConfig, used_robots
 from kanoa.clustering import RobotCluster
@@ -174,6 +175,30 @@ def test_draws_match_resorting_oracle_on_benchmark_runs(workload, monkeypatch):
         precedence = robot_precedence(allocation, whole, space.pairs)
         expected = resorted_task_permutation(precedence, seed)
         assert list(drawn.items()) == list(expected.items()), seed
+
+
+@pytest.mark.parametrize("workload", ["hospital", "relay"])
+def test_top_level_api_draws_like_resorting_oracle(workload):
+    """Names exported by ``kanoa`` alone take a mission to pool draws, and
+    every draw equals the re-sorting draw from the same precedence."""
+    text, _ = perfbench_mission(workload)
+    v = kanoa.validate_problem(kanoa.parse_problem(text))
+    root, pairs = kanoa.expand_mission(v)
+    subtrees = kanoa.prune_subtrees(root)
+    allocations = kanoa.enumerate_allocations(
+        v, root.leaves(), kanoa.AllocatorConfig(max_allocations=4)
+    )
+    drawn = 0
+    for allocation in allocations:
+        for cluster in kanoa.cluster_robots(allocation, subtrees):
+            precedence = kanoa.robot_precedence(allocation, cluster, pairs)
+            state = kanoa.draw_state(precedence)
+            for seed in range(3):
+                got = kanoa.random_task_permutation(state, seed)
+                expected = resorted_task_permutation(precedence, seed)
+                assert list(got.items()) == list(expected.items())
+                drawn += 1
+    assert drawn >= 12
 
 
 def test_travel_cost_no_tasks():
