@@ -180,24 +180,29 @@ class Hops(dict):
     travel time over it, and the robot's own execution time and success
     probability of the instance.  Within one problem and one set of
     instances, equal keys give equal hops; a missing hop is computed on
-    lookup and kept."""
+    lookup and kept; ``parts`` keeps what a hop takes from its (robot,
+    instance) alone, so a miss adds only the distance and the travel time."""
 
-    __slots__ = ("v", "instances")
+    __slots__ = ("v", "instances", "parts")
 
     def __init__(self, v: ValidatedProblem, instances: dict[str, TaskInstance]):
         super().__init__()
         self.v = v
         self.instances = instances
+        self.parts: dict[tuple[str, str], tuple] = {}
 
     def __missing__(self, key):
         rid, here, inst_id = key
-        robot, inst = self.v.robot(rid), self.instances[inst_id]
-        cap = robot.capability_for(inst.type_id)
-        hop = self[key] = (
-            inst.location, self.v.distance(here, inst.location),
-            self.v.travel_time(robot, here, inst.location),
-            cap.required_time, cap.success_prob,
-        )
+        part = self.parts.get((rid, inst_id))
+        if part is None:
+            robot, inst = self.v.robot(rid), self.instances[inst_id]
+            cap, speed = robot.capability_for(inst.type_id), robot.velocity
+            part = self.parts[rid, inst_id] = (inst.location, speed.numerator,
+                                              speed.denominator, cap.required_time,
+                                              cap.success_prob)
+        location, num, den, own, prob = part
+        dist = self.v.distance(here, location)
+        hop = self[key] = (location, dist, -((-dist * den) // num), own, prob)
         return hop
 
 
@@ -245,6 +250,10 @@ class ClusterFacts:
         self.p_success = success_probability(v, allocation, cluster, instances)
 
         in_cluster = cluster.instances
+        if len(self.robots) == 1:  # every team is its robot: none joint or tracked
+            self.tracked = ()
+            self.instances = dict.fromkeys(in_cluster, ((), -1, self.robots, None))
+            return
         team = {i: allocation[i] for i in in_cluster}
 
         # instances whose completion time later tasks on other robots await

@@ -83,8 +83,10 @@ def random_task_permutation(state, seed) -> dict[str, tuple[str, ...]]:
     tasks are kept sorted as they are released, so each draw picks from
     the list that sorting every ready task afresh would give.  A draw
     copies the ready lists, and the waiting counts where there are any.
+    Each pick is CPython's ``randrange(m)`` for ``m`` ready tasks, bit for
+    bit: draws of ``m.bit_length()`` bits until one is below ``m``.
     """
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     per_robot = {}
     for robot, n, waiting, released, ready in state:
         ready = ready.copy()
@@ -92,12 +94,16 @@ def random_task_permutation(state, seed) -> dict[str, tuple[str, ...]]:
             waiting = waiting.copy()
         order = []
         for _ in range(n):
-            pick = ready.pop(rng.randrange(len(ready)))
+            r = m = len(ready)
+            while r >= m > 0:  # with no ready task (a cycle), pop raises
+                r = getrandbits(m.bit_length())
+            pick = ready.pop(r)
             order.append(pick)
-            for t in released.get(pick, ()):
-                waiting[t] -= 1
-                if not waiting[t]:
-                    insort(ready, t)
+            if waiting:
+                for t in released.get(pick, ()):
+                    waiting[t] -= 1
+                    if not waiting[t]:
+                        insort(ready, t)
         per_robot[robot] = tuple(order)
     return per_robot
 

@@ -17,16 +17,6 @@ class PlanEvent(NamedTuple):
     frm: str | None = None
     to: str | None = None
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "start": self.start, "end": self.end}
-        if self.instance is not None:
-            d["instance"] = self.instance
-        if self.frm is not None:
-            d["from"] = self.frm
-        if self.to is not None:
-            d["to"] = self.to
-        return d
-
 
 class Plan(NamedTuple):
     timelines: dict[str, tuple[PlanEvent, ...]]
@@ -35,12 +25,6 @@ class Plan(NamedTuple):
     def makespan(self) -> int:
         ends = [ev.end for tl in self.timelines.values() for ev in tl]
         return max(ends) if ends else 0
-
-    def to_dict(self) -> dict:
-        return {
-            robot: [ev.to_dict() for ev in tl]
-            for robot, tl in sorted(self.timelines.items())
-        }
 
 
 def extract_plan(mdp: Mdp, policy: list[int | None]) -> Plan:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import os
+import re
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,11 +17,14 @@ from .mdp import DEFAULT_STATE_CAP, ClusterContext, build_mdp
 from .mdp_export import write_mdp_text
 from .optimizer import GaConfig, Objectives, ParetoFront, nsga2_run, prepare_search
 from .parser import parse_problem
-from .plans import check_plan
+from .plans import PlanEvent, check_plan
 from .taskgraph import debug_report, expand_mission
 from .validation import validate_problem
 
 __all__ = ["PipelineConfig", "RunReport", "run"]
+
+# the artifacts a run may leave out, with a plan's index in group 1
+_OWN = r"plan_(0|[1-9][0-9]*)\.(json|svg)|mdp(_(0|[1-9][0-9]*)){3}\.txt|allocations\.json"
 
 
 class PipelineConfig:
@@ -87,7 +91,8 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     models.  Raises the underlying error on bad input, an empty feasible
     set or a model over the state cap; the CLI maps those to exit codes.
     ``out_dir`` is created only once the mission validates and its
-    allocations are drawn.
+    allocations are drawn; of the plans, dumps and allocations.json already
+    in it, those this run does not write are removed.
     """
     timings: dict[str, float] = {}
 
@@ -138,6 +143,15 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     models = _front_models(space, front) if cfg.dump_mdp else []
     # release the score memo and the drawn pool entries before writing
     del space
+    # a reused out_dir keeps none of kanoa's own files that this run leaves out
+    keep = {name for name, _ in models}
+    if cfg.dump_allocations:
+        keep.add("allocations.json")
+    with os.scandir(out) as listing:
+        for f in listing:
+            m = re.fullmatch(_OWN, f.name)
+            if m and (int(m[1]) >= len(front.entries) if m[1] else f.name not in keep):
+                os.remove(f.path)
 
     idle_caps = {
         r.id: v.max_idle(r.id)
@@ -150,19 +164,7 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
             raise InvariantViolation(
                 f"front entry {k} produced an unsound plan: {problems}"
             )
-        (out / f"plan_{k}.json").write_text(
-            json.dumps(
-                {
-                    "allocation": entry.chromosome.alloc_idx,
-                    "permutation": entry.chromosome.perm_idx,
-                    "objectives": _objectives(entry.objectives),
-                    "timelines": entry.plan.to_dict(),
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        (out / f"plan_{k}.json").write_text(render_plan_json(entry), encoding="utf-8")
         (out / f"plan_{k}.svg").write_text(
             emit_gantt(entry.plan, title=f"plan_{k}"), encoding="utf-8"
         )
@@ -214,35 +216,53 @@ def _dump_model(name: str, ctx: ClusterContext, state_cap: int, out: Path):
     (out / name).write_text(write_mdp_text(mdp), encoding="utf-8")
 
 
-def _objectives(o: Objectives) -> dict:
-    """The objectives as pareto.json and plan_*.json name them."""
-    return {"probability_of_failure": o.p_fail, "idling": o.idle, "travel": o.travel}
+def _objectives(o: Objectives, pad: str) -> str:
+    return (f'{pad}"probability_of_failure": {o.p_fail!r},\n'
+            f'{pad}"idling": {o.idle},\n{pad}"travel": {o.travel}')
+
+
+def _block(items: list[str], pad: str, ends: str = "[]") -> str:
+    """A JSON array (or object) of laid-out items, closed at ``pad``."""
+    return f"{ends[0]}\n" + ",\n".join(items) + f"\n{pad}{ends[1]}" if items else ends
 
 
 def render_csv(front: ParetoFront) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["Allocation", "Permutation", "Probability of failure", "Idling", "Travel"]
+    return "Allocation,Permutation,Probability of failure,Idling,Travel\n" + "".join(
+        f"{e.chromosome.alloc_idx},{e.chromosome.perm_idx},{e.objectives.p_fail!r},"
+        f"{e.objectives.idle},{e.objectives.travel}\n" for e in front.entries
     )
-    for e in front.entries:
-        writer.writerow(
-            [e.chromosome.alloc_idx, e.chromosome.perm_idx, repr(e.objectives.p_fail),
-             e.objectives.idle, e.objectives.travel]
-        )
-    return buf.getvalue()
 
 
 def render_json(front: ParetoFront) -> str:
     entries = [
-        {
-            "allocation": e.chromosome.alloc_idx,
-            "permutation": e.chromosome.perm_idx,
-            **_objectives(e.objectives),
-        }
+        f'    {{\n      "allocation": {e.chromosome.alloc_idx},\n      "permutation": '
+        f'{e.chromosome.perm_idx},\n{_objectives(e.objectives, " " * 6)}\n    }}'
         for e in front.entries
     ]
-    return json.dumps({"entries": entries}, indent=2) + "\n"
+    return f'{{\n  "entries": {_block(entries, "  ")}\n}}\n'
+
+
+def render_plan_json(entry) -> str:
+    """plan_<k>.json from a template, with the bytes of ``json.dumps(doc,
+    indent=2)`` and a newline: numbers as ``repr`` prints them, strings
+    through ``json``'s ASCII escaping.  pareto.json and pareto.csv, too."""
+    timelines = [
+        f"    {_quote(robot)}: " + _block(list(map(_event_json, timeline)), "    ")
+        for robot, timeline in sorted(entry.plan.timelines.items())
+    ]
+    c = entry.chromosome
+    return (f'{{\n  "allocation": {c.alloc_idx},\n  "permutation": {c.perm_idx},\n'
+            f'  "objectives": {{\n{_objectives(entry.objectives, "    ")}\n  }},\n'
+            f'  "timelines": {_block(timelines, "  ", "{}")}\n}}\n')
+
+
+def _event_json(ev: PlanEvent) -> str:
+    text = (f'      {{\n        "kind": {_quote(ev.kind)},\n'
+            f'        "start": {ev.start},\n        "end": {ev.end}')
+    for key, value in (("instance", ev.instance), ("from", ev.frm), ("to", ev.to)):
+        if value is not None:
+            text += f',\n        "{key}": {_quote(value)}'
+    return text + "\n      }"
 
 
 def render_text(report: RunReport, config: dict, clusters: list[str]) -> str:

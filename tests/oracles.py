@@ -25,11 +25,20 @@ here compute the same results the slow, obvious way:
   their constant-factor rewrite: the earliest-start schedule of every
   cluster by the general multi-robot loop, the ranking's release order
   by sorting the previous front afresh for each front, and crowding by
-  looking every objective up through the results.
+  looking every objective up through the results;
+* a cluster's facts by the general constructor, which scans the
+  precedence pairs even for one robot, and each hop from the problem's
+  own ``distance`` and ``travel_time``;
+* the front's artifacts as documents for ``json.dumps(doc, indent=2)``
+  and rows for ``csv.writer``, which the template writers of
+  :mod:`kanoa.reporting` must equal byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 from collections import deque
 from itertools import combinations
@@ -39,7 +48,9 @@ import numpy as np
 from kanoa.allocation import eligible_robots, used_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
 from kanoa.errors import InvariantViolation, UndefinedReward
-from kanoa.mdp import REWARD_ATTRS, ClusterContext, ClusterFacts, Hops, Mdp
+from kanoa.mdp import (
+    REWARD_ATTRS, ClusterContext, ClusterFacts, Hops, Mdp, success_probability,
+)
 from kanoa.optimizer import EvalResult, Objectives
 from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
@@ -580,3 +591,119 @@ def reference_crowding_distance(front: list[int], results: list[EvalResult]) -> 
             nxt = results[ordered[k + 1]].objectives[m]
             dist[ordered[k]] += (nxt - prev) / (hi - lo)
     return dist
+
+
+def general_cluster_facts(
+    v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
+    pairs, instances: dict[str, TaskInstance],
+) -> ClusterFacts:
+    """:class:`kanoa.mdp.ClusterFacts` as its constructor builds them for
+    a cluster of any size: tracked instances from a scan of the pairs, and
+    each instance's participants and joint duration looked up."""
+    facts = ClusterFacts.__new__(ClusterFacts)
+    facts.tt = tt = v.time_available
+    facts.robots = tuple(sorted(cluster.robots))
+    facts.starts = tuple(v.robot(r).initial_loc for r in facts.robots)
+    facts.robot_index = {r: i for i, r in enumerate(facts.robots)}
+    facts.idle_caps = [tt if (cap := v.max_idle(r)) is None else cap for r in facts.robots]
+    facts.p_success = success_probability(v, allocation, cluster, instances)
+    in_cluster = cluster.instances
+    team = {i: allocation[i] for i in in_cluster}
+    tracked: list[str] = []
+    for p in pairs:
+        if p.before in in_cluster and p.after in in_cluster:
+            if not (team[p.after] <= team[p.before]):
+                if p.before not in tracked:
+                    tracked.append(p.before)
+    tracked.sort()
+    facts.tracked = tuple(tracked)
+    tr_index = {inst: i for i, inst in enumerate(tracked)}
+    preds: dict[str, set[str]] = {}
+    for p in pairs:
+        if p.before in tr_index and p.after in in_cluster:
+            preds.setdefault(p.after, set()).add(p.before)
+    facts.instances = {}
+    for inst_id in in_cluster:
+        inst = instances[inst_id]
+        participants = tuple(sorted(team[inst_id]))
+        duration = None
+        if inst.robots_needed >= 2:
+            duration = max(
+                v.robot(r).capability_for(inst.type_id).required_time for r in participants
+            )
+        facts.instances[inst_id] = (
+            tuple(sorted(tr_index[x] for x in preds.get(inst_id, ()))),
+            tr_index.get(inst_id, -1),
+            participants,
+            duration,
+        )
+    return facts
+
+
+def cold_hop(v: ValidatedProblem, instances, rid: str, here: str, inst_id: str) -> tuple:
+    """One :class:`kanoa.mdp.Hops` entry from the problem's own distance
+    and travel time and the robot's capability."""
+    robot, inst = v.robot(rid), instances[inst_id]
+    cap = robot.capability_for(inst.type_id)
+    return (
+        inst.location, v.distance(here, inst.location),
+        v.travel_time(robot, here, inst.location), cap.required_time, cap.success_prob,
+    )
+
+
+# -- artifacts through the json and csv modules ---------------------------------
+
+
+def event_document(ev: PlanEvent) -> dict:
+    d = {"kind": ev.kind, "start": ev.start, "end": ev.end}
+    if ev.instance is not None:
+        d["instance"] = ev.instance
+    if ev.frm is not None:
+        d["from"] = ev.frm
+    if ev.to is not None:
+        d["to"] = ev.to
+    return d
+
+
+def plan_document(entry) -> dict:
+    """What plan_<k>.json holds for a front entry."""
+    o = entry.objectives
+    return {
+        "allocation": entry.chromosome.alloc_idx,
+        "permutation": entry.chromosome.perm_idx,
+        "objectives": {"probability_of_failure": o.p_fail, "idling": o.idle, "travel": o.travel},
+        "timelines": {
+            robot: [event_document(ev) for ev in tl]
+            for robot, tl in sorted(entry.plan.timelines.items())
+        },
+    }
+
+
+def pareto_document(front) -> dict:
+    """What pareto.json holds for a front."""
+    return {"entries": [
+        {
+            "allocation": e.chromosome.alloc_idx,
+            "permutation": e.chromosome.perm_idx,
+            "probability_of_failure": e.objectives.p_fail,
+            "idling": e.objectives.idle,
+            "travel": e.objectives.travel,
+        }
+        for e in front.entries
+    ]}
+
+
+def encode(doc) -> str:
+    """The bytes kanoa's JSON artifacts must have."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def pareto_table(front) -> str:
+    """pareto.csv through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["Allocation", "Permutation", "Probability of failure", "Idling", "Travel"])
+    for e in front.entries:
+        writer.writerow([e.chromosome.alloc_idx, e.chromosome.perm_idx,
+                         repr(e.objectives.p_fail), e.objectives.idle, e.objectives.travel])
+    return buf.getvalue()

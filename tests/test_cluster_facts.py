@@ -11,8 +11,10 @@ calls build one.
 """
 
 import random
+import re
 
-from helpers import load, random_clusters
+from helpers import expanded, load, perfbench_mission, random_clusters, random_problem_text
+from oracles import cold_hop, general_cluster_facts
 
 import kanoa.optimizer
 from kanoa.allocation import AllocatorConfig
@@ -147,3 +149,64 @@ def test_only_front_schedules_build_contexts(hospital_text, monkeypatch):
     assert front.entries
     assert built == {"inside": sum(feasible), "outside": 0}
     assert 0 < sum(feasible) == len(feasible)
+
+
+def test_hop_memo_equals_cold_hops_at_fractional_speeds():
+    """Every hop a memo serves equals the cold one from the problem's own
+    distance and travel time, on random missions whose robots move at
+    1, 2, 5/4, 3/2 and 7/4, from every location to every instance the
+    robot can do; a hop from the instance's own location has length 0."""
+    rng = random.Random(29)
+    checked = zero = 0
+    for _ in range(80):
+        text = re.sub(r"velocity \d+", lambda _: "velocity " + rng.choice(
+            ["1", "2", "5/4", "3/2", "7/4"]), random_problem_text(rng))
+        v = load(text)
+        _, instances, _, _ = expanded(v)
+        hops = Hops(v, instances)
+        for robot in v.problem.robots:
+            for inst_id, inst in sorted(instances.items()):
+                if robot.capability_for(inst.type_id) is None:
+                    continue
+                for loc in v.problem.locations:
+                    key = (robot.id, loc.id, inst_id)
+                    assert hops[key] == cold_hop(v, instances, *key)
+                    checked += 1
+                    zero += loc.id == inst.location
+    assert checked > 500 and zero > 100
+
+
+def assert_facts_equal_general(v, allocation, cluster, pairs, instances):
+    facts = ClusterFacts(v, allocation, cluster, pairs, instances)
+    general = general_cluster_facts(v, allocation, cluster, pairs, instances)
+    for slot in ClusterFacts.__slots__:
+        assert getattr(facts, slot) == getattr(general, slot), slot
+
+
+def test_facts_equal_general_constructor_on_random_clusters():
+    """One-robot clusters skip the scan of the pairs; every slot still
+    equals the general constructor's, for clusters of any size."""
+    rng = random.Random(31)
+    one = 0
+    for _ in range(300):
+        for v, allocation, cluster, _, pairs, instances in random_clusters(
+            rng, idle_caps=rng.random() < 0.5, draws=2
+        ):
+            assert_facts_equal_general(v, allocation, cluster, pairs, instances)
+            one += len(cluster.robots) == 1
+    assert one > 100
+
+
+def test_facts_equal_general_constructor_on_fleet():
+    """Every cluster of every allocation of the benchmark's fleet
+    sub-instance 0, all of them one robot."""
+    text, cfg = perfbench_mission("fleet")
+    space = prepare_search(load(text), AllocatorConfig(max_allocations=cfg.allocations), cfg.ga())
+    sizes = set()
+    for allocation, clusters in zip(space.allocations, space.clusters):
+        for cluster in clusters:
+            assert_facts_equal_general(
+                space.v, allocation, cluster, space.pairs, space.instances
+            )
+            sizes.add(len(cluster.robots))
+    assert sizes == {1}

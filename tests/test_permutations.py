@@ -1,12 +1,15 @@
 import random
+import types
 from itertools import permutations as iterperms
 
+import oracles
 import pytest
 from helpers import expanded, first_allocation, load, perfbench_mission
 from oracles import resorted_task_permutation
 
 import kanoa
 import kanoa.optimizer
+import kanoa.permutations
 from kanoa.allocation import AllocatorConfig, used_robots
 from kanoa.clustering import RobotCluster
 from kanoa.optimizer import nsga2_run, prepare_search
@@ -147,6 +150,42 @@ def test_draws_match_resorting_oracle_on_random_precedences():
             assert list(drawn.items()) == list(
                 resorted_task_permutation(precedence, seed).items()
             )
+
+
+# ready lists of every length from 1 to 65 start or pass through these,
+# powers of two and their neighbours among them
+READY_LENGTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+
+def test_draws_use_randrange_bit_for_bit(monkeypatch):
+    """Each pick takes exactly the bits ``Random.randrange`` takes: a draw
+    equals the re-sorting oracle, which calls ``randrange``, and leaves
+    its generator in the same state.  A robot of n free tasks picks from
+    ready lists of lengths n down to 1; a robot with waiting tasks and
+    one with no task ride along."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    for module in (kanoa.permutations, oracles):
+        monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Recording))
+    rng = random.Random(23)
+    for n in READY_LENGTHS:
+        names = [f"w{k:02d}" for k in range(rng.randint(1, 12))]
+        waiting = {t: frozenset(p for p in names[:k] if rng.random() < 0.4)
+                   for k, t in enumerate(names)}
+        precedence = [
+            ("a", {f"t{k:02d}": frozenset() for k in range(n)}), ("b", waiting), ("c", {}),
+        ]
+        state = draw_state(precedence)
+        for seed in [0, 1, n, f"{n}:3:7", rng.random()]:
+            drawn = random_task_permutation(state, seed)
+            assert drawn == resorted_task_permutation(precedence, seed)
+            mine, reference = made[-2:]
+            assert mine.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("workload", ["hospital", "relay", "fleet"])

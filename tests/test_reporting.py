@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import resource
 import signal
@@ -15,6 +16,7 @@ from unittest import mock
 
 import pytest
 from helpers import assert_golden_artifacts, compound_chain_text, wide_joint_task_text
+from oracles import encode, pareto_document, pareto_table, plan_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +25,13 @@ from kanoa.cli import _FIELDS, _read_config, _resolve, build_parser
 from kanoa.cli import main as cli_main
 from kanoa.gantt import _TEXT_MAX_SPAN, emit_gantt, format_gantt_text
 from kanoa.mdp import DEFAULT_STATE_CAP
-from kanoa.optimizer import MAX_POPULATION, GaConfig
+from kanoa.optimizer import (
+    MAX_POPULATION, Chromosome, GaConfig, Objectives, ParetoEntry, ParetoFront,
+)
 from kanoa.plans import Plan, PlanEvent
-from kanoa.reporting import PipelineConfig, RunReport, run
+from kanoa.reporting import (
+    PipelineConfig, RunReport, render_csv, render_json, render_plan_json, run,
+)
 from kanoa.validation import MAX_INSTANCES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -868,6 +874,104 @@ def test_solo_tasks_golden_artifacts(tmp_path):
     out = tmp_path / "out"
     run(mission, cfg, out)
     assert_golden_artifacts(GOLDEN / "solo_tasks_seed0", out)
+
+
+# -- the template writers against json.dumps and csv.writer ---------------------
+
+# identifiers with non-ASCII letters (the tokenizer accepts any Unicode
+# letter), one outside the Basic Multilingual Plane, and characters json
+# escapes by name
+NAMES = ["r1", "küche", "Ωmega_2", "仓库", "x_ß", "𝔘bot", 'q"uote', "back\\slash", "tab\tnl\n"]
+P_FAILS = [0.0, 1.0, 5e-324, 0.1 + 0.2] + [1 - 0.9**k for k in range(1, 9)]
+
+
+def random_entry(rng):
+    timelines = {}
+    for robot in rng.sample(NAMES, rng.randint(0, 4)):
+        clock, events = 0, []
+        for _ in range(rng.randint(0, 4)):
+            end = clock + rng.choice([0, 1, rng.randrange(10**6)])
+            events.append(PlanEvent(
+                rng.choice(["travel", "execute", "idle", "jointSync"]), clock, end,
+                *(rng.choice([None, *NAMES]) for _ in range(3)),
+            ))
+            clock = end
+        timelines[robot] = tuple(events)
+    p_fail = rng.choice(P_FAILS + [rng.random()])
+    return ParetoEntry(
+        Chromosome(rng.randrange(10**4), rng.randrange(10**4)),
+        Objectives(p_fail, rng.randrange(10**6), rng.randrange(10**9)),
+        Plan(timelines),
+    )
+
+
+def test_template_writers_equal_json_and_csv_on_random_fronts():
+    """plan_<k>.json and pareto.json are ``json.dumps(doc, indent=2)``
+    and a newline, and pareto.csv is ``csv.writer``'s table, byte for
+    byte: empty fronts, timelines and robots, events with and without
+    instance, from and to, and every p_fail of ``P_FAILS``."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        front = ParetoFront(tuple(random_entry(rng) for _ in range(rng.randint(0, 4))))
+        assert render_json(front) == encode(pareto_document(front))
+        assert render_csv(front) == pareto_table(front)
+        for entry in front.entries:
+            assert render_plan_json(entry) == encode(plan_document(entry))
+            seen.add(entry.objectives.p_fail)
+            seen.update(k for tl in plan_document(entry)["timelines"].values()
+                        for ev in tl for k in ev)
+    assert set(P_FAILS) <= seen
+    assert {"instance", "from", "to"} <= seen
+
+
+UNICODE_IDS = """
+world { loc küche (0,0) loc säal (3,4) loc 仓库 (6,0) }
+tasks { atomic wäsche robots 1 atomic λift robots 2 }
+robots {
+  robot röbi at küche velocity 1 { can wäsche time 2 prob 0.9 can λift time 1 prob 0.8 }
+  robot 机器 at 仓库 velocity 3/2 { can wäsche time 3 prob 0.95 can λift time 2 prob 0.9 }
+}
+mission { task wäsche at säal; task λift at 仓库; time 40 }
+"""
+
+
+def test_artifacts_of_non_ascii_ids_are_json_dumps_bytes(tmp_path):
+    """A mission whose robot, location and task ids hold non-ASCII
+    letters writes ASCII JSON, ``\\uXXXX`` escapes included, equal to
+    re-encoding each file with ``json.dumps(indent=2)``."""
+    mission = tmp_path / "unicode.kanoa"
+    mission.write_text(UNICODE_IDS, encoding="utf-8")
+    run(mission, PipelineConfig(allocations=4, permutations=4, population=8), tmp_path / "out")
+    written = sorted((tmp_path / "out").glob("*.json"))
+    assert "plan_0.json" in [p.name for p in written]
+    for path in written:
+        raw = path.read_bytes()
+        assert raw.isascii()
+        assert raw.decode() == encode(json.loads(raw)), path.name
+    assert "\\u00e4" in (tmp_path / "out" / "plan_0.json").read_text()
+
+
+def test_reused_out_dir_keeps_only_this_runs_artifacts(fixtures_dir, tmp_path):
+    """A second run into the same directory removes the first run's plans
+    beyond its own front, its model dumps and allocations.json, and leaves
+    every file that is not one of kanoa's artifact names."""
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    first = ["plan", "--input", str(fixtures_dir / "hospital.kanoa"), "--out", str(out),
+             "--dump-mdp", "--dump-allocations"]
+    assert cli_main(first) == 0
+    names = {p.name for p in out.iterdir()}
+    assert {"plan_1.json", "plan_1.svg", "allocations.json"} <= names
+    assert any(n.startswith("mdp_") for n in names)
+    foreign = {"notes.txt": "kept", "plan_01.json": "{}", "plan_x.svg": "", "mdp_1.txt": ""}
+    for name, text in foreign.items():
+        (out / name).write_text(text)
+    for d in (out, fresh):
+        args = ["plan", "--input", str(fixtures_dir / "minimal.kanoa"), "--out", str(d)]
+        assert cli_main(args) == 0
+    assert {p.name for p in out.iterdir()} == {p.name for p in fresh.iterdir()} | set(foreign)
+    for name, text in foreign.items():
+        assert (out / name).read_text() == text
 
 
 def test_cli_env_override(hospital_path, tmp_path, monkeypatch):
