@@ -243,9 +243,9 @@ def render_json(front: ParetoFront) -> str:
 
 
 def render_plan_json(entry) -> str:
-    """plan_<k>.json from a template, with the bytes of ``json.dumps(doc,
-    indent=2)`` and a newline: numbers as ``repr`` prints them, strings
-    through ``json``'s ASCII escaping.  pareto.json and pareto.csv, too."""
+    """plan_<k>.json from a template: the bytes of ``json.dumps(doc,
+    indent=2)`` and a newline, numbers as ``repr`` prints them, strings
+    ASCII-escaped by ``json``.  The pareto tables are written likewise."""
     timelines = [
         f"    {_quote(robot)}: " + _block(list(map(_event_json, timeline)), "    ")
         for robot, timeline in sorted(entry.plan.timelines.items())
