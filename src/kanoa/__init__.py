@@ -41,7 +41,6 @@ from .optimizer import (
 )
 from .parser import parse_problem
 from .permutations import draw_state, random_task_permutation, robot_precedence
-from .permutations import travel_cost
 from .plans import Plan, PlanEvent, check_plan, extract_plan
 from .printer import pretty_print
 from .problem import ProblemSpec, ValidatedProblem

@@ -1,4 +1,4 @@
-"""Per-robot task orders and the travel cost they induce.
+"""Per-robot task orders, drawn at random within the precedence constraints.
 
 A permutation maps each robot to its ordered tuple of instance ids; a
 joint instance appears in every participant's order.
@@ -10,8 +10,7 @@ import random
 from bisect import insort
 
 from .clustering import RobotCluster
-from .problem import ValidatedProblem
-from .taskgraph import PrecedencePair, TaskInstance
+from .taskgraph import PrecedencePair
 
 
 # shared by every instance without predecessors, which is most of them
@@ -107,22 +106,3 @@ def random_task_permutation(state, seed) -> dict[str, tuple[str, ...]]:
         per_robot[robot] = tuple(order)
     return per_robot
 
-
-def travel_cost(
-    p: dict[str, tuple[str, ...]],
-    v: ValidatedProblem,
-    instances: dict[str, TaskInstance],
-) -> int:
-    """Sum over robots of the distances along their task-location chains.
-
-    Each robot's chain starts at its initial location; co-located
-    consecutive stops contribute zero.
-    """
-    total = 0
-    for robot_id, order in p.items():
-        here = v.robot(robot_id).initial_loc
-        for inst_id in order:
-            there = instances[inst_id].location
-            total += v.distance(here, there)
-            here = there
-    return total

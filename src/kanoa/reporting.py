@@ -23,8 +23,9 @@ from .validation import validate_problem
 
 __all__ = ["PipelineConfig", "RunReport", "run"]
 
-# the artifacts a run may leave out, with a plan's index in group 1
-_OWN = r"plan_(0|[1-9][0-9]*)\.(json|svg)|mdp(_(0|[1-9][0-9]*)){3}\.txt|allocations\.json"
+# every file name a run writes; a run removes these from out_dir first
+_OWN = (r"(instances|allocations|pareto)\.json|pareto\.csv|report\.txt"
+        r"|plan_(0|[1-9][0-9]*)\.(json|svg)|mdp(_(0|[1-9][0-9]*)){3}\.txt")
 
 
 class PipelineConfig:
@@ -88,11 +89,12 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
 
     Writes pareto.csv / pareto.json, one plan_<k>.json and plan_<k>.svg per
     front entry, instances.json, and report.txt, then the ``--dump-mdp``
-    models.  Raises the underlying error on bad input, an empty feasible
-    set or a model over the state cap; the CLI maps those to exit codes.
-    ``out_dir`` is created only once the mission validates and its
-    allocations are drawn; of the plans, dumps and allocations.json already
-    in it, those this run does not write are removed.
+    models and the ``--dump-allocations`` allocations.json.  Raises the
+    underlying error on bad input, an empty feasible set or a model over
+    the state cap; the CLI maps those to exit codes.  ``out_dir`` is
+    created only once the mission validates and its allocations are drawn;
+    every file in it that bears one of these names is then removed, so any
+    exit leaves only this run's artifacts.
     """
     timings: dict[str, float] = {}
 
@@ -121,6 +123,10 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    with os.scandir(out) as listing:
+        for f in listing:
+            if re.fullmatch(_OWN, f.name):
+                os.remove(f.path)
     (out / "instances.json").write_text(instances_json, encoding="utf-8")
     if cfg.dump_allocations:
         payload = [
@@ -143,15 +149,6 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
     models = _front_models(space, front) if cfg.dump_mdp else []
     # release the score memo and the drawn pool entries before writing
     del space
-    # a reused out_dir keeps none of kanoa's own files that this run leaves out
-    keep = {name for name, _ in models}
-    if cfg.dump_allocations:
-        keep.add("allocations.json")
-    with os.scandir(out) as listing:
-        for f in listing:
-            m = re.fullmatch(_OWN, f.name)
-            if m and (int(m[1]) >= len(front.entries) if m[1] else f.name not in keep):
-                os.remove(f.path)
 
     idle_caps = {
         r.id: v.max_idle(r.id)

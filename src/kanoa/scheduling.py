@@ -7,7 +7,7 @@ from typing import NamedTuple
 from .clustering import RobotCluster
 from .errors import InvariantViolation
 from .mdp import DEFAULT_STATE_CAP, ClusterContext, ClusterFacts, Hops, build_mdp
-from .mdp import success_probability  # noqa: F401  (kept importable from here)
+from .mdp import success_probability  # noqa: F401  (perfbench/child.py imports it from here)
 from .plans import Plan, extract_plan
 from .problem import ValidatedProblem
 from .solver import max_reach_probability, min_expected_reward_policy

@@ -12,6 +12,8 @@ import sys
 from itertools import product
 from pathlib import Path
 
+from oracles import chain_travel
+
 from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, build_mdp
@@ -20,7 +22,6 @@ from kanoa.permutations import (
     draw_state,
     random_task_permutation,
     robot_precedence,
-    travel_cost,
 )
 from kanoa.plans import extract_plan
 from kanoa.problem import ValidatedProblem
@@ -341,7 +342,7 @@ def _solve_full_model(v, allocation, cluster, permutation, pairs, instances, sta
         feasible=True,
         p_success=success_probability(v, allocation, cluster, instances),
         idle=round(idle),
-        travel=travel_cost({r: permutation[r] for r in cluster.robots}, v, instances),
+        travel=chain_travel({r: permutation[r] for r in cluster.robots}, v, instances),
         plan=None,
     ), (mdp, policy)
 

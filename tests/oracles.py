@@ -29,6 +29,8 @@ here compute the same results the slow, obvious way:
 * a cluster's facts by the general constructor, which scans the
   precedence pairs even for one robot, and each hop from the problem's
   own ``distance`` and ``travel_time``;
+* a permutation's travel, by walking each robot's chain of task
+  locations from its start and summing the distances;
 * the front's artifacts as documents for ``json.dumps(doc, indent=2)``
   and rows for ``csv.writer``, which the template writers of
   :mod:`kanoa.reporting` must equal byte for byte.
@@ -649,6 +651,21 @@ def cold_hop(v: ValidatedProblem, instances, rid: str, here: str, inst_id: str) 
         inst.location, v.distance(here, inst.location),
         v.travel_time(robot, here, inst.location), cap.required_time, cap.success_prob,
     )
+
+
+def chain_travel(
+    order: dict[str, tuple[str, ...]], v: ValidatedProblem, instances: dict[str, TaskInstance],
+) -> int:
+    """The summed distance of every robot's walk from its initial location
+    through its ordered task locations."""
+    total = 0
+    for rid, seq in order.items():
+        here = v.robot(rid).initial_loc
+        for inst_id in seq:
+            there = instances[inst_id].location
+            total += v.distance(here, there)
+            here = there
+    return total
 
 
 # -- artifacts through the json and csv modules ---------------------------------

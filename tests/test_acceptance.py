@@ -21,6 +21,7 @@ from helpers import (
 from oracles import (
     InterdependenceMatrix,
     brute_force_allocations,
+    chain_travel,
     closure_by_multiplication,
     clusters,
     dominates,
@@ -44,7 +45,6 @@ from kanoa.optimizer import (
     prepare_search,
 )
 from kanoa.parser import parse_problem
-from kanoa.permutations import travel_cost
 from kanoa.plans import check_plan
 from kanoa.printer import pretty_print
 from kanoa.errors import DslSyntaxError
@@ -122,7 +122,7 @@ def test_criterion_3_mdp_objective_oracles():
             assert max_reach_probability(mdp, "success") == pytest.approx(
                 analytic, abs=1e-9
             )
-            assert min_expected_reward(mdp, "travel", "done") == travel_cost(
+            assert min_expected_reward(mdp, "travel", "done") == chain_travel(
                 permutation, v, instances
             )
         checked += 1

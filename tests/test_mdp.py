@@ -12,12 +12,12 @@ from helpers import (
     times,
     wide_joint_task_text,
 )
+from oracles import chain_travel
 
 import kanoa.mdp
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
 from kanoa.mdp import Choice, ClusterContext, _enumerate_choices, build_mdp
-from kanoa.permutations import travel_cost
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
 from kanoa.solver import (
@@ -291,7 +291,7 @@ def test_success_equals_analytic_and_travel_equals_chain():
             analytic, abs=1e-9
         )
         travel = min_expected_reward(mdp, "travel", "done")
-        assert travel == travel_cost(permutation, v, instances)
+        assert travel == chain_travel(permutation, v, instances)
         checked += 1
 
 

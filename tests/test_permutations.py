@@ -17,7 +17,6 @@ from kanoa.permutations import (
     draw_state,
     random_task_permutation,
     robot_precedence,
-    travel_cost,
 )
 
 FORCED = """
@@ -239,60 +238,3 @@ def test_top_level_api_draws_like_resorting_oracle(workload):
                 drawn += 1
     assert drawn >= 12
 
-
-def test_travel_cost_no_tasks():
-    v = load(FREE3)
-    _, instances, _, _ = expanded(v)
-    assert travel_cost({"r": ()}, v, instances) == 0
-
-
-def test_travel_cost_order_dependent():
-    v = load("""
-world { loc base (0,0) loc near (2,0) loc far (10,0) }
-tasks { atomic t robots 1 atomic u robots 1 }
-robots { robot r at base velocity 1 { can t time 1 prob 1 can u time 1 prob 1 } }
-mission { task t at near; task u at far; time 50 }
-""")
-    _, instances, _, _ = expanded(v)
-    near_first = travel_cost({"r": ("t_0", "u_0")}, v, instances)
-    far_first = travel_cost({"r": ("u_0", "t_0")}, v, instances)
-    assert near_first == 2 + 8
-    assert far_first == 10 + 8
-    assert near_first != far_first
-
-
-def test_travel_cost_matches_event_walk_oracle():
-    rng = random.Random(11)
-    from helpers import random_problem_text
-
-    checked = 0
-    while checked < 25:
-        try:
-            v = load(random_problem_text(rng))
-        except Exception:
-            continue
-        leaves, instances, pairs, subtrees = expanded(v)
-        from kanoa.allocation import AllocatorConfig, enumerate_allocations, used_robots
-        try:
-            allocation = enumerate_allocations(
-                v, leaves, AllocatorConfig(max_allocations=1)
-            )[0]
-        except Exception:
-            continue
-        order = {}
-        for rid in sorted(used_robots(allocation)):
-            mine = sorted(
-                i for i, team in allocation.items() if rid in team
-            )
-            rng.shuffle(mine)
-            order[rid] = tuple(mine)
-        # independent recomputation: walk each chain and sum pair distances
-        expected = 0
-        for rid, seq in order.items():
-            here = v.robot(rid).initial_loc
-            for inst in seq:
-                there = instances[inst].location
-                expected += v.distance(here, there)
-                here = there
-        assert travel_cost(order, v, instances) == expected
-        checked += 1

@@ -974,6 +974,39 @@ def test_reused_out_dir_keeps_only_this_runs_artifacts(fixtures_dir, tmp_path):
         assert (out / name).read_text() == text
 
 
+
+@pytest.mark.parametrize("mission, flags, code, left", [
+    ("infeasible_time", [], 2, {"instances.json"}),
+    ("minimal", ["--state-cap", "1"], 1, {"instances.json"}),
+    ("minimal", ["--state-cap", "3", "--dump-mdp"], 1,
+     {"instances.json", "pareto.csv", "pareto.json", "report.txt", "plan_0.json", "plan_0.svg"}),
+], ids=["infeasible", "state_cap", "dump_over_cap"])
+def test_failed_run_into_reused_out_dir_leaves_only_its_own_files(
+    fixtures_dir, tmp_path, capsys, mission, flags, code, left
+):
+    """A run that fails into a directory holding an earlier front leaves
+    the files the same run leaves in a fresh directory, and every file
+    that is not one of kanoa's artifact names: none of the earlier
+    plans, tables, dumps or allocations.json."""
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    first = ["plan", "--input", str(fixtures_dir / "minimal.kanoa"), "--out", str(out),
+             "--dump-mdp", "--dump-allocations"]
+    assert cli_main(first) == 0
+    assert {"plan_0.json", "mdp_0_0_0.txt", "allocations.json"} <= {p.name for p in out.iterdir()}
+    foreign = {"notes.txt": "kept", "plan_01.json": "{}", "mdp_1.txt": ""}
+    for name, text in foreign.items():
+        (out / name).write_text(text)
+    capsys.readouterr()
+    for d in (out, fresh):
+        args = ["plan", "--input", str(fixtures_dir / f"{mission}.kanoa"), "--out", str(d)]
+        assert cli_main(args + flags) == code
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and errors[0] == errors[1]
+    assert {p.name for p in fresh.iterdir()} == left
+    assert {p.name for p in out.iterdir()} == left | set(foreign)
+    for name, text in foreign.items():
+        assert (out / name).read_text() == text
+
 def test_cli_env_override(hospital_path, tmp_path, monkeypatch):
     monkeypatch.setenv("KANOA_ALLOCATIONS", "2")
     monkeypatch.setenv("KANOA_PERMUTATIONS", "2")
