@@ -5,6 +5,7 @@ back to straight-line distances for undeclared pairs, and the
 pretty-print round trip.
 """
 
+import math
 from pathlib import Path
 
 from kanoa import parse_problem, pretty_print, validate_problem
@@ -28,11 +29,12 @@ print(f"undeclared pairs:        {n * (n - 1) // 2 - len(declared)}")
 print(f"room1 -> room6 (straight line): {v.distance('room1', 'room6')}")
 print(f"room1 -> room2 (declared): {v.distance('room1', 'room2')}")
 
-# travel time is distance over velocity, rounded up to whole time units
+# travel time is distance over velocity, rounded up to whole time units;
+# velocities are exact fractions, so the ceiling is exact too
 r5 = v.robot("r5")
+dist = v.distance("dock2", "room2")
 print(f"\nr5 velocity {r5.velocity}: dock2 -> room2 takes "
-      f"{v.travel_time(r5, 'dock2', 'room2')} time units "
-      f"(distance {v.distance('dock2', 'room2')})")
+      f"{math.ceil(dist / r5.velocity)} time units (distance {dist})")
 
 # printing and reparsing reproduces the same AST
 assert parse_problem(pretty_print(spec)) == spec

@@ -22,7 +22,7 @@ from kanoa import (
 )
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import ClusterContext, build_mdp
-from kanoa.scheduling import schedule_cluster
+from kanoa.scheduling import ClusterFacts, Hops, schedule_cluster
 
 HERE = Path(__file__).parent
 v = validate_problem(
@@ -48,7 +48,10 @@ permutation = {
     "r2": ("at1_move_0", "at1_move_1"),
 }
 
-ctx = ClusterContext(v, allocation, movers, permutation, pairs, instances)
+# the model reads two records a search keeps: what the (allocation,
+# cluster) pair fixes, and a memo of each robot's hops
+facts = ClusterFacts(v, allocation, movers, pairs, instances)
+ctx = ClusterContext(facts, permutation, Hops(v, instances))
 mdp = build_mdp(ctx)
 print(f"model: {mdp.n_states} states, "
       f"{sum(len(c) for c in mdp.choices)} action choices")

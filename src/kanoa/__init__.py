@@ -25,8 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .gantt import emit_gantt, format_gantt_text
-from .mdp import ClusterContext, Mdp, build_mdp
-from .mdp_export import write_mdp_text
+from .mdp import ClusterContext, Mdp, build_mdp, write_mdp_text
 from .optimizer import (
     Chromosome,
     GaConfig,
@@ -45,8 +44,9 @@ from .plans import Plan, PlanEvent, check_plan, extract_plan
 from .printer import pretty_print
 from .problem import ProblemSpec, ValidatedProblem
 from .reporting import PipelineConfig, RunReport, run
-from .scheduling import SchedulingResult, schedule_cluster, score_cluster
-from .scheduling import success_probability
+from .scheduling import (
+    SchedulingResult, schedule_cluster, score_cluster, success_probability,
+)
 from .solver import max_reach_probability, min_expected_reward
 from .taskgraph import (
     PrecedencePair,

@@ -69,19 +69,19 @@ or travel action and at most one idle, and each joint instance one sync,
 so the chain has at most 1 + 2 * (task steps) + (joint instances) states.
 
 :func:`kanoa.scheduling.earliest_start` answers the ``done`` reachability
-query and the minimum-idle query in closed form, from the cluster's
-facts, its per-robot orders and a :class:`Hops` memo, without a context
-or a model; the search scores every cluster with it.
+query and the minimum-idle query in closed form, from the records
+:mod:`kanoa.scheduling` keeps for a search (a cluster's facts and a hop
+memo) and its per-robot orders, without a context or a model; the search
+scores every cluster with it.  A :class:`ClusterContext` reads the same
+records.  :func:`write_mdp_text` gives the text of a model that
+``--dump-mdp`` writes.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .clustering import RobotCluster
 from .errors import InvariantViolation, StateExplosion
-from .problem import ValidatedProblem
-from .taskgraph import PrecedencePair, TaskInstance
 
 # The cap bounds every model build_mdp makes, but only the full model that
 # --dump-mdp writes comes near it: the front's chains grow linearly with
@@ -121,7 +121,7 @@ class Choice:
     None for a synchronized joint action, whose actors are the step's
     participants.  A stochastic action's success outcome is always its
     first branch.  An action carries no name: the ``--dump-mdp`` text
-    (:mod:`kanoa.mdp_export`) names it from its kind, robot and step.
+    (:func:`write_mdp_text`) names it from its kind, robot and step.
     """
 
     __slots__ = ("branches", "travel_reward", "idle_reward", "kind", "robot", "step")
@@ -174,140 +174,15 @@ class _Step(NamedTuple):
     tracked_idx: int
 
 
-class Hops(dict):
-    """A search's memo of hops, keyed ``(robot, origin location,
-    instance)``: the instance's location, the hop distance, the robot's
-    travel time over it, and the robot's own execution time and success
-    probability of the instance.  Within one problem and one set of
-    instances, equal keys give equal hops; a missing hop is computed on
-    lookup and kept; ``parts`` keeps what a hop takes from its (robot,
-    instance) alone, so a miss adds only the distance and the travel time."""
-
-    __slots__ = ("v", "instances", "parts")
-
-    def __init__(self, v: ValidatedProblem, instances: dict[str, TaskInstance]):
-        super().__init__()
-        self.v = v
-        self.instances = instances
-        self.parts: dict[tuple[str, str], tuple] = {}
-
-    def __missing__(self, key):
-        rid, here, inst_id = key
-        part = self.parts.get((rid, inst_id))
-        if part is None:
-            robot, inst = self.v.robot(rid), self.instances[inst_id]
-            cap, speed = robot.capability_for(inst.type_id), robot.velocity
-            part = self.parts[rid, inst_id] = (inst.location, speed.numerator,
-                                              speed.denominator, cap.required_time,
-                                              cap.success_prob)
-        location, num, den, own, prob = part
-        dist = self.v.distance(here, location)
-        hop = self[key] = (location, dist, -((-dist * den) // num), own, prob)
-        return hop
-
-
-def success_probability(
-    v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
-    instances: dict[str, TaskInstance],
-) -> float:
-    """Product of the capability success probabilities over every execution.
-
-    A joint instance contributes every participant's probability, matching
-    the synchronized action's branching in the scheduling model.
-    """
-    prob = 1.0
-    for inst_id in sorted(cluster.instances):
-        type_id = instances[inst_id].type_id
-        for rid in sorted(allocation[inst_id]):
-            prob *= v.robot(rid).capability_for(type_id).success_prob
-    return prob
-
-
-class ClusterFacts:
-    """What an (allocation, cluster) pair fixes for every permutation of
-    the cluster: its sorted robots, the time budget ``tt`` (the mission's
-    ``time`` constraint) and each robot's idle cap, the tracked instances,
-    the :func:`success_probability` ``p_success``, and for each instance
-    of the cluster ``(pred_tracked, tracked_idx, participants, duration)``.
-    ``duration`` is the joint execution time, the slowest participant's,
-    and None for a one-robot instance."""
-
-    __slots__ = ("tt", "robots", "starts", "robot_index", "idle_caps", "tracked",
-                 "p_success", "instances")
-
-    def __init__(
-        self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
-        cluster: RobotCluster, pairs: list[PrecedencePair],
-        instances: dict[str, TaskInstance],
-    ):
-        self.tt = tt = v.time_available
-        self.robots = tuple(sorted(cluster.robots))
-        self.starts = tuple(v.robot(r).initial_loc for r in self.robots)
-        self.robot_index = {r: i for i, r in enumerate(self.robots)}
-        self.idle_caps = [
-            tt if (cap := v.max_idle(r)) is None else cap for r in self.robots
-        ]
-        self.p_success = success_probability(v, allocation, cluster, instances)
-
-        in_cluster = cluster.instances
-        if len(self.robots) == 1:  # every team is its robot: none joint or tracked
-            self.tracked = ()
-            self.instances = dict.fromkeys(in_cluster, ((), -1, self.robots, None))
-            return
-        team = {i: allocation[i] for i in in_cluster}
-
-        # instances whose completion time later tasks on other robots await
-        tracked: list[str] = []
-        for p in pairs:
-            if p.before in in_cluster and p.after in in_cluster:
-                if not (team[p.after] <= team[p.before]):
-                    if p.before not in tracked:
-                        tracked.append(p.before)
-        tracked.sort()
-        self.tracked = tuple(tracked)
-        tr_index = {inst: i for i, inst in enumerate(tracked)}
-
-        preds: dict[str, set[str]] = {}
-        for p in pairs:
-            if p.before in tr_index and p.after in in_cluster:
-                preds.setdefault(p.after, set()).add(p.before)
-
-        self.instances = {}
-        for inst_id in in_cluster:
-            inst = instances[inst_id]
-            participants = tuple(sorted(team[inst_id]))
-            duration = None
-            if inst.robots_needed >= 2:
-                duration = max(
-                    v.robot(r).capability_for(inst.type_id).required_time
-                    for r in participants
-                )
-            self.instances[inst_id] = (
-                tuple(sorted(tr_index[x] for x in preds.get(inst_id, ()))),
-                tr_index.get(inst_id, -1),
-                participants,
-                duration,
-            )
-
-
 class ClusterContext:
     """The model's view of one (allocation, cluster, permutation): the
-    cluster's :class:`ClusterFacts`, its robots' steps in their fixed task
-    orders, read from a :class:`Hops` memo, and the state layout of
-    :func:`build_mdp`.  A search passes its facts and memo; without them
-    the context builds its own.  Only the front's plans and ``--dump-mdp``
-    build a context."""
+    cluster's :class:`kanoa.scheduling.ClusterFacts`, its robots' steps in
+    their fixed task orders, read from a :class:`kanoa.scheduling.Hops`
+    memo, and the state layout of :func:`build_mdp`.  Only the cluster's
+    robots are read from ``permutation``.  Only the front's plans and
+    ``--dump-mdp`` build a context."""
 
-    def __init__(
-        self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
-        cluster: RobotCluster, permutation: dict[str, tuple[str, ...]],
-        pairs: list[PrecedencePair], instances: dict[str, TaskInstance],
-        *, facts: ClusterFacts | None = None, hops: Hops | None = None,
-    ):
-        if facts is None:
-            facts = ClusterFacts(v, allocation, cluster, pairs, instances)
-        if hops is None:
-            hops = Hops(v, instances)
+    def __init__(self, facts, permutation: dict[str, tuple[str, ...]], hops):
         self.tt = facts.tt
         self.robots = facts.robots
         self.robot_index = facts.robot_index
@@ -566,3 +441,36 @@ def build_mdp(
     if failures:
         labels["success"] = [i for i in done_ids if not ctx.ever_failed(states[i])]
     return Mdp(states, raw_choices, labels, initial=0, context=ctx)
+
+
+# Choice.kind -> the action's name in the dump, from its robot and instance
+_ACTION_NAMES = {
+    "task": "do_{robot}_{instance}",
+    "travel": "goto_{robot}_{instance}",
+    "idle": "idle_{robot}",
+    "recover": "recover_{robot}",
+    "sync": "sync_{instance}",
+}
+
+
+def write_mdp_text(mdp: Mdp) -> str:
+    """Plain-text dump of an explicit model, for diffing and external
+    tools (see docs/formats.md): a header, then one line per transition
+    ``state action prob state' reward_travel reward_idle``, where the
+    action's rewards repeat on each of its probabilistic branches, then a
+    label section listing the state indices carrying each label."""
+    lines = [f"mdp states={mdp.n_states} initial={mdp.initial}"]
+    for s, choices in enumerate(mdp.choices):
+        for choice in choices:
+            action = _ACTION_NAMES[choice.kind].format(
+                robot=choice.robot, instance=choice.step.instance
+            )
+            for prob, t in choice.branches:
+                lines.append(
+                    f"{s} {action} {prob!r} {t} "
+                    f"{choice.travel_reward} {choice.idle_reward}"
+                )
+    for name in sorted(mdp.labels):
+        ids = " ".join(str(i) for i in sorted(mdp.labels[name]))
+        lines.append(f"label {name} {ids}")
+    return "\n".join(lines) + "\n"

@@ -28,11 +28,13 @@ from typing import NamedTuple
 from .allocation import AllocatorConfig, enumerate_allocations, used_robots
 from .clustering import RobotCluster, cluster_robots
 from .errors import NoFeasibleSolution
-from .mdp import DEFAULT_STATE_CAP, ClusterFacts, Hops
+from .mdp import DEFAULT_STATE_CAP
 from .permutations import draw_state, random_task_permutation, robot_precedence
 from .plans import Plan
 from .problem import ValidatedProblem
-from .scheduling import SchedulingResult, schedule_cluster, score_cluster
+from .scheduling import (
+    ClusterFacts, Hops, SchedulingResult, schedule_cluster, score_cluster,
+)
 from .taskgraph import (
     PrecedencePair,
     TaskInstance,
@@ -109,15 +111,15 @@ class SearchSpace:
     Equal keys therefore give equal results, feasible or not.
 
     ``_facts`` keeps the :class:`ClusterFacts` of each (allocation index,
-    cluster index) and ``_hops`` the search's one :class:`Hops` memo.  A
+    cluster index) and ``hops`` the search's one :class:`Hops` memo.  A
     score reads both in :func:`earliest_start`, with no context;
     :func:`schedule_cluster` builds the front's :class:`ClusterContext`
-    from them, under ``state_cap``.
+    from them, under ``state_cap``, and so does ``--dump-mdp``.
     """
 
     __slots__ = (
         "v", "instances", "pairs", "allocations", "clusters", "pool_size", "seed",
-        "state_cap", "_draws", "_robots", "_drawn", "_scores", "_facts", "_hops",
+        "state_cap", "_draws", "_robots", "_drawn", "_scores", "_facts", "hops",
     )
 
     def __init__(
@@ -148,7 +150,7 @@ class SearchSpace:
         # (allocation index, cluster index) -> ClusterFacts, and the hop
         # memo of the search; both fill on first use.
         self._facts: dict[tuple[int, int], ClusterFacts] = {}
-        self._hops = Hops(v, instances)
+        self.hops = Hops(v, instances)
 
     def chromosomes(self):
         for a in range(len(self.allocations)):
@@ -240,7 +242,7 @@ def evaluate(
             score = space._scores[orders] = score_cluster(
                 space.v, space.allocations[a], space.clusters[a][ci], permutation,
                 space.pairs, space.instances, facts=space.facts(a, ci),
-                hops=space._hops,
+                hops=space.hops,
             )
         if not score.feasible:
             result = cache[ch] = EvalResult(False)
@@ -371,9 +373,11 @@ def _initial_population(space: SearchSpace, cfg: GaConfig, rng) -> list[Chromoso
 def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
     """Elitist NSGA-II over the chromosome space.
 
-    Returns the nondominated feasible set of the final population, sorted
-    by objectives; raises :class:`NoFeasibleSolution` when the whole run
-    saw no feasible chromosome.
+    Each member carries its result: the initial population is scored
+    once, then only each generation's offspring.  Returns the
+    nondominated feasible set of the final population, sorted by
+    objectives; raises :class:`NoFeasibleSolution` when the whole run saw
+    no feasible chromosome.
     """
     if not space.allocations:
         raise NoFeasibleSolution("no allocations to search", 0, 0)
@@ -381,28 +385,20 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
     cache: dict[Chromosome, EvalResult] = {}
 
     population = _initial_population(space, cfg, rng)
-    for generation in range(cfg.generations):
-        results = [evaluate(space, ch, cache) for ch in population]
-        fronts = fast_nondominated_sort(results)
-        rank = {}
-        crowd = {}
-        for r, front in enumerate(fronts):
+    results = [evaluate(space, ch, cache) for ch in population]
+    for _ in range(cfg.generations):
+        # binary tournament: the lower (rank, -crowding, index) wins
+        n = len(population)
+        keys = [None] * n
+        for r, front in enumerate(fast_nondominated_sort(results)):
             dist = crowding_distance(front, results)
             for i in front:
-                rank[i] = r
-                crowd[i] = dist[i]
-
-        def better(i, j):
-            if rank[i] != rank[j]:
-                return i if rank[i] < rank[j] else j
-            if crowd[i] != crowd[j]:
-                return i if crowd[i] > crowd[j] else j
-            return min(i, j)
+                keys[i] = (r, -dist[i], i)
 
         offspring: list[Chromosome] = []
         while len(offspring) < cfg.population_size:
-            a = better(rng.randrange(len(population)), rng.randrange(len(population)))
-            b = better(rng.randrange(len(population)), rng.randrange(len(population)))
+            a = min(keys[rng.randrange(n)], keys[rng.randrange(n)])[2]
+            b = min(keys[rng.randrange(n)], keys[rng.randrange(n)])[2]
             c1, c2 = population[a], population[b]
             if rng.random() < CROSSOVER_RATE:
                 g1, g2 = list(c1), list(c2)
@@ -413,12 +409,16 @@ def nsga2_run(space: SearchSpace, cfg: GaConfig) -> ParetoFront:
             offspring.extend(_mutate(c, space, rng) for c in (c1, c2))
         offspring = offspring[: cfg.population_size]
 
+        # only the offspring are new; every member keeps its result
         combined = population + offspring
-        combined_results = [evaluate(space, ch, cache) for ch in combined]
-        population = _environmental_selection(combined, combined_results, cfg)
+        combined_results = results + [evaluate(space, ch, cache) for ch in offspring]
+        chosen = _environmental_selection(combined, combined_results, cfg)
+        population = [combined[i] for i in chosen]
+        results = [combined_results[i] for i in chosen]
 
-    final = [(ch, evaluate(space, ch, cache)) for ch in population]
-    front = _nondominated(space, [(ch, res) for ch, res in final if res.feasible])
+    front = _nondominated(
+        space, [(ch, res) for ch, res in zip(population, results) if res.feasible]
+    )
     if not front:
         evaluated = len(cache)
         infeasible = sum(1 for r in cache.values() if not r.feasible)
@@ -439,7 +439,8 @@ def _mutate(ch: Chromosome, space: SearchSpace, rng) -> Chromosome:
     return Chromosome(ch.alloc_idx, rng.randrange(space.pool_size))
 
 
-def _environmental_selection(combined, results, cfg) -> list[Chromosome]:
+def _environmental_selection(combined, results, cfg) -> list[int]:
+    """The indices into ``combined`` of the next population."""
     fronts = fast_nondominated_sort(results)
     chosen: list[int] = []
     for front in fronts:
@@ -466,7 +467,7 @@ def _environmental_selection(combined, results, cfg) -> list[Chromosome]:
         ordered = sorted(uniques, key=sort_key) + sorted(copies, key=sort_key)
         chosen.extend(ordered[:room])
         break
-    return [combined[i] for i in chosen]
+    return chosen
 
 
 def _plan(space: SearchSpace, ch: Chromosome) -> Plan:
@@ -479,7 +480,7 @@ def _plan(space: SearchSpace, ch: Chromosome) -> Plan:
         timelines.update(schedule_cluster(
             space.v, space.allocations[a], cluster, permutation, space.pairs,
             space.instances, state_cap=space.state_cap,
-            facts=space.facts(a, ci), hops=space._hops,
+            facts=space.facts(a, ci), hops=space.hops,
         ).plan.timelines)
     return Plan(timelines)
 

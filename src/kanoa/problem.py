@@ -157,14 +157,6 @@ class ValidatedProblem:
             self._distances[(a, b)] = self._distances[(b, a)] = d
         return d
 
-    def travel_time(self, robot: RobotDef, a: str, b: str) -> int:
-        """Ceiling of distance over velocity, in whole time units."""
-        d = self.distance(a, b)
-        if d == 0:
-            return 0
-        v = robot.velocity
-        return -((-d * v.denominator) // v.numerator)
-
     @property
     def time_available(self) -> int:
         if self._time_available is None:

@@ -13,8 +13,7 @@ from typing import NamedTuple
 from .allocation import AllocatorConfig
 from .errors import InvariantViolation, StateExplosion
 from .gantt import emit_gantt, format_gantt_text
-from .mdp import DEFAULT_STATE_CAP, ClusterContext, build_mdp
-from .mdp_export import write_mdp_text
+from .mdp import DEFAULT_STATE_CAP, ClusterContext, build_mdp, write_mdp_text
 from .optimizer import GaConfig, Objectives, ParetoFront, nsga2_run, prepare_search
 from .parser import parse_problem
 from .plans import PlanEvent, check_plan
@@ -179,17 +178,14 @@ def run(input_path, cfg: PipelineConfig, out_dir) -> RunReport:
 
 def _front_models(space, front: ParetoFront) -> list[tuple[str, ClusterContext]]:
     """The ``--dump-mdp`` file name and the context of every cluster of
-    every front entry."""
+    every front entry, built from the search's own cluster facts and hop
+    memo."""
     models = []
     for entry in front.entries:
-        a = entry.chromosome.alloc_idx
-        p = entry.chromosome.perm_idx
+        a, p = entry.chromosome
         permutation = space.permutation(a, p)
-        for ci, cluster in enumerate(space.clusters[a]):
-            ctx = ClusterContext(
-                space.v, space.allocations[a], cluster, permutation, space.pairs,
-                space.instances,
-            )
+        for ci in range(len(space.clusters[a])):
+            ctx = ClusterContext(space.facts(a, ci), permutation, space.hops)
             models.append((f"mdp_{a}_{p}_{ci}.txt", ctx))
     return models
 

@@ -1,4 +1,10 @@
-"""Per-cluster scheduling: feasibility, objectives, and a concrete plan."""
+"""Per-cluster scheduling: feasibility, objectives, and a concrete plan.
+
+A search keeps two records for it: the :class:`ClusterFacts` of each
+(allocation, cluster) and one :class:`Hops` memo for the whole mission.
+The closed-form score reads them, and so does the
+:class:`kanoa.mdp.ClusterContext` of a plan's or a dump's model.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,7 @@ from typing import NamedTuple
 
 from .clustering import RobotCluster
 from .errors import InvariantViolation
-from .mdp import DEFAULT_STATE_CAP, ClusterContext, ClusterFacts, Hops, build_mdp
-from .mdp import success_probability  # noqa: F401  (perfbench/child.py imports it from here)
+from .mdp import DEFAULT_STATE_CAP, ClusterContext, build_mdp
 from .plans import Plan, extract_plan
 from .problem import ValidatedProblem
 from .solver import max_reach_probability, min_expected_reward_policy
@@ -20,6 +25,122 @@ class SchedulingResult(NamedTuple):
     idle: int | None
     travel: int | None
     plan: Plan | None
+
+
+class Hops(dict):
+    """A search's memo of hops, keyed ``(robot, origin location,
+    instance)``: the instance's location, the hop distance, the robot's
+    travel time over it, and the robot's own execution time and success
+    probability of the instance.  Within one problem and one set of
+    instances, equal keys give equal hops; a missing hop is computed on
+    lookup and kept; ``parts`` keeps what a hop takes from its (robot,
+    instance) alone, so a miss adds only the distance and the travel time."""
+
+    __slots__ = ("v", "instances", "parts")
+
+    def __init__(self, v: ValidatedProblem, instances: dict[str, TaskInstance]):
+        super().__init__()
+        self.v = v
+        self.instances = instances
+        self.parts: dict[tuple[str, str], tuple] = {}
+
+    def __missing__(self, key):
+        rid, here, inst_id = key
+        part = self.parts.get((rid, inst_id))
+        if part is None:
+            robot, inst = self.v.robot(rid), self.instances[inst_id]
+            cap, speed = robot.capability_for(inst.type_id), robot.velocity
+            part = self.parts[rid, inst_id] = (inst.location, speed.numerator,
+                                              speed.denominator, cap.required_time,
+                                              cap.success_prob)
+        location, num, den, own, prob = part
+        dist = self.v.distance(here, location)
+        hop = self[key] = (location, dist, -((-dist * den) // num), own, prob)
+        return hop
+
+
+def success_probability(
+    v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
+    instances: dict[str, TaskInstance],
+) -> float:
+    """Product of the capability success probabilities over every execution.
+
+    A joint instance contributes every participant's probability, matching
+    the synchronized action's branching in the scheduling model.
+    """
+    prob = 1.0
+    for inst_id in sorted(cluster.instances):
+        type_id = instances[inst_id].type_id
+        for rid in sorted(allocation[inst_id]):
+            prob *= v.robot(rid).capability_for(type_id).success_prob
+    return prob
+
+
+class ClusterFacts:
+    """What an (allocation, cluster) pair fixes for every permutation of
+    the cluster: its sorted robots, the time budget ``tt`` (the mission's
+    ``time`` constraint) and each robot's idle cap, the tracked instances,
+    the :func:`success_probability` ``p_success``, and for each instance
+    of the cluster ``(pred_tracked, tracked_idx, participants, duration)``.
+    ``duration`` is the joint execution time, the slowest participant's,
+    and None for a one-robot instance."""
+
+    __slots__ = ("tt", "robots", "starts", "robot_index", "idle_caps", "tracked",
+                 "p_success", "instances")
+
+    def __init__(
+        self, v: ValidatedProblem, allocation: dict[str, frozenset[str]],
+        cluster: RobotCluster, pairs: list[PrecedencePair],
+        instances: dict[str, TaskInstance],
+    ):
+        self.tt = tt = v.time_available
+        self.robots = tuple(sorted(cluster.robots))
+        self.starts = tuple(v.robot(r).initial_loc for r in self.robots)
+        self.robot_index = {r: i for i, r in enumerate(self.robots)}
+        self.idle_caps = [
+            tt if (cap := v.max_idle(r)) is None else cap for r in self.robots
+        ]
+        self.p_success = success_probability(v, allocation, cluster, instances)
+
+        in_cluster = cluster.instances
+        if len(self.robots) == 1:  # every team is its robot: none joint or tracked
+            self.tracked = ()
+            self.instances = dict.fromkeys(in_cluster, ((), -1, self.robots, None))
+            return
+        team = {i: allocation[i] for i in in_cluster}
+
+        # instances whose completion time later tasks on other robots await
+        tracked: list[str] = []
+        for p in pairs:
+            if p.before in in_cluster and p.after in in_cluster:
+                if not (team[p.after] <= team[p.before]):
+                    if p.before not in tracked:
+                        tracked.append(p.before)
+        tracked.sort()
+        self.tracked = tuple(tracked)
+        tr_index = {inst: i for i, inst in enumerate(tracked)}
+
+        preds: dict[str, set[str]] = {}
+        for p in pairs:
+            if p.before in tr_index and p.after in in_cluster:
+                preds.setdefault(p.after, set()).add(p.before)
+
+        self.instances = {}
+        for inst_id in in_cluster:
+            inst = instances[inst_id]
+            participants = tuple(sorted(team[inst_id]))
+            duration = None
+            if inst.robots_needed >= 2:
+                duration = max(
+                    v.robot(r).capability_for(inst.type_id).required_time
+                    for r in participants
+                )
+            self.instances[inst_id] = (
+                tuple(sorted(tr_index[x] for x in preds.get(inst_id, ()))),
+                tr_index.get(inst_id, -1),
+                participants,
+                duration,
+            )
 
 
 def earliest_start(
@@ -152,15 +273,21 @@ def schedule_cluster(
     to one action per state (see :mod:`kanoa.mdp`), built under
     ``state_cap`` and solved for its minimum-idle policy.  It has at most
     1 + 2 * (task steps) + (joint instances) states.  An infeasible
-    cluster builds no context and no model.  :class:`InvariantViolation`
-    is raised when the chain does not surely reach done or its minimum
-    idle is not the score's.
+    cluster builds no context and no model.  Without a search's ``facts``
+    and ``hops``, the call builds both once, for the score and the
+    context.  :class:`InvariantViolation` is raised when the chain does
+    not surely reach done or its minimum idle is not the score's.
     """
-    args = (v, allocation, cluster, permutation, pairs, instances)
-    score = score_cluster(*args, facts=facts, hops=hops)
+    if facts is None:
+        facts = ClusterFacts(v, allocation, cluster, pairs, instances)
+    if hops is None:
+        hops = Hops(v, instances)
+    score = score_cluster(
+        v, allocation, cluster, permutation, pairs, instances, facts=facts, hops=hops
+    )
     if not score.feasible:
         return score
-    ctx = ClusterContext(*args, facts=facts, hops=hops)
+    ctx = ClusterContext(facts, permutation, hops)
     mdp = build_mdp(ctx, state_cap, failures=False)
     reach = max_reach_probability(mdp, "done")
     if reach < 1.0:

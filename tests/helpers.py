@@ -26,7 +26,7 @@ from kanoa.permutations import (
 from kanoa.plans import extract_plan
 from kanoa.problem import ValidatedProblem
 from kanoa.reporting import PipelineConfig
-from kanoa.scheduling import SchedulingResult, success_probability
+from kanoa.scheduling import ClusterFacts, Hops, SchedulingResult, success_probability
 from kanoa.solver import max_reach_probability, min_expected_reward_policy
 from kanoa.taskgraph import expand_mission, prune_subtrees
 from kanoa.validation import validate_problem
@@ -62,6 +62,13 @@ def first_allocation(v, n=1):
     return allocation, clusters, instances, pairs
 
 
+def cold_context(v, allocation, cluster, permutation, pairs, instances):
+    """A cluster's :class:`ClusterContext` from its own, freshly built
+    :class:`ClusterFacts` and :class:`Hops` memo, shared with nothing."""
+    facts = ClusterFacts(v, allocation, cluster, pairs, instances)
+    return ClusterContext(facts, permutation, Hops(v, instances))
+
+
 def build_single_cluster_mdp(v, seed=0, permutation=None):
     allocation, clusters, instances, pairs = first_allocation(v)
     assert len(clusters) == 1
@@ -69,7 +76,7 @@ def build_single_cluster_mdp(v, seed=0, permutation=None):
     if permutation is None:
         precedence = draw_state(robot_precedence(allocation, cluster, pairs))
         permutation = random_task_permutation(precedence, seed=seed)
-    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
+    ctx = cold_context(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx)
     return mdp, allocation, cluster, permutation
 
@@ -309,7 +316,7 @@ def random_scheduling_model(rng: random.Random, max_decision=12):
     if not made:
         return None
     v, allocation, cluster, permutation, pairs, instances = made[0]
-    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
+    ctx = cold_context(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx)
     if len(decision_states(mdp)) > max_decision:
         return None
@@ -333,7 +340,7 @@ def _solve_full_model(v, allocation, cluster, permutation, pairs, instances, sta
     paper's full model, built cold and solved for reach and minimum idle.
     ``permutation`` may hold other clusters' robots, as a search passes
     it; travel counts the cluster's robots only."""
-    ctx = ClusterContext(v, allocation, cluster, permutation, pairs, instances)
+    ctx = cold_context(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx, state_cap)
     if max_reach_probability(mdp, "done") < 1.0:
         return SchedulingResult(False, 0.0, None, None, None), None
@@ -398,14 +405,20 @@ def front_artifacts(directory):
 # -- benchmark missions ---------------------------------------------------------
 
 
-def perfbench_mission(workload, seed=1):
-    """Mission text and pipeline config of sub-instance 0 of the benchmark's
-    ``--seed`` basket for ``workload``."""
+def benchmark_missions():
+    """The benchmark's mission generator module, ``perfbench/missions.py``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import missions
     finally:
         sys.path.pop(0)
+    return missions
+
+
+def perfbench_mission(workload, seed=1):
+    """Mission text and pipeline config of sub-instance 0 of the benchmark's
+    ``--seed`` basket for ``workload``."""
+    missions = benchmark_missions()
     text, ga_seed = missions.basket(workload, seed, ROOT)[0]
     alloc, perms, pop, gens = missions.CONFIGS[workload]
     return text, PipelineConfig(

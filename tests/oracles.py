@@ -28,7 +28,8 @@ here compute the same results the slow, obvious way:
   looking every objective up through the results;
 * a cluster's facts by the general constructor, which scans the
   precedence pairs even for one robot, and each hop from the problem's
-  own ``distance`` and ``travel_time``;
+  own ``distance`` and :func:`travel_time`, the ceiling of distance over
+  velocity;
 * a permutation's travel, by walking each robot's chain of task
   locations from its start and summing the distances;
 * the front's artifacts as documents for ``json.dumps(doc, indent=2)``
@@ -50,12 +51,11 @@ import numpy as np
 from kanoa.allocation import eligible_robots, used_robots
 from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
 from kanoa.errors import InvariantViolation, UndefinedReward
-from kanoa.mdp import (
-    REWARD_ATTRS, ClusterContext, ClusterFacts, Hops, Mdp, success_probability,
-)
+from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
 from kanoa.optimizer import EvalResult, Objectives
 from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
+from kanoa.scheduling import ClusterFacts, Hops, success_probability
 from kanoa.taskgraph import TaskInstance
 
 
@@ -599,7 +599,7 @@ def general_cluster_facts(
     v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
     pairs, instances: dict[str, TaskInstance],
 ) -> ClusterFacts:
-    """:class:`kanoa.mdp.ClusterFacts` as its constructor builds them for
+    """:class:`kanoa.scheduling.ClusterFacts` as its constructor builds them for
     a cluster of any size: tracked instances from a scan of the pairs, and
     each instance's participants and joint duration looked up."""
     facts = ClusterFacts.__new__(ClusterFacts)
@@ -642,14 +642,24 @@ def general_cluster_facts(
     return facts
 
 
+def travel_time(v: ValidatedProblem, robot, a: str, b: str) -> int:
+    """Ceiling of the distance from ``a`` to ``b`` over the robot's
+    velocity, in whole time units."""
+    d = v.distance(a, b)
+    if d == 0:
+        return 0
+    speed = robot.velocity
+    return -((-d * speed.denominator) // speed.numerator)
+
+
 def cold_hop(v: ValidatedProblem, instances, rid: str, here: str, inst_id: str) -> tuple:
-    """One :class:`kanoa.mdp.Hops` entry from the problem's own distance
+    """One :class:`kanoa.scheduling.Hops` entry from the problem's own distance
     and travel time and the robot's capability."""
     robot, inst = v.robot(rid), instances[inst_id]
     cap = robot.capability_for(inst.type_id)
     return (
         inst.location, v.distance(here, inst.location),
-        v.travel_time(robot, here, inst.location), cap.required_time, cap.success_prob,
+        travel_time(v, robot, here, inst.location), cap.required_time, cap.success_prob,
     )
 
 

@@ -13,16 +13,20 @@ calls build one.
 import random
 import re
 
-from helpers import expanded, load, perfbench_mission, random_clusters, random_problem_text
+from helpers import (
+    cold_context, expanded, load, perfbench_mission, random_clusters, random_problem_text,
+)
 from oracles import cold_hop, general_cluster_facts
 
 import kanoa.optimizer
 from kanoa.allocation import AllocatorConfig
-from kanoa.mdp import ClusterContext, ClusterFacts, Hops
+from kanoa.mdp import ClusterContext
 from kanoa.optimizer import nsga2_run, prepare_search
 from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
-from kanoa.reporting import PipelineConfig
-from kanoa.scheduling import schedule_cluster, score_cluster, success_probability
+from kanoa.reporting import PipelineConfig, run
+from kanoa.scheduling import (
+    ClusterFacts, Hops, schedule_cluster, score_cluster, success_probability,
+)
 
 
 def context_fields(ctx):
@@ -36,8 +40,8 @@ def context_fields(ctx):
 def assert_shared_equals_cold(args, facts, hops):
     """The context, score and result from ``facts`` and ``hops`` equal
     the cold ones; returns the number of steps the context holds."""
-    shared = ClusterContext(*args, facts=facts, hops=hops)
-    assert context_fields(shared) == context_fields(ClusterContext(*args))
+    shared = ClusterContext(facts, args[3], hops)
+    assert context_fields(shared) == context_fields(cold_context(*args))
     assert score_cluster(*args, facts=facts, hops=hops) == score_cluster(*args)
     assert schedule_cluster(*args, facts=facts, hops=hops) == schedule_cluster(*args)
     return sum(len(row) for row in shared.steps)
@@ -106,7 +110,7 @@ def test_search_scores_from_one_hop_memo(hospital_text, monkeypatch):
             return super().__getitem__(key)
 
     space, cfg = hospital_space(hospital_text)
-    space._hops = CountingHops(space.v, space.instances)
+    space.hops = CountingHops(space.v, space.instances)
     memos = set()
     original = kanoa.optimizer.score_cluster
 
@@ -116,9 +120,9 @@ def test_search_scores_from_one_hop_memo(hospital_text, monkeypatch):
 
     monkeypatch.setattr(kanoa.optimizer, "score_cluster", recording)
     nsga2_run(space, cfg)
-    assert memos == {id(space._hops)}
-    assert 0 < len(space._hops) < len(looked_up) / 2
-    assert set(space._hops) == set(looked_up)
+    assert memos == {id(space.hops)}
+    assert 0 < len(space.hops) < len(looked_up) / 2
+    assert set(space.hops) == set(looked_up)
 
 
 def test_only_front_schedules_build_contexts(hospital_text, monkeypatch):
@@ -149,6 +153,29 @@ def test_only_front_schedules_build_contexts(hospital_text, monkeypatch):
     assert front.entries
     assert built == {"inside": sum(feasible), "outside": 0}
     assert 0 < sum(feasible) == len(feasible)
+
+
+def test_dump_contexts_read_the_search_records(hospital_path, tmp_path, monkeypatch):
+    """A default hospital ``--dump-mdp`` run builds one hop memo and the
+    facts of each (allocation, cluster) once: scores, plans and dumped
+    models all read the search's records."""
+    memos, built = [], []
+    hops_init, facts_init = Hops.__init__, ClusterFacts.__init__
+
+    def counting_hops(self, *args):
+        memos.append(args)
+        hops_init(self, *args)
+
+    def counting_facts(self, v, allocation, cluster, *rest):
+        built.append((frozenset(allocation.items()), cluster))
+        facts_init(self, v, allocation, cluster, *rest)
+
+    monkeypatch.setattr(Hops, "__init__", counting_hops)
+    monkeypatch.setattr(ClusterFacts, "__init__", counting_facts)
+    run(hospital_path, PipelineConfig(seed=0, dump_mdp=True), tmp_path)
+    assert len(list(tmp_path.glob("mdp_*.txt"))) == 5
+    assert len(memos) == 1
+    assert len(built) == len(set(built)) > 0
 
 
 def test_hop_memo_equals_cold_hops_at_fractional_speeds():

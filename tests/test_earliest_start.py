@@ -18,6 +18,7 @@ import random
 
 import pytest
 from helpers import (
+    cold_context,
     expanded,
     load,
     random_clusters,
@@ -31,8 +32,10 @@ from oracles import earliest_start_plan, min_completion
 import kanoa.scheduling
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation
-from kanoa.mdp import ClusterContext, ClusterFacts, Hops, build_mdp
-from kanoa.scheduling import earliest_start, schedule_cluster, score_cluster
+from kanoa.mdp import build_mdp
+from kanoa.scheduling import (
+    ClusterFacts, Hops, earliest_start, schedule_cluster, score_cluster,
+)
 
 RELAY = """
 world { loc room (0,0) loc dock (4,0) }
@@ -99,7 +102,7 @@ def crossed_orders_case(crossed):
 
 
 def context(case):
-    return ClusterContext(*case)
+    return cold_context(*case)
 
 
 def check(case):

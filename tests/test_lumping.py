@@ -6,7 +6,8 @@ only the first action of every state (``build_mdp(ctx, failures=False)``).
 These tests hold it to the full model state by state, on random clusters
 and on every cluster a default hospital run scores, and hold whole runs
 to runs whose every scoring and scheduling call builds and solves the
-full model.
+full model: on the fixtures, the benchmark's sub-instances and small
+random, relay and fleet missions.
 """
 
 import random
@@ -15,15 +16,24 @@ from pathlib import Path
 import pytest
 from helpers import (
     assert_golden_artifacts,
+    benchmark_missions,
+    cold_context,
     perfbench_mission,
     random_clusters,
+    random_problem_text,
     reference_schedule,
     reference_score,
     with_time_available,
 )
+from oracles import (
+    pairwise_nondominated_sort,
+    reference_crowding_distance,
+    reference_key_fronts,
+)
 
 import kanoa.optimizer
-from kanoa.mdp import _SLOTS, FAILED, ClusterContext, build_mdp
+from kanoa.cli import main
+from kanoa.mdp import _SLOTS, FAILED, build_mdp
 from kanoa.plans import extract_plan
 from kanoa.reporting import PipelineConfig, run
 from kanoa.solver import min_expected_reward_policy, topological_order
@@ -65,7 +75,7 @@ def assert_lumped_matches_full(case):
     next state through its success outcome; and its reach and minimum-idle
     values are those of the full state.  Returns whether the cluster is
     feasible."""
-    ctx = ClusterContext(*case)
+    ctx = cold_context(*case)
     full = build_mdp(ctx)
     lumped = build_mdp(ctx, failures=False)
     assert set(lumped.labels) == {"done"}
@@ -133,3 +143,44 @@ def test_run_artifacts_match_full_model_runs(name, tmp_path, monkeypatch, reques
         full = tmp_path / "full"
         run(mission, cfg, full)
     assert_golden_artifacts(full, tmp_path / "real")
+
+
+# (mission kind, seeds): small random missions, with and without idle
+# caps, and a few relay and fleet missions
+RANDOM_RUNS = [("random", range(40)), ("random_idle_caps", range(40)),
+               ("relay", range(3)), ("fleet", range(3))]
+
+
+def mission_text(kind, seed):
+    if kind.startswith("random"):
+        rng = random.Random(f"{kind}:{seed}")
+        return random_problem_text(rng, idle_caps=kind == "random_idle_caps")
+    return getattr(benchmark_missions(), f"{kind}_text")(seed)
+
+
+@pytest.mark.parametrize("kind,seeds", RANDOM_RUNS, ids=[k for k, _ in RANDOM_RUNS])
+def test_random_mission_runs_match_full_model_runs(kind, seeds, tmp_path, monkeypatch):
+    """Whole runs of small missions at a config that plans in milliseconds
+    exit as, and write the pareto tables and plans of, runs whose every
+    score and schedule builds and solves the full model and whose ranking
+    compares every pair of members, exit 2 included."""
+    exits = []
+    for seed in seeds:
+        mission = tmp_path / f"{seed}.kanoa"
+        mission.write_text(mission_text(kind, seed), encoding="utf-8")
+        argv = ["plan", "--input", str(mission), "--allocations", "6",
+                "--permutations", "4", "--pop", "8", "--gens", "3", "--seed", str(seed)]
+        real = main(argv + ["--out", str(tmp_path / f"real{seed}")])
+        with monkeypatch.context() as m:
+            m.setattr(kanoa.optimizer, "score_cluster", reference_score)
+            m.setattr(kanoa.optimizer, "schedule_cluster", reference_schedule)
+            m.setattr(kanoa.optimizer, "fast_nondominated_sort", pairwise_nondominated_sort)
+            m.setattr(kanoa.optimizer, "crowding_distance", reference_crowding_distance)
+            m.setattr(kanoa.optimizer, "_key_fronts", reference_key_fronts)
+            full = main(argv + ["--out", str(tmp_path / f"full{seed}")])
+        assert real == full, seed
+        assert_golden_artifacts(tmp_path / f"full{seed}", tmp_path / f"real{seed}")
+        exits.append(real)
+    assert 0 in exits
+    if kind.startswith("random"):
+        assert 2 in exits

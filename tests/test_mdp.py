@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from helpers import (
     build_single_cluster_mdp,
+    cold_context,
     enumerate_policy_values,
     expanded,
     first_allocation,
@@ -15,9 +18,10 @@ from helpers import (
 from oracles import chain_travel
 
 import kanoa.mdp
+import kanoa.scheduling
 from kanoa.clustering import cluster_robots
 from kanoa.errors import InvariantViolation, StateExplosion, UndefinedReward
-from kanoa.mdp import Choice, ClusterContext, _enumerate_choices, build_mdp
+from kanoa.mdp import Choice, _enumerate_choices, build_mdp
 from kanoa.plans import check_plan, extract_plan
 from kanoa.scheduling import schedule_cluster, success_probability
 from kanoa.solver import (
@@ -83,7 +87,7 @@ def test_failure_branch_and_recovery():
 
 def test_joint_requires_idle():
     v, allocation, cluster, p, pairs, instances = joint_case()
-    mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
+    mdp = build_mdp(cold_context(v, allocation, cluster, p, pairs, instances))
     assert max_reach_probability(mdp, "done") == 1.0
     assert min_expected_reward(mdp, "idle", "done") == 2
     value, policy = min_expected_reward_policy(mdp, "idle", "done")
@@ -102,7 +106,7 @@ def test_joint_requires_idle():
 
 def test_joint_infeasible_without_enough_time():
     v, allocation, cluster, p, pairs, instances = joint_case(tt=8)
-    mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
+    mdp = build_mdp(cold_context(v, allocation, cluster, p, pairs, instances))
     # sync needs both at clock 5 plus 4 units of work: 9 > 8
     assert max_reach_probability(mdp, "done") == 0.0
 
@@ -115,7 +119,7 @@ def test_distributions_sum_to_one_and_done_absorbing(hospital):
     for cluster in clusters:
         precedence = draw_state(robot_precedence(allocation, cluster, pairs))
         p = random_task_permutation(precedence, seed=5)
-        ctx = ClusterContext(hospital, allocation, cluster, p, pairs, instances)
+        ctx = cold_context(hospital, allocation, cluster, p, pairs, instances)
         mdp = build_mdp(ctx)
         for s, choices in enumerate(mdp.choices):
             for c in choices:
@@ -148,7 +152,7 @@ def test_time_monotone_acyclic(hospital):
     for cluster in clusters:
         precedence = draw_state(robot_precedence(allocation, cluster, pairs))
         p = random_task_permutation(precedence, seed=1)
-        ctx = ClusterContext(hospital, allocation, cluster, p, pairs, instances)
+        ctx = cold_context(hospital, allocation, cluster, p, pairs, instances)
         mdp = build_mdp(ctx)
         assert topological_order(mdp) is not None
 
@@ -170,7 +174,7 @@ mission { task t at b; task u at a; task w at b; time 60 }
     precedence = draw_state(robot_precedence(allocation, cluster, pairs))
     p = random_task_permutation(precedence, seed=0)
     with pytest.raises(StateExplosion) as info:
-        ctx = ClusterContext(v, allocation, cluster, p, pairs, instances)
+        ctx = cold_context(v, allocation, cluster, p, pairs, instances)
         build_mdp(ctx, state_cap=3)
     assert info.value.cluster_size >= 1
 
@@ -179,7 +183,7 @@ def wide_joint_context(robots):
     v = load(wide_joint_task_text(robots))
     allocation, clusters, instances, pairs = first_allocation(v)
     p = {r: ("t_0",) for r in clusters[0].robots}
-    return ClusterContext(v, allocation, clusters[0], p, pairs, instances)
+    return cold_context(v, allocation, clusters[0], p, pairs, instances)
 
 
 @pytest.mark.parametrize("failures", [False, True])
@@ -333,7 +337,7 @@ mission { task c at room; time 30 }
     }
     cluster = cluster_robots(allocation, subtrees)[0]
     p = {"talker": ("notify_0",), "wiper": ("clean_0",)}
-    mdp = build_mdp(ClusterContext(v, allocation, cluster, p, pairs, instances))
+    mdp = build_mdp(cold_context(v, allocation, cluster, p, pairs, instances))
     assert max_reach_probability(mdp, "done") == 1.0
     # talker finishes notify at 4+6=10; wiper idles 0->10 then cleans
     assert min_expected_reward(mdp, "idle", "done") == 10
@@ -427,3 +431,20 @@ def test_hospital_movers_joint_timeline(hospital):
     b = [e for e in result.plan.timelines["r2"] if e.kind == "jointSync"]
     assert [(e.start, e.end) for e in a] == [(e.start, e.end) for e in b]
     assert a[0].end <= a[1].start  # room1 before room6
+
+
+def test_mdp_module_imports_only_errors_from_the_package():
+    """``kanoa.mdp`` is the paper's model and its dump text alone: of the
+    package it imports only ``kanoa.errors``, and the search's cluster
+    records are defined beside the score that reads them."""
+    tree = ast.parse(Path(kanoa.mdp.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.add(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.startswith((".", "kanoa"))} == {".errors"}
+    for name in ("ClusterFacts", "Hops", "success_probability"):
+        assert getattr(kanoa.scheduling, name).__module__ == "kanoa.scheduling"
+        assert not hasattr(kanoa.mdp, name)

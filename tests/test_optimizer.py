@@ -474,6 +474,24 @@ def test_hospital_run_draws_each_evaluated_entry_once(hospital_path, tmp_path, m
     assert set(draws) == {f"0:{a}:{p}" for a, p in evaluated}
 
 
+def test_search_scores_each_member_once(hospital, monkeypatch):
+    """Members carry their results: a default hospital search calls
+    ``evaluate`` once per member of the first population and once per
+    offspring, P * (1 + G) times, and then no more for the final front."""
+    calls = []
+    evaluate_ = kanoa.optimizer.evaluate
+
+    def counting(space, ch, cache):
+        calls.append(ch)
+        return evaluate_(space, ch, cache)
+
+    monkeypatch.setattr(kanoa.optimizer, "evaluate", counting)
+    cfg = PipelineConfig(seed=0)
+    space = prepare_search(hospital, AllocatorConfig(max_allocations=cfg.allocations), cfg.ga())
+    assert nsga2_run(space, cfg.ga()).entries
+    assert len(calls) == cfg.population * (1 + cfg.generations) == 300
+
+
 # -- first population ----------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 from helpers import compound_chain_text, many_locations_text
-from oracles import reference_find_cycles
+from oracles import reference_find_cycles, travel_time
 
 import kanoa.validation
 from kanoa.errors import InvariantViolation, ValidationError
@@ -284,8 +284,8 @@ def test_travel_time_ceiling():
     v = validate_problem(make(robots="robot q at b velocity 2 { can t time 1 prob 1 }"))
     r = v.robot("q")
     # distance 5 at velocity 2 -> ceil(2.5) = 3
-    assert v.travel_time(r, "a", "b") == 3
-    assert v.travel_time(r, "b", "b") == 0
+    assert travel_time(v, r, "a", "b") == 3
+    assert travel_time(v, r, "b", "b") == 0
 
 
 def test_max_idle_tightest_applies(fixtures_dir):
