@@ -97,7 +97,9 @@ def enumerate_allocations(
             f"most {MAX_ALLOCATED_INSTANCES // len(instances)} allocations"
         ])
     ranks = _sample_ranks(total, cfg.max_allocations)
-    return [_unrank(rank, instances, pools, radices) for rank in ranks]
+    # one team per (instance, digit), shared by every allocation drawing it
+    tables: list[dict[int, frozenset[str]]] = [{} for _ in instances]
+    return [_unrank(rank, instances, pools, radices, tables) for rank in ranks]
 
 
 def _sample_ranks(total: int, n: int) -> list[int]:
@@ -111,20 +113,28 @@ def _sample_ranks(total: int, n: int) -> list[int]:
     return sorted(picked)
 
 
-def _unrank(rank, instances, pools, radices) -> dict[str, frozenset[str]]:
+def _unrank(rank, instances, pools, radices, tables) -> dict[str, frozenset[str]]:
+    """The rank-th allocation; ``tables`` holds each instance's teams by
+    digit, unranked on first use and shared by later calls."""
     allocation = {}
     # most-significant digit first: divide by the product of later radices
     suffix = math.prod(radices)
-    for inst, pool, radix in zip(instances, pools, radices):
+    for inst, pool, radix, table in zip(instances, pools, radices, tables):
         suffix //= radix
         digit, rank = divmod(rank, suffix)
-        team = _combination_unrank(pool, inst.robots_needed, digit)
-        allocation[inst.instance_id] = frozenset(team)
+        team = table.get(digit)
+        if team is None:
+            team = table[digit] = frozenset(
+                _combination_unrank(pool, inst.robots_needed, digit)
+            )
+        allocation[inst.instance_id] = team
     return allocation
 
 
 def _combination_unrank(pool: list[str], k: int, rank: int) -> list[str]:
     """The rank-th size-k combination of ``pool`` in lexicographic order."""
+    if k == 1:
+        return [pool[rank]]
     m = len(pool)
     combo = []
     x = 0

@@ -140,6 +140,13 @@ def main(argv=None) -> int:
     except (InfeasibleAllocation, NoFeasibleSolution) as exc:
         print(f"no feasible plan: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(
+            "error: out of memory while planning; lower --allocations, "
+            "--permutations or --pop",
+            file=sys.stderr,
+        )
+        return 1
 
     print(
         f"pareto front: {len(report.front.entries)} plans "

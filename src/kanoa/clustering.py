@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .allocation import used_robots
-
 
 class RobotCluster(NamedTuple):
     robots: frozenset[str]
@@ -49,27 +47,27 @@ class UnionFind:
 def cluster_robots(
     allocation: dict[str, frozenset[str]], subtrees: list[frozenset[str]]
 ) -> list[RobotCluster]:
-    """Production clustering: union-find over subtree robot sets."""
-    robots = sorted(used_robots(allocation))
+    """Production clustering: union-find over subtree robot sets.
+
+    One pass over the allocation lists each robot's instances; a
+    cluster's instances are the union of its robots' lists.  Clusters come
+    in order of their smallest robot id."""
+    own: dict[str, list[str]] = {}
+    for inst, team in allocation.items():
+        for r in team:
+            own.setdefault(r, []).append(inst)
+    robots = sorted(own)
     uf = UnionFind(robots)
     for s in subtrees:
-        group = sorted(robots_of_subtree(allocation, s))
-        for other in group[1:]:
-            uf.union(group[0], other)
-    by_root: dict[str, set[str]] = {}
-    for r in robots:
-        by_root.setdefault(uf.find(r), set()).add(r)
-    groups = sorted((frozenset(g) for g in by_root.values()), key=min)
-    return [_make_cluster(g, allocation) for g in groups]
-
-
-def _make_cluster(
-    robots: frozenset[str], allocation: dict[str, frozenset[str]]
-) -> RobotCluster:
-    instances = frozenset(
-        inst
-        for inst, team in allocation.items()
-        if team & robots
-    )
-    return RobotCluster(robots=robots, instances=instances)
-
+        group = robots_of_subtree(allocation, s)
+        if len(group) > 1:
+            first, *rest = group
+            for other in rest:
+                uf.union(first, other)
+    by_root: dict[str, list[str]] = {}
+    for r in robots:  # ascending, so each root first appears with its smallest robot
+        by_root.setdefault(uf.find(r), []).append(r)
+    return [
+        RobotCluster(frozenset(members), frozenset().union(*[own[r] for r in members]))
+        for members in by_root.values()
+    ]

@@ -29,29 +29,42 @@ def robot_precedence(
     Uses reachability through instances on other robots, so that e.g.
     x -> y -> z with only x and z on this robot still forces x before z.
     """
-    succs: dict[str, set[str]] = {}
+    succs: dict[str, list[str]] = {}
     for p in pairs:
-        succs.setdefault(p.before, set()).add(p.after)
-    ordered = sorted(cluster.instances)
+        succs.setdefault(p.before, []).append(p.after)
+    # one pass over the cluster's sorted instances lists each robot's own
+    own: dict[str, list[str]] = {robot: [] for robot in sorted(cluster.robots)}
+    for inst in sorted(cluster.instances):
+        for robot in allocation[inst]:
+            if robot in own:
+                own[robot].append(inst)
 
+    # every instance that has a successor, with all it precedes
+    reach = {start: _reachable(start, succs) for start in succs}
     per_robot = []
-    for robot in sorted(cluster.robots):
-        own = [inst for inst in ordered if robot in allocation[inst]]
-        preds = dict.fromkeys(own, _NO_PREDS)
-        for start in own:
-            # forward reachability from start through the global precedence graph
-            stack = list(succs.get(start, ()))
-            seen = set()
-            while stack:
-                cur = stack.pop()
-                if cur in seen:
-                    continue
-                seen.add(cur)
+    for robot, mine in own.items():
+        preds = dict.fromkeys(mine, _NO_PREDS)
+        before: dict[str, list[str]] = {}
+        for start in mine:
+            for cur in reach.get(start, ()):
                 if cur in preds:
-                    preds[cur] = preds[cur] | {start}
-                stack.extend(succs.get(cur, ()))
+                    before.setdefault(cur, []).append(start)
+        for cur, starts in before.items():
+            preds[cur] = frozenset(starts)
         per_robot.append((robot, preds))
     return per_robot
+
+
+def _reachable(start: str, succs: dict[str, list[str]]) -> set[str]:
+    """Every instance reached from ``start`` through the precedence graph."""
+    stack = list(succs.get(start, ()))
+    seen: set[str] = set()
+    while stack:
+        cur = stack.pop()
+        if cur not in seen:
+            seen.add(cur)
+            stack.extend(succs.get(cur, ()))
+    return seen
 
 
 def draw_state(precedence: list[tuple[str, dict[str, frozenset[str]]]]) -> list[tuple]:
@@ -105,4 +118,3 @@ def random_task_permutation(state, seed) -> dict[str, tuple[str, ...]]:
                         insort(ready, t)
         per_robot[robot] = tuple(order)
     return per_robot
-

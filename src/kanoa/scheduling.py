@@ -100,47 +100,58 @@ class ClusterFacts:
         self.idle_caps = [
             tt if (cap := v.max_idle(r)) is None else cap for r in self.robots
         ]
-        self.p_success = success_probability(v, allocation, cluster, instances)
 
         in_cluster = cluster.instances
+        ordered = sorted(in_cluster)
         if len(self.robots) == 1:  # every team is its robot: none joint or tracked
+            robot = v.robot(self.robots[0])
+            prob = 1.0
+            for inst_id in ordered:
+                prob *= robot.capability_for(instances[inst_id].type_id).success_prob
+            self.p_success = prob
             self.tracked = ()
             self.instances = dict.fromkeys(in_cluster, ((), -1, self.robots, None))
             return
-        team = {i: allocation[i] for i in in_cluster}
 
         # instances whose completion time later tasks on other robots await
         tracked: list[str] = []
         for p in pairs:
             if p.before in in_cluster and p.after in in_cluster:
-                if not (team[p.after] <= team[p.before]):
+                if not (allocation[p.after] <= allocation[p.before]):
                     if p.before not in tracked:
                         tracked.append(p.before)
         tracked.sort()
         self.tracked = tuple(tracked)
         tr_index = {inst: i for i, inst in enumerate(tracked)}
 
-        preds: dict[str, set[str]] = {}
+        preds: dict[str, list[int]] = {}
         for p in pairs:
             if p.before in tr_index and p.after in in_cluster:
-                preds.setdefault(p.after, set()).add(p.before)
+                preds.setdefault(p.after, []).append(tr_index[p.before])
 
-        self.instances = {}
-        for inst_id in in_cluster:
+        # one capability read per participant gives both the success
+        # probability, multiplied in sorted instance then robot order as
+        # success_probability does, and the joint duration
+        prob = 1.0
+        self.instances = steps = {}
+        for inst_id in ordered:
             inst = instances[inst_id]
-            participants = tuple(sorted(team[inst_id]))
-            duration = None
-            if inst.robots_needed >= 2:
-                duration = max(
-                    v.robot(r).capability_for(inst.type_id).required_time
-                    for r in participants
-                )
-            self.instances[inst_id] = (
-                tuple(sorted(tr_index[x] for x in preds.get(inst_id, ()))),
+            participants = tuple(sorted(allocation[inst_id]))
+            joint = inst.robots_needed >= 2
+            duration = 0 if joint else None
+            for r in participants:
+                cap = v.robot(r).capability_for(inst.type_id)
+                prob *= cap.success_prob
+                if joint and cap.required_time > duration:
+                    duration = cap.required_time
+            pred = preds.get(inst_id)
+            steps[inst_id] = (
+                tuple(sorted(set(pred))) if pred else (),
                 tr_index.get(inst_id, -1),
                 participants,
                 duration,
             )
+        self.p_success = prob
 
 
 def earliest_start(
@@ -179,27 +190,34 @@ def earliest_start(
             travel += dist
         return (0, travel) if clock <= tt else (None, None)
     orders = [permutation[r] for r in robots]
+    lengths = [len(order) for order in orders]
     n = len(robots)
     clock, idle, pos, here = [0] * n, [0] * n, [0] * n, list(facts.starts)
     travel = 0
-    done: dict[int, int] = {}  # tracked index -> completion time
+    done = [None] * len(facts.tracked)  # tracked index -> completion time
+    steps = facts.instances
     progress = True
     while progress:
         progress = False
         for i, order in enumerate(orders):
             # advance robot i as far as it can; earliest starts do not
             # depend on the order in which they are computed
-            while pos[i] < len(order):
+            while pos[i] < lengths[i]:
                 inst_id = order[pos[i]]
-                pred_tracked, tracked_idx, team, duration = facts.instances[inst_id]
+                pred_tracked, tracked_idx, team, duration = steps[inst_id]
                 ready = 0
-                if pred_tracked:
-                    if any(t not in done for t in pred_tracked):
+                for t in pred_tracked:
+                    finished = done[t]
+                    if finished is None:
+                        ready = None
                         break
-                    ready = max(done[t] for t in pred_tracked)
+                    if finished > ready:
+                        ready = finished
+                if ready is None:
+                    break
                 if duration is None:
                     location, dist, travel_time, own, _ = hops[robots[i], here[i], inst_id]
-                    start = max(ready, clock[i])
+                    start = ready if ready > clock[i] else clock[i]
                     end = start + travel_time + own
                     idle[i] += start - clock[i]
                     if end > tt or idle[i] > caps[i]:
@@ -209,25 +227,33 @@ def earliest_start(
                     travel += dist
                 else:
                     members = [index[r] for r in team]
-                    if any(pos[r] == len(orders[r]) or orders[r][pos[r]] != inst_id
-                           for r in members):
+                    for r in members:
+                        if pos[r] == lengths[r] or orders[r][pos[r]] != inst_id:
+                            members = None
+                            break
+                    if members is None:
                         break
-                    moves = [hops[robots[r], here[r], inst_id] for r in members]
-                    arrive = [clock[r] + hop[2] for r, hop in zip(members, moves)]
-                    start = max(ready, *arrive)
+                    start, moves = ready, []
+                    for r in members:
+                        hop = hops[robots[r], here[r], inst_id]
+                        arrive = clock[r] + hop[2]
+                        if arrive > start:
+                            start = arrive
+                        moves.append((r, hop, arrive))
                     end = start + duration
-                    for r, a in zip(members, arrive):
-                        idle[r] += start - a
-                    if end > tt or any(idle[r] > caps[r] for r in members):
+                    if end > tt:
                         return None, None
-                    for r, hop in zip(members, moves):
+                    for r, hop, arrive in moves:
+                        idle[r] += start - arrive
+                        if idle[r] > caps[r]:
+                            return None, None
                         clock[r], here[r] = end, hop[0]
                         pos[r] += 1
                         travel += hop[1]
                 if tracked_idx >= 0:
                     done[tracked_idx] = end
                 progress = True
-    if any(p < len(order) for p, order in zip(pos, orders)):
+    if pos != lengths:
         return None, None
     return sum(idle), travel
 
@@ -235,8 +261,7 @@ def earliest_start(
 def score_cluster(
     v: ValidatedProblem, allocation: dict[str, frozenset[str]], cluster: RobotCluster,
     permutation: dict[str, tuple[str, ...]], pairs: list[PrecedencePair],
-    instances: dict[str, TaskInstance], *, facts: ClusterFacts | None = None,
-    hops: Hops | None = None,
+    instances: dict[str, TaskInstance], *, facts: ClusterFacts, hops: Hops,
 ) -> SchedulingResult:
     """One cluster's verdict and objectives in closed form, with no plan.
 
@@ -246,13 +271,9 @@ def score_cluster(
     :mod:`kanoa.mdp`); the success probability is
     :func:`success_probability`, kept on the cluster's facts.  Only the
     cluster's robots are read from ``permutation``.  ``facts`` and
-    ``hops`` are a search's shared records; without them the call builds
-    its own.
+    ``hops`` are the cluster's :class:`ClusterFacts` and a
+    :class:`Hops` memo, usually a search's shared records.
     """
-    if facts is None:
-        facts = ClusterFacts(v, allocation, cluster, pairs, instances)
-    if hops is None:
-        hops = Hops(v, instances)
     idle, travel = earliest_start(facts, permutation, hops)
     if idle is None:
         return SchedulingResult(False, 0.0, None, None, None)

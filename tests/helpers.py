@@ -62,6 +62,16 @@ def first_allocation(v, n=1):
     return allocation, clusters, instances, pairs
 
 
+def cold_records(v, allocation, cluster, permutation, pairs, instances):
+    """The ``facts`` and ``hops`` keyword arguments of a cold
+    ``score_cluster`` call: the cluster's own, freshly built
+    :class:`ClusterFacts` and a :class:`Hops` memo shared with nothing."""
+    return {
+        "facts": ClusterFacts(v, allocation, cluster, pairs, instances),
+        "hops": Hops(v, instances),
+    }
+
+
 def cold_context(v, allocation, cluster, permutation, pairs, instances):
     """A cluster's :class:`ClusterContext` from its own, freshly built
     :class:`ClusterFacts` and :class:`Hops` memo, shared with nothing."""
@@ -265,20 +275,38 @@ def many_locations_text(count: int) -> str:
     ]) + "\n"
 
 
-def wide_joint_task_text(robots: int) -> str:
-    """One task at b that needs all ``robots`` robots at once, each starting
-    at a.  Every robot reaches b on its own, so the full model holds every
-    subset of arrived robots."""
+def wide_joint_task_text(robots: int, needed: int | None = None) -> str:
+    """One task at b that needs ``needed`` of the ``robots`` robots at once
+    (all of them by default), each starting at a.  Every robot reaches b
+    on its own, so the full model holds every subset of arrived robots."""
     fleet = [
         f"  robot r{i} at a velocity 1 {{ can t time 1 prob 0.9 }}"
         for i in range(robots)
     ]
     return "\n".join([
         "world { loc a (0, 0) loc b (3, 4) }",
-        f"tasks {{ atomic t robots {robots} }}",
+        f"tasks {{ atomic t robots {robots if needed is None else needed} }}",
         "robots {", *fleet, "}",
         "mission { task t at b; time 100 }",
     ]) + "\n"
+
+
+def random_joint_missions(rng: random.Random, count: int):
+    """``count`` (validated problem, number of allocations to request)
+    pairs with joint teams: :func:`random_problem_text` missions, of which
+    about a third have a task for two robots, and every fourth a
+    :func:`wide_joint_task_text` mission of 2-6 robots needing 2 to all of
+    them.  The request is drawn below and above the feasible count, so
+    some spaces are sampled and some searched whole."""
+    made = []
+    while len(made) < count:
+        if len(made) % 4 == 3:
+            robots = rng.randint(2, 6)
+            text = wide_joint_task_text(robots, rng.randint(2, robots))
+        else:
+            text = random_problem_text(rng, idle_caps=rng.random() < 0.5)
+        made.append((load(text), rng.randint(1, 12)))
+    return made
 
 
 def random_clusters(rng: random.Random, idle_caps: bool = False, draws: int = 1):

@@ -7,7 +7,13 @@ here compute the same results the slow, obvious way:
 
 * the paper's interdependence matrix, closed by Warshall's algorithm and,
   independently, by a boolean matrix-power fixpoint;
-* the full feasible allocation space, by nested enumeration;
+* the full feasible allocation space, by nested enumeration, and a
+  sampled request's allocations picked from it;
+* a cluster's instances, by scanning the whole allocation once per
+  cluster;
+* each robot's restriction of the precedence order, by scanning the
+  cluster's instances once per robot and walking the precedence graph
+  afresh from each of them;
 * a robot's finishing clock with no waiting at all;
 * a cluster's minimum-idle plan, by simulating the earliest-start schedule
   of its fixed per-robot orders instead of building and solving a model;
@@ -49,7 +55,7 @@ from itertools import combinations
 import numpy as np
 
 from kanoa.allocation import eligible_robots, used_robots
-from kanoa.clustering import RobotCluster, _make_cluster, robots_of_subtree
+from kanoa.clustering import RobotCluster, robots_of_subtree
 from kanoa.errors import InvariantViolation, UndefinedReward
 from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
 from kanoa.optimizer import EvalResult, Objectives
@@ -124,6 +130,19 @@ def clusters(
     return [_make_cluster(g, allocation) for g in sorted(groups, key=min)]
 
 
+def _make_cluster(
+    robots: frozenset[str], allocation: dict[str, frozenset[str]]
+) -> RobotCluster:
+    """The cluster of ``robots`` with every instance whose team meets them,
+    by one scan of the allocation per cluster."""
+    instances = frozenset(
+        inst
+        for inst, team in allocation.items()
+        if team & robots
+    )
+    return RobotCluster(robots=robots, instances=instances)
+
+
 def format_clusters(matrix: InterdependenceMatrix, groups: list[RobotCluster]) -> str:
     """Plain-text dump of the relation matrix and resulting clusters."""
     lines = ["robots: " + " ".join(matrix.robots)]
@@ -155,6 +174,21 @@ def brute_force_allocations(v: ValidatedProblem, instances: list[TaskInstance]):
         acc.pop(instances[idx].instance_id, None)
 
     yield from rec(0, {})
+
+
+def sampled_allocations(v: ValidatedProblem, instances: list[TaskInstance], n: int):
+    """The allocations a request for ``n`` gets, picked from the full
+    nested enumeration: all of it when it holds at most ``n``, else the
+    ``n`` distinct positions that ``random.Random("allocation-sample")``
+    draws by ``randrange``, in increasing order."""
+    full = list(brute_force_allocations(v, instances))
+    if len(full) <= n:
+        return full
+    rng = random.Random("allocation-sample")
+    picked: set[int] = set()
+    while len(picked) < n:
+        picked.add(rng.randrange(len(full)))
+    return [full[i] for i in sorted(picked)]
 
 
 def min_completion(ctx: ClusterContext, i: int) -> int:
@@ -328,6 +362,33 @@ def reference_task_permutation(allocation, cluster, pairs, seed):
             order.append(pick)
             del remaining[pick]
         per_robot[robot] = tuple(order)
+    return per_robot
+
+
+def per_robot_precedence(allocation, cluster, pairs):
+    """:func:`kanoa.permutations.robot_precedence` as it was written before
+    its one-pass rewrite: each robot scans the cluster's sorted instances
+    for its own, and each of them walks the precedence graph afresh."""
+    succs: dict[str, set[str]] = {}
+    for p in pairs:
+        succs.setdefault(p.before, set()).add(p.after)
+    ordered = sorted(cluster.instances)
+    per_robot = []
+    for robot in sorted(cluster.robots):
+        own = [inst for inst in ordered if robot in allocation[inst]]
+        preds = dict.fromkeys(own, frozenset())
+        for start in own:
+            stack = list(succs.get(start, ()))
+            seen = set()
+            while stack:
+                cur = stack.pop()
+                if cur in seen:
+                    continue
+                seen.add(cur)
+                if cur in preds:
+                    preds[cur] = preds[cur] | {start}
+                stack.extend(succs.get(cur, ()))
+        per_robot.append((robot, preds))
     return per_robot
 
 

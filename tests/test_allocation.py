@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
-from helpers import expanded, load
-from oracles import brute_force_allocations
+from helpers import expanded, load, random_joint_missions
+from oracles import brute_force_allocations, sampled_allocations
 
 import kanoa.allocation
 from kanoa.allocation import (
@@ -85,6 +86,29 @@ def test_subset_and_order_consistent_when_sampled():
     positions = [oracle.index(a) for a in allocs]
     assert len(set(positions)) == 4  # distinct
     assert positions == sorted(positions)  # order-consistent subsequence
+
+
+def test_random_joint_missions_match_brute_force():
+    """On random missions with teams of one to six robots, sampled or
+    searched whole, the allocations equal those picked from the nested
+    enumeration, and every allocation that gives an instance the same
+    team holds the same frozenset."""
+    rng = random.Random(4711)
+    sampled = joint = 0
+    for v, requested in random_joint_missions(rng, 300):
+        leaves, _, _, _ = expanded(v)
+        expected = sampled_allocations(v, leaves, requested)
+        got = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=requested))
+        assert got == expected
+        for inst in leaves:
+            teams = {}
+            for a in got:
+                assert teams.setdefault(a[inst.instance_id], a[inst.instance_id]) is (
+                    a[inst.instance_id]
+                )
+        sampled += count_feasible(v, leaves) > requested
+        joint += any(inst.robots_needed >= 2 for inst in leaves)
+    assert sampled > 50 and joint > 100
 
 
 def test_allocation_facts(hospital):

@@ -14,12 +14,14 @@ import random
 import re
 
 from helpers import (
-    cold_context, expanded, load, perfbench_mission, random_clusters, random_problem_text,
+    cold_context, cold_records, expanded, load, perfbench_mission, random_clusters,
+    random_joint_missions, random_problem_text,
 )
 from oracles import cold_hop, general_cluster_facts
 
 import kanoa.optimizer
-from kanoa.allocation import AllocatorConfig
+from kanoa.allocation import AllocatorConfig, enumerate_allocations
+from kanoa.clustering import cluster_robots
 from kanoa.mdp import ClusterContext
 from kanoa.optimizer import nsga2_run, prepare_search
 from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
@@ -42,7 +44,9 @@ def assert_shared_equals_cold(args, facts, hops):
     the cold ones; returns the number of steps the context holds."""
     shared = ClusterContext(facts, args[3], hops)
     assert context_fields(shared) == context_fields(cold_context(*args))
-    assert score_cluster(*args, facts=facts, hops=hops) == score_cluster(*args)
+    assert score_cluster(*args, facts=facts, hops=hops) == score_cluster(
+        *args, **cold_records(*args)
+    )
     assert schedule_cluster(*args, facts=facts, hops=hops) == schedule_cluster(*args)
     return sum(len(row) for row in shared.steps)
 
@@ -222,6 +226,25 @@ def test_facts_equal_general_constructor_on_random_clusters():
             assert_facts_equal_general(v, allocation, cluster, pairs, instances)
             one += len(cluster.robots) == 1
     assert one > 100
+
+
+def test_facts_equal_general_constructor_on_random_joint_missions():
+    """Every cluster of every allocation of random missions with joint
+    teams: each slot equals the general constructor's, and the success
+    probability, read with each participant's duration, equals its
+    separately multiplied one to the last bit."""
+    rng = random.Random(1618)
+    joint = 0
+    for v, requested in random_joint_missions(rng, 300):
+        leaves, instances, pairs, subtrees = expanded(v)
+        for a in enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=requested)):
+            for cluster in cluster_robots(a, subtrees):
+                assert_facts_equal_general(v, a, cluster, pairs, instances)
+                facts = ClusterFacts(v, a, cluster, pairs, instances)
+                general = general_cluster_facts(v, a, cluster, pairs, instances)
+                assert float.hex(facts.p_success) == float.hex(general.p_success)
+                joint += any(step[3] is not None for step in facts.instances.values())
+    assert joint > 200
 
 
 def test_facts_equal_general_constructor_on_fleet():

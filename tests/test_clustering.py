@@ -1,7 +1,7 @@
 import random
 
 import numpy as np
-from helpers import expanded, load
+from helpers import expanded, load, random_joint_missions
 from oracles import (
     InterdependenceMatrix,
     closure_by_multiplication,
@@ -140,6 +140,22 @@ def test_triple_oracle_equality():
         uf_groups = [g.robots for g in cluster_robots(fake, subtrees)]
         closure_groups = [g.robots for g in clusters(warshall, fake)]
         assert uf_groups == closure_groups
+
+
+def test_random_joint_missions_cluster_like_the_closed_matrix():
+    """On every allocation of random missions with joint teams, the
+    union-find clusters, robots and instances alike, equal the connected
+    components of the closed interdependence matrix, whose instances come
+    from a scan of the whole allocation per cluster."""
+    rng = random.Random(1729)
+    coupled = 0
+    for v, requested in random_joint_missions(rng, 300):
+        leaves, _, _, subtrees = expanded(v)
+        for a in enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=requested)):
+            expected = clusters(transitive_closure(relation_matrix(a, subtrees)), a)
+            assert cluster_robots(a, subtrees) == expected
+            coupled += any(len(c.robots) > 1 for c in expected)
+    assert coupled > 300
 
 
 def test_cluster_instances_attached(hospital):

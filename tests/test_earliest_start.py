@@ -19,6 +19,7 @@ import random
 import pytest
 from helpers import (
     cold_context,
+    cold_records,
     expanded,
     load,
     random_clusters,
@@ -123,7 +124,7 @@ def verdicts(case):
     result, and the score without its plan, equal the reference's."""
     ref = reference_schedule(*case)
     assert schedule_cluster(*case) == ref
-    assert score_cluster(*case) == ref._replace(plan=None)
+    assert score_cluster(*case, **cold_records(*case)) == ref._replace(plan=None)
     return check(case), ref.feasible
 
 
@@ -163,7 +164,7 @@ def test_one_robot_clusters_match_reference(idle_caps):
             for tt in (finish, finish - 1, rng.randint(4, 24)):
                 budgeted = with_time_available(case, tt)
                 expected = reference_score(*budgeted)
-                assert score_cluster(*budgeted) == expected
+                assert score_cluster(*budgeted, **cold_records(*budgeted)) == expected
                 assert expected.feasible == (finish <= tt)
                 assert expected.idle == (0 if finish <= tt else None)
     assert solo >= 100
@@ -197,8 +198,9 @@ def test_cross_robot_deadlock(make):
 
 def test_model_disagreeing_with_check_raises(monkeypatch):
     # at tt=11 the schedule does not fit, and at tt=12 wiper idles 10
-    assert not score_cluster(*relay_case(tt=11)).feasible
-    assert score_cluster(*relay_case(tt=12)).idle == 10
+    infeasible, feasible = relay_case(tt=11), relay_case(tt=12)
+    assert not score_cluster(*infeasible, **cold_records(*infeasible)).feasible
+    assert score_cluster(*feasible, **cold_records(*feasible)).idle == 10
     # a schedule claiming that tt=11 fits meets a chain that misses done
     monkeypatch.setattr(kanoa.scheduling, "earliest_start", lambda *_: (10, 4))
     with pytest.raises(InvariantViolation, match="reaches done with probability 0"):

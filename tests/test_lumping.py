@@ -23,6 +23,7 @@ from helpers import (
     random_problem_text,
     reference_schedule,
     reference_score,
+    wide_joint_task_text,
     with_time_available,
 )
 from oracles import (
@@ -146,15 +147,19 @@ def test_run_artifacts_match_full_model_runs(name, tmp_path, monkeypatch, reques
 
 
 # (mission kind, seeds): small random missions, with and without idle
-# caps, and a few relay and fleet missions
+# caps, a few relay and fleet missions, and joint tasks for 2 to all of
+# 2-5 robots
 RANDOM_RUNS = [("random", range(40)), ("random_idle_caps", range(40)),
-               ("relay", range(3)), ("fleet", range(3))]
+               ("relay", range(3)), ("fleet", range(3)), ("wide_joint", range(8))]
 
 
 def mission_text(kind, seed):
+    rng = random.Random(f"{kind}:{seed}")
     if kind.startswith("random"):
-        rng = random.Random(f"{kind}:{seed}")
         return random_problem_text(rng, idle_caps=kind == "random_idle_caps")
+    if kind == "wide_joint":
+        robots = rng.randint(2, 5)
+        return wide_joint_task_text(robots, rng.randint(2, robots))
     return getattr(benchmark_missions(), f"{kind}_text")(seed)
 
 

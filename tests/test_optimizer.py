@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from helpers import load, perfbench_mission, random_problem_text
+from helpers import cold_records, load, perfbench_mission, random_problem_text
 from oracles import (
     dominates,
     general_earliest_start,
@@ -344,7 +344,7 @@ def test_memoized_runs_match_direct_schedules(name, fixtures_dir, monkeypatch):
             args = (
                 space.v, allocation, cluster, dict(orders), space.pairs, space.instances
             )
-            direct = score_cluster(*args)
+            direct = score_cluster(*args, **cold_records(*args))
             assert space._scores[orders] == direct, (a, p, sorted(cluster.robots))
             assert schedule_cluster(*args)._replace(plan=None) == direct
             results += 1

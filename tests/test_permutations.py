@@ -4,14 +4,16 @@ from itertools import permutations as iterperms
 
 import oracles
 import pytest
-from helpers import expanded, first_allocation, load, perfbench_mission
-from oracles import resorted_task_permutation
+from helpers import (
+    expanded, first_allocation, load, perfbench_mission, random_joint_missions,
+)
+from oracles import per_robot_precedence, resorted_task_permutation
 
 import kanoa
 import kanoa.optimizer
 import kanoa.permutations
-from kanoa.allocation import AllocatorConfig, used_robots
-from kanoa.clustering import RobotCluster
+from kanoa.allocation import AllocatorConfig, enumerate_allocations, used_robots
+from kanoa.clustering import RobotCluster, cluster_robots
 from kanoa.optimizer import nsga2_run, prepare_search
 from kanoa.permutations import (
     draw_state,
@@ -135,6 +137,60 @@ def random_precedence(rng):
             preds[name] = frozenset(p for p in names[:k] if rng.random() < 0.3)
         precedence.append((f"r{r}", dict(sorted(preds.items()))))
     return precedence
+
+
+def assert_precedence_matches_per_robot_scan(v, requested):
+    """Every cluster of every allocation, and each allocation's whole robot
+    set, gets the per-robot scan's restriction of the precedence order;
+    returns how many restrictions hold a predecessor."""
+    leaves, _, pairs, subtrees = expanded(v)
+    ordered = 0
+    for a in enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=requested)):
+        whole = RobotCluster(used_robots(a), frozenset(a))
+        for cluster in [whole, *cluster_robots(a, subtrees)]:
+            got = robot_precedence(a, cluster, pairs)
+            assert got == per_robot_precedence(a, cluster, pairs)
+            ordered += sum(any(preds.values()) for _, preds in got)
+    return ordered
+
+
+def test_precedence_matches_per_robot_scan_on_random_missions():
+    rng = random.Random(2718)
+    ordered = sum(
+        assert_precedence_matches_per_robot_scan(v, requested)
+        for v, requested in random_joint_missions(rng, 300)
+    )
+    assert ordered > 100
+
+
+@pytest.mark.parametrize("workload", ["hospital", "relay"])
+def test_precedence_matches_per_robot_scan_on_benchmark_missions(workload):
+    # fleet missions have no ordered task, so they are left out
+    text, cfg = perfbench_mission(workload)
+    assert assert_precedence_matches_per_robot_scan(load(text), cfg.allocations) > 0
+
+
+# ordered compounds of three and of a nested compound: precedence chains
+# of up to four steps, which run through other robots' instances
+CHAINS = """
+world { loc a (0,0) loc b (2,0) }
+tasks {
+  atomic x robots 1 atomic y robots 1 atomic z robots 1
+  compound c = ordered { x, y, z }
+  compound d = ordered { c, x }
+}
+robots {
+  robot r1 at a velocity 1 { can x time 1 prob 1 can z time 1 prob 1 }
+  robot r2 at a velocity 1 { can x time 1 prob 1 can y time 1 prob 1 }
+  robot r3 at b velocity 1 { can x time 1 prob 1 can y time 1 prob 1 can z time 1 prob 1 }
+}
+mission { task d at a; task c at b; time 50 }
+"""
+
+
+def test_precedence_matches_per_robot_scan_on_chains():
+    v = load(CHAINS)
+    assert assert_precedence_matches_per_robot_scan(v, 200) > 0
 
 
 def test_draws_match_resorting_oracle_on_random_precedences():

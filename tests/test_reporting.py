@@ -20,6 +20,7 @@ from oracles import encode, pareto_document, pareto_table, plan_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kanoa.cli
 from kanoa.allocation import MAX_ALLOCATED_INSTANCES, AllocatorConfig
 from kanoa.cli import _FIELDS, _read_config, _resolve, build_parser
 from kanoa.cli import main as cli_main
@@ -336,6 +337,24 @@ def test_cli_dump_over_state_cap_exit_one(fixtures_dir, tmp_path, capsys):
     )
     assert (tmp_path / "pareto.csv").exists()
     assert not list(tmp_path.glob("mdp_*.txt"))
+
+
+def test_cli_out_of_memory_exit_one(fixtures_dir, tmp_path, capsys, monkeypatch):
+    # a run that exhausts memory ends in one line naming what to lower
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(kanoa.cli, "run", exhausted)
+    code = cli_main([
+        "plan", "--input", str(fixtures_dir / "minimal.kanoa"), "--out", str(tmp_path),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: out of memory while planning; lower --allocations, "
+        "--permutations or --pop\n"
+    )
+    assert "Traceback" not in err
 
 
 def test_cli_non_utf8_input_exit_one(tmp_path, capsys):
@@ -874,6 +893,19 @@ def test_solo_tasks_golden_artifacts(tmp_path):
     out = tmp_path / "out"
     run(mission, cfg, out)
     assert_golden_artifacts(GOLDEN / "solo_tasks_seed0", out)
+
+
+@pytest.mark.parametrize("shape", ["fleet", "relay"])
+def test_benchmark_shaped_golden_artifacts(tmp_path, shape):
+    """The front of a small run of a benchmark-shaped mission, stored with
+    its mission text: ``perfbench/missions.fleet_text(3)`` (single-robot
+    tasks, ten robots) and ``relay_text(3)`` (pick -> drop orders that
+    couple robots), at ``--allocations 6 --permutations 4 --pop 12 --gens 4
+    --seed 2``."""
+    golden = GOLDEN / f"{shape}_seed2"
+    cfg = PipelineConfig(allocations=6, permutations=4, population=12, generations=4, seed=2)
+    run(golden / "mission.kanoa", cfg, tmp_path)
+    assert_golden_artifacts(golden, tmp_path)
 
 
 # -- the template writers against json.dumps and csv.writer ---------------------
