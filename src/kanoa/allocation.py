@@ -24,12 +24,13 @@ from .problem import ValidatedProblem
 from .taskgraph import TaskInstance
 
 # Most teams the drawn allocations may hold in all: min(requested, feasible)
-# allocations times the mission's task instances.  Each team costs about
-# 340 B with its share of the clusters: prepare_search on the bundled
-# hospital mission (14 instances) peaked at 4,760 B per allocation by
-# tracemalloc, at both 10,000 and 100,000 allocations.  At the limit, hospital
-# with 35,714 allocations, two permutations, population 4 and one generation
-# peaked at 186 MB resident in 3.4 s.  See docs/grammar.md.
+# allocations times the mission's task instances.  Allocations share their
+# teams, so each costs about 132 B with its share of the clusters:
+# prepare_search on the bundled hospital mission (14 instances) peaked at
+# about 1,850 B per allocation by tracemalloc, at both 10,000 and 100,000
+# allocations.  At the limit, hospital with 35,714 allocations, two
+# permutations, population 4 and one generation peaked at 81 MB resident in
+# 1.0 s.  See docs/grammar.md.
 MAX_ALLOCATED_INSTANCES = 500_000
 
 

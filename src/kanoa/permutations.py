@@ -38,20 +38,23 @@ def robot_precedence(
         for robot in allocation[inst]:
             if robot in own:
                 own[robot].append(inst)
+    per_robot = [(robot, dict.fromkeys(mine, _NO_PREDS)) for robot, mine in own.items()]
 
-    # every instance that has a successor, with all it precedes
-    reach = {start: _reachable(start, succs) for start in succs}
-    per_robot = []
-    for robot, mine in own.items():
-        preds = dict.fromkeys(mine, _NO_PREDS)
-        before: dict[str, list[str]] = {}
-        for start in mine:
-            for cur in reach.get(start, ()):
-                if cur in preds:
-                    before.setdefault(cur, []).append(start)
-        for cur, starts in before.items():
-            preds[cur] = frozenset(starts)
-        per_robot.append((robot, preds))
+    # each instance with a successor precedes, on each robot of its team,
+    # that robot's instances it reaches
+    preds_of = dict(per_robot)
+    before: dict[tuple[str, str], list[str]] = {}
+    for start in succs:
+        if start in cluster.instances:
+            reached = _reachable(start, succs)
+            for robot in allocation[start]:
+                preds = preds_of.get(robot)
+                if preds is not None:
+                    for cur in reached:
+                        if cur in preds:
+                            before.setdefault((robot, cur), []).append(start)
+    for (robot, cur), starts in before.items():
+        preds_of[robot][cur] = frozenset(starts)
     return per_robot
 
 

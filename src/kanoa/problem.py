@@ -126,6 +126,9 @@ class ValidatedProblem:
             self._distances[(d.frm, d.to)] = self._distances[(d.to, d.frm)] = d.distance
         self._locations = {l.id: l for l in problem.locations}
         self._robots = {r.id: r for r in problem.robots}
+        self._capabilities = {
+            (r.id, c.task_type_id): c for r in problem.robots for c in r.capabilities
+        }
         self._atomics = {t.id: t for t in problem.atomic_tasks}
         self._compounds = {t.id: t for t in problem.compound_tasks}
 
@@ -139,6 +142,10 @@ class ValidatedProblem:
 
     def robot(self, robot_id: str) -> RobotDef:
         return self._robots[robot_id]
+
+    def capability(self, robot_id: str, task_type_id: str) -> Capability:
+        """The robot's capability for the task type, which it must have."""
+        return self._capabilities[robot_id, task_type_id]
 
     def atomic(self, task_id: str) -> AtomicTaskDef:
         return self._atomics[task_id]

@@ -48,8 +48,8 @@ class Hops(dict):
         rid, here, inst_id = key
         part = self.parts.get((rid, inst_id))
         if part is None:
-            robot, inst = self.v.robot(rid), self.instances[inst_id]
-            cap, speed = robot.capability_for(inst.type_id), robot.velocity
+            inst = self.instances[inst_id]
+            cap, speed = self.v.capability(rid, inst.type_id), self.v.robot(rid).velocity
             part = self.parts[rid, inst_id] = (inst.location, speed.numerator,
                                               speed.denominator, cap.required_time,
                                               cap.success_prob)
@@ -72,7 +72,7 @@ def success_probability(
     for inst_id in sorted(cluster.instances):
         type_id = instances[inst_id].type_id
         for rid in sorted(allocation[inst_id]):
-            prob *= v.robot(rid).capability_for(type_id).success_prob
+            prob *= v.capability(rid, type_id).success_prob
     return prob
 
 
@@ -103,11 +103,12 @@ class ClusterFacts:
 
         in_cluster = cluster.instances
         ordered = sorted(in_cluster)
+        capability = v.capability
         if len(self.robots) == 1:  # every team is its robot: none joint or tracked
-            robot = v.robot(self.robots[0])
+            rid = self.robots[0]
             prob = 1.0
             for inst_id in ordered:
-                prob *= robot.capability_for(instances[inst_id].type_id).success_prob
+                prob *= capability(rid, instances[inst_id].type_id).success_prob
             self.p_success = prob
             self.tracked = ()
             self.instances = dict.fromkeys(in_cluster, ((), -1, self.robots, None))
@@ -124,32 +125,38 @@ class ClusterFacts:
         self.tracked = tuple(tracked)
         tr_index = {inst: i for i, inst in enumerate(tracked)}
 
-        preds: dict[str, list[int]] = {}
+        preds: dict[str, set[int]] = {}
         for p in pairs:
             if p.before in tr_index and p.after in in_cluster:
-                preds.setdefault(p.after, []).append(tr_index[p.before])
+                preds.setdefault(p.after, set()).add(tr_index[p.before])
 
         # one capability read per participant gives both the success
         # probability, multiplied in sorted instance then robot order as
-        # success_probability does, and the joint duration
+        # success_probability does, and the joint duration; each distinct
+        # team is sorted once
         prob = 1.0
         self.instances = steps = {}
+        sorted_teams: dict[frozenset[str], tuple[str, ...]] = {}
         for inst_id in ordered:
             inst = instances[inst_id]
-            participants = tuple(sorted(allocation[inst_id]))
-            joint = inst.robots_needed >= 2
-            duration = 0 if joint else None
-            for r in participants:
-                cap = v.robot(r).capability_for(inst.type_id)
-                prob *= cap.success_prob
-                if joint and cap.required_time > duration:
-                    duration = cap.required_time
+            team = allocation[inst_id]
+            participants = sorted_teams.get(team)
+            if participants is None:
+                participants = sorted_teams[team] = tuple(sorted(team))
+            duration = None
+            if inst.robots_needed == 1:
+                prob *= capability(participants[0], inst.type_id).success_prob
+            else:
+                duration = 0
+                for r in participants:
+                    cap = capability(r, inst.type_id)
+                    prob *= cap.success_prob
+                    if cap.required_time > duration:
+                        duration = cap.required_time
             pred = preds.get(inst_id)
             steps[inst_id] = (
-                tuple(sorted(set(pred))) if pred else (),
-                tr_index.get(inst_id, -1),
-                participants,
-                duration,
+                tuple(sorted(pred)) if pred else (), tr_index.get(inst_id, -1),
+                participants, duration,
             )
         self.p_success = prob
 

@@ -101,11 +101,8 @@ def test_random_joint_missions_match_brute_force():
         got = enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=requested))
         assert got == expected
         for inst in leaves:
-            teams = {}
-            for a in got:
-                assert teams.setdefault(a[inst.instance_id], a[inst.instance_id]) is (
-                    a[inst.instance_id]
-                )
+            drawn = [a[inst.instance_id] for a in got]
+            assert len({id(team) for team in drawn}) == len(set(drawn))
         sampled += count_feasible(v, leaves) > requested
         joint += any(inst.robots_needed >= 2 for inst in leaves)
     assert sampled > 50 and joint > 100

@@ -212,6 +212,7 @@ def assert_facts_equal_general(v, allocation, cluster, pairs, instances):
     general = general_cluster_facts(v, allocation, cluster, pairs, instances)
     for slot in ClusterFacts.__slots__:
         assert getattr(facts, slot) == getattr(general, slot), slot
+    return facts, general
 
 
 def test_facts_equal_general_constructor_on_random_clusters():
@@ -239,9 +240,7 @@ def test_facts_equal_general_constructor_on_random_joint_missions():
         leaves, instances, pairs, subtrees = expanded(v)
         for a in enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=requested)):
             for cluster in cluster_robots(a, subtrees):
-                assert_facts_equal_general(v, a, cluster, pairs, instances)
-                facts = ClusterFacts(v, a, cluster, pairs, instances)
-                general = general_cluster_facts(v, a, cluster, pairs, instances)
+                facts, general = assert_facts_equal_general(v, a, cluster, pairs, instances)
                 assert float.hex(facts.p_success) == float.hex(general.p_success)
                 joint += any(step[3] is not None for step in facts.instances.values())
     assert joint > 200
