@@ -39,7 +39,7 @@ from .optimizer import (
     prepare_search,
 )
 from .parser import parse_problem
-from .permutations import draw_state, random_task_permutation, robot_precedence
+from .permutations import draw_state, random_task_permutation
 from .plans import Plan, PlanEvent, check_plan, extract_plan
 from .printer import pretty_print
 from .problem import ProblemSpec, ValidatedProblem

@@ -52,11 +52,6 @@ def eligible_robots(v: ValidatedProblem, instance: TaskInstance) -> list[str]:
     )
 
 
-def used_robots(allocation: dict[str, frozenset[str]]) -> frozenset[str]:
-    """Every robot that some instance's team includes."""
-    return frozenset().union(*allocation.values())
-
-
 def count_feasible(v: ValidatedProblem, instances: list[TaskInstance]) -> int:
     """Exact size of the feasible allocation space (product of binomials)."""
     total = 1

@@ -81,10 +81,17 @@ def _integer(raw, source):
     raise ValueError(f"{source} must be an integer, got {raw!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose errors, like every other input error, end in one
+    line and exit 1: argparse's own exit 2 would read as "no feasible
+    plan".  Its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kanoa", description="multi-robot mission planner"
-    )
+    parser = _ArgumentParser(prog="kanoa", description="multi-robot mission planner")
     sub = parser.add_subparsers(dest="command", required=True)
     plan = sub.add_parser("plan", help="synthesize Pareto-optimal mission plans")
     plan.add_argument("--input", required=True, help="mission file (.kanoa)")

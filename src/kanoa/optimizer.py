@@ -25,11 +25,11 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .allocation import AllocatorConfig, enumerate_allocations, used_robots
+from .allocation import AllocatorConfig, enumerate_allocations
 from .clustering import RobotCluster, cluster_robots
 from .errors import NoFeasibleSolution
 from .mdp import DEFAULT_STATE_CAP
-from .permutations import draw_state, random_task_permutation, robot_precedence
+from .permutations import draw_state, random_task_permutation
 from .plans import Plan
 from .problem import ValidatedProblem
 from .scheduling import (
@@ -110,16 +110,19 @@ class SearchSpace:
     the only parts of the allocation and the cluster that a score reads.
     Equal keys therefore give equal results, feasible or not.
 
-    ``_facts`` keeps the :class:`ClusterFacts` of each (allocation index,
-    cluster index) and ``hops`` the search's one :class:`Hops` memo.  A
-    score reads both in :func:`earliest_start`, with no context;
-    :func:`schedule_cluster` builds the front's :class:`ClusterContext`
-    from them, under ``state_cap``, and so does ``--dump-mdp``.
+    ``_records`` keeps one record per allocation index, built the first
+    time the allocation is used: its :func:`draw_state`, which every pool
+    entry is drawn from, and the :class:`ClusterFacts` of each of its
+    clusters.  ``hops`` is the search's one :class:`Hops` memo.  A score
+    reads the facts and the hops in :func:`earliest_start`, with no
+    context; :func:`schedule_cluster` builds the front's
+    :class:`ClusterContext` from them, under ``state_cap``, and so does
+    ``--dump-mdp``.
     """
 
     __slots__ = (
         "v", "instances", "pairs", "allocations", "clusters", "pool_size", "seed",
-        "state_cap", "_draws", "_robots", "_drawn", "_scores", "_facts", "hops",
+        "state_cap", "_records", "_drawn", "_scores", "hops",
     )
 
     def __init__(
@@ -141,15 +144,9 @@ class SearchSpace:
         self.pool_size = pool_size
         self.seed = seed
         self.state_cap = state_cap
-        # allocation index -> draw_state of its whole robot set, and the
-        # sorted robots of each of its clusters
-        self._draws: dict[int, list] = {}
-        self._robots: dict[int, list[tuple[str, ...]]] = {}
+        self._records: dict[int, tuple[list, list[ClusterFacts]]] = {}
         self._drawn: dict[tuple[int, int], dict[str, tuple[str, ...]]] = {}
         self._scores: dict[tuple, SchedulingResult] = {}
-        # (allocation index, cluster index) -> ClusterFacts, and the hop
-        # memo of the search; both fill on first use.
-        self._facts: dict[tuple[int, int], ClusterFacts] = {}
         self.hops = Hops(v, instances)
 
     def chromosomes(self):
@@ -157,36 +154,30 @@ class SearchSpace:
             for p in range(self.pool_size):
                 yield Chromosome(a, p)
 
-    def facts(self, a: int, ci: int) -> ClusterFacts:
-        """The :class:`ClusterFacts` of cluster ``ci`` of allocation ``a``,
+    def record(self, a: int) -> tuple[list, list[ClusterFacts]]:
+        """Allocation ``a``'s :func:`draw_state` and the
+        :class:`ClusterFacts` of each of its clusters, in cluster order,
         built on first request and kept."""
-        facts = self._facts.get((a, ci))
-        if facts is None:
-            facts = self._facts[(a, ci)] = ClusterFacts(
-                self.v, self.allocations[a], self.clusters[a][ci], self.pairs,
-                self.instances,
+        record = self._records.get(a)
+        if record is None:
+            allocation = self.allocations[a]
+            record = self._records[a] = (
+                draw_state(allocation, self.pairs),
+                [ClusterFacts(self.v, allocation, cluster, self.pairs, self.instances)
+                 for cluster in self.clusters[a]],
             )
-        return facts
+        return record
 
     def permutation(self, a: int, p: int) -> dict[str, tuple[str, ...]]:
         """Pool entry ``p`` of allocation ``a``, drawn on first request and
         kept.  Each entry has its own seed, ``f"{seed}:{a}:{p}"``, so it
-        does not depend on which entries were drawn before it.  The
-        allocation's :func:`draw_state` and its clusters' sorted robots are
-        computed for its first entry and shared by the rest."""
+        does not depend on which entries were drawn before it; every entry
+        is drawn from the allocation's one :meth:`record`."""
         drawn = self._drawn.get((a, p))
         if drawn is None:
             if not (0 <= a < len(self.allocations) and 0 <= p < self.pool_size):
                 raise IndexError(f"no pool entry ({a}, {p})")
-            state = self._draws.get(a)
-            if state is None:
-                allocation = self.allocations[a]
-                whole = RobotCluster(used_robots(allocation), frozenset(allocation))
-                state = self._draws[a] = draw_state(
-                    robot_precedence(allocation, whole, self.pairs)
-                )
-                self._robots[a] = [tuple(sorted(c.robots)) for c in self.clusters[a]]
-            drawn = random_task_permutation(state, seed=f"{self.seed}:{a}:{p}")
+            drawn = random_task_permutation(self.record(a)[0], seed=f"{self.seed}:{a}:{p}")
             self._drawn[(a, p)] = drawn
         return drawn
 
@@ -235,14 +226,13 @@ def evaluate(
     a = ch.alloc_idx
     permutation = space.permutation(*ch)
     p_success, idle, travel = 1.0, 0, 0
-    for ci, robots in enumerate(space._robots[a]):
-        orders = tuple([(r, permutation[r]) for r in robots])
+    for cluster, facts in zip(space.clusters[a], space.record(a)[1]):
+        orders = tuple([(r, permutation[r]) for r in facts.robots])
         score = space._scores.get(orders)
         if score is None:
             score = space._scores[orders] = score_cluster(
-                space.v, space.allocations[a], space.clusters[a][ci], permutation,
-                space.pairs, space.instances, facts=space.facts(a, ci),
-                hops=space.hops,
+                space.v, space.allocations[a], cluster, permutation,
+                space.pairs, space.instances, facts=facts, hops=space.hops,
             )
         if not score.feasible:
             result = cache[ch] = EvalResult(False)
@@ -476,11 +466,10 @@ def _plan(space: SearchSpace, ch: Chromosome) -> Plan:
     a = ch.alloc_idx
     permutation = space.permutation(*ch)
     timelines: dict[str, tuple] = {}
-    for ci, cluster in enumerate(space.clusters[a]):
+    for cluster, facts in zip(space.clusters[a], space.record(a)[1]):
         timelines.update(schedule_cluster(
             space.v, space.allocations[a], cluster, permutation, space.pairs,
-            space.instances, state_cap=space.state_cap,
-            facts=space.facts(a, ci), hops=space.hops,
+            space.instances, state_cap=space.state_cap, facts=facts, hops=space.hops,
         ).plan.timelines)
     return Plan(timelines)
 

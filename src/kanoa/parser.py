@@ -93,6 +93,18 @@ def _unexpected(ch, line, column) -> DslSyntaxError:
     return DslSyntaxError(f"unexpected character {ch!r}", line, column, ("token",))
 
 
+def _convert(convert, tok: Token):
+    """``convert(tok.value)``; a number past Python's limit on the digits
+    of an integer string is a syntax error at the token."""
+    try:
+        return convert(tok.value)
+    except ValueError:
+        raise DslSyntaxError(
+            f"number too long ({len(tok.value)} characters)", tok.line, tok.column,
+            ("shorter number",),
+        ) from None
+
+
 def _of(items, record) -> tuple:
     return tuple(x for x in items if isinstance(x, record))
 
@@ -133,7 +145,7 @@ class _Parser:
         if not ok:
             raise self.fail((what,))
         self.pos += 1
-        return int(tok.value) if kind == "int" else tok.value
+        return _convert(int, tok) if kind == "int" else tok.value
 
     # -- shared rules --------------------------------------------------------
 
@@ -230,16 +242,18 @@ class _Parser:
 
     def rational(self) -> Fraction:
         # int, decimal, or int/int
+        tok = self.cur
         value = self.expect(("number", "velocity"))
         if "." in value or self.cur.kind != "/":
-            return Fraction(value)
+            return _convert(Fraction, tok)
         self.pos += 1
         denom = self.cur
-        if self.expect(("int", "denominator")) == 0:
+        d = self.expect(("int", "denominator"))
+        if d == 0:
             raise DslSyntaxError(
                 "zero denominator", denom.line, denom.column, ("nonzero integer",)
             )
-        return Fraction(int(value), int(denom.value))
+        return Fraction(_convert(int, tok), d)
 
     def capability(self) -> Capability:
         task, t, p = self.seq(

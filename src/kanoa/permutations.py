@@ -1,7 +1,11 @@
 """Per-robot task orders, drawn at random within the precedence constraints.
 
 A permutation maps each robot to its ordered tuple of instance ids; a
-joint instance appears in every participant's order.
+joint instance appears in every participant's order.  Each robot's order
+respects the restriction of the whole precedence order to its own
+instances: :func:`draw_state` builds that restriction from an allocation
+in one pass, once per allocation, and :func:`random_task_permutation`
+draws from it.
 """
 
 from __future__ import annotations
@@ -9,53 +13,50 @@ from __future__ import annotations
 import random
 from bisect import insort
 
-from .clustering import RobotCluster
 from .taskgraph import PrecedencePair
 
 
-# shared by every instance without predecessors, which is most of them
-_NO_PREDS: frozenset[str] = frozenset()
+def draw_state(
+    allocation: dict[str, frozenset[str]], pairs: list[PrecedencePair]
+) -> list[tuple]:
+    """What every draw for ``allocation`` starts from, per robot in sorted
+    order: its task count, the number of its own tasks that precede each
+    task that has any, the tasks that wait on each task, and the sorted
+    first ready list.  Built once, it serves any number of draws; the
+    state of one cluster is that of the allocation restricted to the
+    cluster's instances.
 
-
-def robot_precedence(
-    allocation: dict[str, frozenset[str]],
-    cluster: RobotCluster,
-    pairs: list[PrecedencePair],
-) -> list[tuple[str, dict[str, frozenset[str]]]]:
-    """Each robot of the cluster, in sorted order, with the restriction of
-    the full precedence order to its instances: each instance, in sorted
-    order, maps to the robot's instances that must come before it.
-
-    Uses reachability through instances on other robots, so that e.g.
-    x -> y -> z with only x and z on this robot still forces x before z.
+    Precedence follows reachability through instances on other robots, so
+    that e.g. x -> y -> z with only x and z on this robot still forces x
+    before z: each instance with a successor walks the precedence graph
+    once, and on each robot of its team releases that robot's own reached
+    tasks, in sorted order.
     """
     succs: dict[str, list[str]] = {}
     for p in pairs:
         succs.setdefault(p.before, []).append(p.after)
-    # one pass over the cluster's sorted instances lists each robot's own
-    own: dict[str, list[str]] = {robot: [] for robot in sorted(cluster.robots)}
-    for inst in sorted(cluster.instances):
+    own: dict[str, list[str]] = {}  # each robot's instances, sorted
+    for inst in sorted(allocation):
         for robot in allocation[inst]:
-            if robot in own:
-                own[robot].append(inst)
-    per_robot = [(robot, dict.fromkeys(mine, _NO_PREDS)) for robot, mine in own.items()]
-
-    # each instance with a successor precedes, on each robot of its team,
-    # that robot's instances it reaches
-    preds_of = dict(per_robot)
-    before: dict[tuple[str, str], list[str]] = {}
+            own.setdefault(robot, []).append(inst)
+    waiting: dict[str, dict[str, int]] = {robot: {} for robot in own}
+    released: dict[str, dict[str, list[str]]] = {robot: {} for robot in own}
     for start in succs:
-        if start in cluster.instances:
+        if start in allocation:
             reached = _reachable(start, succs)
             for robot in allocation[start]:
-                preds = preds_of.get(robot)
-                if preds is not None:
-                    for cur in reached:
-                        if cur in preds:
-                            before.setdefault((robot, cur), []).append(start)
-    for (robot, cur), starts in before.items():
-        preds_of[robot][cur] = frozenset(starts)
-    return per_robot
+                mine = [t for t in own[robot] if t in reached]
+                if mine:
+                    released[robot][start] = mine
+                    counts = waiting[robot]
+                    for t in mine:
+                        counts[t] = counts.get(t, 0) + 1
+    state = []
+    for robot in sorted(own):
+        mine, counts = own[robot], waiting[robot]
+        ready = [t for t in mine if t not in counts]
+        state.append((robot, len(mine), counts, released[robot], ready))
+    return state
 
 
 def _reachable(start: str, succs: dict[str, list[str]]) -> set[str]:
@@ -68,23 +69,6 @@ def _reachable(start: str, succs: dict[str, list[str]]) -> set[str]:
             seen.add(cur)
             stack.extend(succs.get(cur, ()))
     return seen
-
-
-def draw_state(precedence: list[tuple[str, dict[str, frozenset[str]]]]) -> list[tuple]:
-    """What every draw from a :func:`robot_precedence` starts from, per
-    robot: its task count, the number of predecessors of each task that
-    has any, the tasks that wait on each task, and the sorted first ready
-    list.  Built once, it serves any number of draws."""
-    state = []
-    for robot, preds in precedence:
-        waiting = {t: len(ps) for t, ps in preds.items() if ps}
-        released: dict[str, list[str]] = {}
-        for t, ps in preds.items():
-            for p in ps:
-                released.setdefault(p, []).append(t)
-        ready = sorted(t for t in preds if t not in waiting)
-        state.append((robot, len(preds), waiting, released, ready))
-    return state
 
 
 def random_task_permutation(state, seed) -> dict[str, tuple[str, ...]]:

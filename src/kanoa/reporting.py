@@ -184,8 +184,8 @@ def _front_models(space, front: ParetoFront) -> list[tuple[str, ClusterContext]]
     for entry in front.entries:
         a, p = entry.chromosome
         permutation = space.permutation(a, p)
-        for ci in range(len(space.clusters[a])):
-            ctx = ClusterContext(space.facts(a, ci), permutation, space.hops)
+        for ci, facts in enumerate(space.record(a)[1]):
+            ctx = ClusterContext(facts, permutation, space.hops)
             models.append((f"mdp_{a}_{p}_{ci}.txt", ctx))
     return models
 

@@ -5,7 +5,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import kanoa.optimizer
 from kanoa.parser import parse_problem
 from kanoa.reporting import PipelineConfig, run
 from kanoa.validation import validate_problem
@@ -36,13 +35,13 @@ def fixtures_dir():
 @pytest.fixture(scope="session")
 def hospital_reference_run(hospital_path, tmp_path_factory):
     """(calls, out) of a hospital run at the default config, GA seed 0,
-    written to ``out``, whose every ``score_cluster`` call is
-    ``helpers.reference_score`` and every ``schedule_cluster`` call
-    ``helpers.reference_schedule``: both always build and solve the full
-    model, so the run takes the same path as a real run exactly when the
-    two agree.  ``calls`` lists (args, kwargs, reference result) per
+    written to ``out``, on ``helpers.install_reference_pipeline``: every
+    ``score_cluster`` and ``schedule_cluster`` call builds and solves the
+    full model, and the ranking and the final front compare every pair of
+    members, so the run takes the same path as a real run exactly when
+    the two agree.  ``calls`` lists (args, kwargs, reference result) per
     ``score_cluster`` call, feasible or not."""
-    from helpers import reference_schedule, reference_score
+    from helpers import install_reference_pipeline, reference_score
 
     calls = []
 
@@ -53,8 +52,7 @@ def hospital_reference_run(hospital_path, tmp_path_factory):
 
     out = tmp_path_factory.mktemp("hospital_reference") / "out"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kanoa.optimizer, "score_cluster", record)
-        mp.setattr(kanoa.optimizer, "schedule_cluster", reference_schedule)
+        install_reference_pipeline(mp, score=record)
         run(hospital_path, PipelineConfig(seed=0), out)
     return calls, out
 

@@ -12,17 +12,21 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from oracles import chain_travel
+from oracles import (
+    chain_travel,
+    pairwise_front,
+    pairwise_nondominated_sort,
+    reference_crowding_distance,
+    reference_key_fronts,
+)
 
+import kanoa.optimizer
 from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import DEFAULT_STATE_CAP, REWARD_ATTRS, ClusterContext, Mdp, build_mdp
+from kanoa.optimizer import ParetoEntry
 from kanoa.parser import parse_problem
-from kanoa.permutations import (
-    draw_state,
-    random_task_permutation,
-    robot_precedence,
-)
+from kanoa.permutations import draw_state, random_task_permutation
 from kanoa.plans import extract_plan
 from kanoa.problem import ValidatedProblem
 from kanoa.reporting import PipelineConfig
@@ -62,6 +66,12 @@ def first_allocation(v, n=1):
     return allocation, clusters, instances, pairs
 
 
+def cluster_draw_state(allocation, cluster, pairs):
+    """The :func:`draw_state` of one cluster: that of the allocation
+    restricted to the cluster's instances."""
+    return draw_state({inst: allocation[inst] for inst in cluster.instances}, pairs)
+
+
 def cold_records(v, allocation, cluster, permutation, pairs, instances):
     """The ``facts`` and ``hops`` keyword arguments of a cold
     ``score_cluster`` call: the cluster's own, freshly built
@@ -84,8 +94,8 @@ def build_single_cluster_mdp(v, seed=0, permutation=None):
     assert len(clusters) == 1
     cluster = clusters[0]
     if permutation is None:
-        precedence = draw_state(robot_precedence(allocation, cluster, pairs))
-        permutation = random_task_permutation(precedence, seed=seed)
+        state = cluster_draw_state(allocation, cluster, pairs)
+        permutation = random_task_permutation(state, seed=seed)
     ctx = cold_context(v, allocation, cluster, permutation, pairs, instances)
     mdp = build_mdp(ctx)
     return mdp, allocation, cluster, permutation
@@ -331,7 +341,7 @@ def random_clusters(rng: random.Random, idle_caps: bool = False, draws: int = 1)
         clusters = cluster_robots(allocation, subtrees)
         cluster = clusters[rng.randrange(len(clusters))]
         permutation = random_task_permutation(
-            draw_state(robot_precedence(allocation, cluster, pairs)), seed=rng.random()
+            cluster_draw_state(allocation, cluster, pairs), seed=rng.random()
         )
         made.append((v, allocation, cluster, permutation, pairs, instances))
     return made
@@ -405,6 +415,38 @@ def reference_schedule(
         v, allocation, cluster, permutation, pairs, instances, state_cap
     )
     return result if solved is None else result._replace(plan=extract_plan(*solved))
+
+
+def reference_nondominated(space, feasible):
+    """``kanoa.optimizer._nondominated`` by :func:`oracles.pairwise_front`,
+    which compares every pair of feasible members; each distinct
+    chromosome's plan comes from ``kanoa.optimizer._plan``, once."""
+    plans = {}
+
+    def plan_of(ch):
+        if ch not in plans:
+            plans[ch] = kanoa.optimizer._plan(space, ch)
+        return plans[ch]
+
+    return [
+        ParetoEntry(ch, objectives, plan)
+        for ch, objectives, plan in pairwise_front(feasible, plan_of)
+    ]
+
+
+def install_reference_pipeline(mp, score=reference_score):
+    """Patch ``kanoa.optimizer`` through ``mp``, a ``pytest.MonkeyPatch``,
+    so that a search takes the reference at every seam: ``score`` for
+    every cluster score (:func:`reference_score` unless given),
+    :func:`reference_schedule` for every front plan, the pairwise
+    nondominated sort, the reference crowding and key fronts, and
+    :func:`reference_nondominated` for the final front."""
+    mp.setattr(kanoa.optimizer, "score_cluster", score)
+    mp.setattr(kanoa.optimizer, "schedule_cluster", reference_schedule)
+    mp.setattr(kanoa.optimizer, "fast_nondominated_sort", pairwise_nondominated_sort)
+    mp.setattr(kanoa.optimizer, "crowding_distance", reference_crowding_distance)
+    mp.setattr(kanoa.optimizer, "_key_fronts", reference_key_fronts)
+    mp.setattr(kanoa.optimizer, "_nondominated", reference_nondominated)
 
 
 # -- artifacts ------------------------------------------------------------------

@@ -13,7 +13,8 @@ here compute the same results the slow, obvious way:
   cluster;
 * each robot's restriction of the precedence order, by scanning the
   cluster's instances once per robot and walking the precedence graph
-  afresh from each of them;
+  afresh from each of them, and a draw's starting state converted from
+  that restriction in a second step;
 * a robot's finishing clock with no waiting at all;
 * a cluster's minimum-idle plan, by simulating the earliest-start schedule
   of its fixed per-robot orders instead of building and solving a model;
@@ -54,7 +55,7 @@ from itertools import combinations
 
 import numpy as np
 
-from kanoa.allocation import eligible_robots, used_robots
+from kanoa.allocation import eligible_robots
 from kanoa.clustering import RobotCluster, robots_of_subtree
 from kanoa.errors import InvariantViolation, UndefinedReward
 from kanoa.mdp import REWARD_ATTRS, ClusterContext, Mdp
@@ -63,6 +64,11 @@ from kanoa.plans import Plan, PlanEvent
 from kanoa.problem import ValidatedProblem
 from kanoa.scheduling import ClusterFacts, Hops, success_probability
 from kanoa.taskgraph import TaskInstance
+
+
+def used_robots(allocation: dict[str, frozenset[str]]) -> frozenset[str]:
+    """Every robot that some instance's team includes."""
+    return frozenset().union(*allocation.values())
 
 
 class InterdependenceMatrix:
@@ -366,9 +372,11 @@ def reference_task_permutation(allocation, cluster, pairs, seed):
 
 
 def per_robot_precedence(allocation, cluster, pairs):
-    """:func:`kanoa.permutations.robot_precedence` as it was written before
-    its one-pass rewrite: each robot scans the cluster's sorted instances
-    for its own, and each of them walks the precedence graph afresh."""
+    """Each robot of the cluster, in sorted order, with the restriction of
+    the whole precedence order to its instances: each instance, in sorted
+    order, maps to the robot's instances that must come before it.  Each
+    robot scans the cluster's sorted instances for its own, and each of
+    them walks the precedence graph afresh."""
     succs: dict[str, set[str]] = {}
     for p in pairs:
         succs.setdefault(p.before, set()).add(p.after)
@@ -390,6 +398,23 @@ def per_robot_precedence(allocation, cluster, pairs):
                 stack.extend(succs.get(cur, ()))
         per_robot.append((robot, preds))
     return per_robot
+
+
+def precedence_draw_state(precedence):
+    """:func:`kanoa.permutations.draw_state` as it was written before it
+    was built straight from the allocation: converted from a
+    :func:`per_robot_precedence`, which maps each robot's instances, in
+    sorted order, to the robot's instances that must come before them."""
+    state = []
+    for robot, preds in precedence:
+        waiting = {t: len(ps) for t, ps in preds.items() if ps}
+        released: dict[str, list[str]] = {}
+        for t, ps in preds.items():
+            for p in ps:
+                released.setdefault(p, []).append(t)
+        ready = sorted(t for t in preds if t not in waiting)
+        state.append((robot, len(preds), waiting, released, ready))
+    return state
 
 
 def resorted_task_permutation(precedence, seed):

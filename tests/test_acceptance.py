@@ -27,13 +27,13 @@ from oracles import (
     dominates,
     relation_matrix,
     transitive_closure,
+    used_robots,
 )
 
 from kanoa.allocation import (
     AllocatorConfig,
     count_feasible,
     enumerate_allocations,
-    used_robots,
 )
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import build_mdp

@@ -3,14 +3,13 @@ import random
 
 import pytest
 from helpers import expanded, load, random_joint_missions
-from oracles import brute_force_allocations, sampled_allocations
+from oracles import brute_force_allocations, sampled_allocations, used_robots
 
 import kanoa.allocation
 from kanoa.allocation import (
     AllocatorConfig,
     count_feasible,
     enumerate_allocations,
-    used_robots,
 )
 from kanoa.errors import InfeasibleAllocation, ValidationError
 

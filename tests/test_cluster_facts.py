@@ -14,8 +14,8 @@ import random
 import re
 
 from helpers import (
-    cold_context, cold_records, expanded, load, perfbench_mission, random_clusters,
-    random_joint_missions, random_problem_text,
+    cluster_draw_state, cold_context, cold_records, expanded, load, perfbench_mission,
+    random_clusters, random_joint_missions, random_problem_text,
 )
 from oracles import cold_hop, general_cluster_facts
 
@@ -24,7 +24,7 @@ from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots
 from kanoa.mdp import ClusterContext
 from kanoa.optimizer import nsga2_run, prepare_search
-from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
+from kanoa.permutations import random_task_permutation
 from kanoa.reporting import PipelineConfig, run
 from kanoa.scheduling import (
     ClusterFacts, Hops, schedule_cluster, score_cluster, success_probability,
@@ -82,7 +82,7 @@ def test_random_clusters_share_records_equal_to_cold():
             key = (frozenset(allocation.items()), cluster)
             if key not in facts:
                 facts[key] = ClusterFacts(v, allocation, cluster, pairs, instances)
-            precedence = draw_state(robot_precedence(allocation, cluster, pairs))
+            precedence = cluster_draw_state(allocation, cluster, pairs)
             for p in [permutation] + [
                 random_task_permutation(precedence, seed=rng.random()) for _ in range(2)
             ]:

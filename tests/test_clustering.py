@@ -9,9 +9,10 @@ from oracles import (
     format_clusters,
     relation_matrix,
     transitive_closure,
+    used_robots,
 )
 
-from kanoa.allocation import AllocatorConfig, enumerate_allocations, used_robots
+from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import cluster_robots, robots_of_subtree
 
 

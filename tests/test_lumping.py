@@ -18,21 +18,14 @@ from helpers import (
     assert_golden_artifacts,
     benchmark_missions,
     cold_context,
+    install_reference_pipeline,
     perfbench_mission,
     random_clusters,
     random_problem_text,
-    reference_schedule,
-    reference_score,
     wide_joint_task_text,
     with_time_available,
 )
-from oracles import (
-    pairwise_nondominated_sort,
-    reference_crowding_distance,
-    reference_key_fronts,
-)
 
-import kanoa.optimizer
 from kanoa.cli import main
 from kanoa.mdp import _SLOTS, FAILED, build_mdp
 from kanoa.plans import extract_plan
@@ -125,9 +118,10 @@ def test_hospital_lumped_models_match_full(hospital_calls):
 @pytest.mark.parametrize("name", ["hospital_0", "hospital_1", "relay", "fleet"])
 def test_run_artifacts_match_full_model_runs(name, tmp_path, monkeypatch, request):
     """pareto.csv, pareto.json and plan_*.json of a real run equal, byte
-    for byte, those of a run whose every scoring and scheduling call builds
-    and solves the full model.  For hospital GA seed 0 that run is the
-    session's ``hospital_reference_run``."""
+    for byte, those of a run on ``install_reference_pipeline``, whose every
+    scoring and scheduling call builds and solves the full model.  For
+    hospital GA seed 0 that run is the session's
+    ``hospital_reference_run``."""
     if name.startswith("hospital"):
         mission = ROOT / "fixtures" / "hospital.kanoa"
         cfg = PipelineConfig(seed=int(name[-1]))
@@ -139,8 +133,7 @@ def test_run_artifacts_match_full_model_runs(name, tmp_path, monkeypatch, reques
     if name == "hospital_0":
         full = request.getfixturevalue("hospital_reference_run")[1]
     else:
-        monkeypatch.setattr(kanoa.optimizer, "score_cluster", reference_score)
-        monkeypatch.setattr(kanoa.optimizer, "schedule_cluster", reference_schedule)
+        install_reference_pipeline(monkeypatch)
         full = tmp_path / "full"
         run(mission, cfg, full)
     assert_golden_artifacts(full, tmp_path / "real")
@@ -166,9 +159,10 @@ def mission_text(kind, seed):
 @pytest.mark.parametrize("kind,seeds", RANDOM_RUNS, ids=[k for k, _ in RANDOM_RUNS])
 def test_random_mission_runs_match_full_model_runs(kind, seeds, tmp_path, monkeypatch):
     """Whole runs of small missions at a config that plans in milliseconds
-    exit as, and write the pareto tables and plans of, runs whose every
-    score and schedule builds and solves the full model and whose ranking
-    compares every pair of members, exit 2 included."""
+    exit as, and write the pareto tables and plans of, runs on
+    ``install_reference_pipeline``: every score and schedule builds and
+    solves the full model, and the ranking and the final front compare
+    every pair of members, exit 2 included."""
     exits = []
     for seed in seeds:
         mission = tmp_path / f"{seed}.kanoa"
@@ -177,11 +171,7 @@ def test_random_mission_runs_match_full_model_runs(kind, seeds, tmp_path, monkey
                 "--permutations", "4", "--pop", "8", "--gens", "3", "--seed", str(seed)]
         real = main(argv + ["--out", str(tmp_path / f"real{seed}")])
         with monkeypatch.context() as m:
-            m.setattr(kanoa.optimizer, "score_cluster", reference_score)
-            m.setattr(kanoa.optimizer, "schedule_cluster", reference_schedule)
-            m.setattr(kanoa.optimizer, "fast_nondominated_sort", pairwise_nondominated_sort)
-            m.setattr(kanoa.optimizer, "crowding_distance", reference_crowding_distance)
-            m.setattr(kanoa.optimizer, "_key_fronts", reference_key_fronts)
+            install_reference_pipeline(m)
             full = main(argv + ["--out", str(tmp_path / f"full{seed}")])
         assert real == full, seed
         assert_golden_artifacts(tmp_path / f"full{seed}", tmp_path / f"real{seed}")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from helpers import (
     build_single_cluster_mdp,
+    cluster_draw_state,
     cold_context,
     enumerate_policy_values,
     expanded,
@@ -114,10 +115,10 @@ def test_joint_infeasible_without_enough_time():
 def test_distributions_sum_to_one_and_done_absorbing(hospital):
     leaves, instances, pairs, subtrees = expanded(hospital)
     allocation, clusters, instances, pairs = first_allocation(hospital, n=1)
-    from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
+    from kanoa.permutations import random_task_permutation
 
     for cluster in clusters:
-        precedence = draw_state(robot_precedence(allocation, cluster, pairs))
+        precedence = cluster_draw_state(allocation, cluster, pairs)
         p = random_task_permutation(precedence, seed=5)
         ctx = cold_context(hospital, allocation, cluster, p, pairs, instances)
         mdp = build_mdp(ctx)
@@ -146,11 +147,11 @@ def test_choice_accepts_complementary_and_certain_branches():
 
 def test_time_monotone_acyclic(hospital):
     allocation, clusters, instances, pairs = first_allocation(hospital)
-    from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
+    from kanoa.permutations import random_task_permutation
     from kanoa.solver import topological_order
 
     for cluster in clusters:
-        precedence = draw_state(robot_precedence(allocation, cluster, pairs))
+        precedence = cluster_draw_state(allocation, cluster, pairs)
         p = random_task_permutation(precedence, seed=1)
         ctx = cold_context(hospital, allocation, cluster, p, pairs, instances)
         mdp = build_mdp(ctx)
@@ -168,10 +169,10 @@ robots {
 mission { task t at b; task u at a; task w at b; time 60 }
 """)
     allocation, clusters, instances, pairs = first_allocation(v)
-    from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
+    from kanoa.permutations import random_task_permutation
 
     cluster = clusters[0]
-    precedence = draw_state(robot_precedence(allocation, cluster, pairs))
+    precedence = cluster_draw_state(allocation, cluster, pairs)
     p = random_task_permutation(precedence, seed=0)
     with pytest.raises(StateExplosion) as info:
         ctx = cold_context(v, allocation, cluster, p, pairs, instances)

@@ -8,15 +8,18 @@ from oracles import (
     general_earliest_start,
     pairwise_front,
     pairwise_nondominated_sort,
+    per_robot_precedence,
+    precedence_draw_state,
     reference_crowding_distance,
     reference_key_fronts,
     reference_nondominated_sort,
     reference_task_permutation,
+    used_robots,
 )
 
 import kanoa.optimizer
 import kanoa.scheduling
-from kanoa.allocation import AllocatorConfig, used_robots
+from kanoa.allocation import AllocatorConfig
 from kanoa.clustering import RobotCluster
 from kanoa.errors import NoFeasibleSolution, StateExplosion
 from kanoa.optimizer import (
@@ -33,7 +36,7 @@ from kanoa.optimizer import (
     nsga2_run,
     prepare_search,
 )
-from kanoa.permutations import draw_state, random_task_permutation, robot_precedence
+from kanoa.permutations import random_task_permutation
 from kanoa.plans import Plan, PlanEvent
 from kanoa.reporting import PipelineConfig, run
 from kanoa.scheduling import schedule_cluster, score_cluster
@@ -407,7 +410,9 @@ def test_lazy_pool_entries_equal_eager_draws(fixtures_dir, name, order):
     for a, p in keys:
         allocation = space.allocations[a]
         whole = RobotCluster(used_robots(allocation), frozenset(allocation))
-        precedence = draw_state(robot_precedence(allocation, whole, space.pairs))
+        precedence = precedence_draw_state(
+            per_robot_precedence(allocation, whole, space.pairs)
+        )
         eager = random_task_permutation(precedence, seed=f"{seed}:{a}:{p}")
         assert space.permutation(a, p) == eager, (a, p)
 

@@ -5,21 +5,20 @@ from itertools import permutations as iterperms
 import oracles
 import pytest
 from helpers import (
-    expanded, first_allocation, load, perfbench_mission, random_joint_missions,
+    cluster_draw_state, expanded, first_allocation, load, perfbench_mission,
+    random_joint_missions,
 )
-from oracles import per_robot_precedence, resorted_task_permutation
+from oracles import (
+    per_robot_precedence, precedence_draw_state, resorted_task_permutation, used_robots,
+)
 
 import kanoa
 import kanoa.optimizer
 import kanoa.permutations
-from kanoa.allocation import AllocatorConfig, enumerate_allocations, used_robots
+from kanoa.allocation import AllocatorConfig, enumerate_allocations
 from kanoa.clustering import RobotCluster, cluster_robots
 from kanoa.optimizer import nsga2_run, prepare_search
-from kanoa.permutations import (
-    draw_state,
-    random_task_permutation,
-    robot_precedence,
-)
+from kanoa.permutations import draw_state, random_task_permutation
 
 FORCED = """
 world { loc a (0,0) }
@@ -40,7 +39,7 @@ mission { task x at a; task y at a; task z at a; time 10 }
 def test_forced_order_all_seeds():
     v = load(FORCED)
     allocation, clusters, instances, pairs = first_allocation(v)
-    precedence = draw_state(robot_precedence(allocation, clusters[0], pairs))
+    precedence = cluster_draw_state(allocation, clusters[0], pairs)
     for seed in range(50):
         p = random_task_permutation(precedence, seed)
         assert p["r"] == ("x_0", "y_0")
@@ -50,7 +49,7 @@ def test_all_six_orders_observed():
     v = load(FREE3)
     allocation, clusters, instances, pairs = first_allocation(v)
     seen = set()
-    precedence = draw_state(robot_precedence(allocation, clusters[0], pairs))
+    precedence = cluster_draw_state(allocation, clusters[0], pairs)
     for seed in range(1000):
         p = random_task_permutation(precedence, seed)
         seen.add(p["r"])
@@ -63,7 +62,7 @@ def test_all_six_orders_observed():
 def test_seed_reproducible():
     v = load(FREE3)
     allocation, clusters, instances, pairs = first_allocation(v)
-    precedence = draw_state(robot_precedence(allocation, clusters[0], pairs))
+    precedence = cluster_draw_state(allocation, clusters[0], pairs)
     a = random_task_permutation(precedence, seed="s")
     b = random_task_permutation(precedence, seed="s")
     assert a == b
@@ -78,7 +77,7 @@ def test_notify_always_first(hospital):
         hospital, leaves, AllocatorConfig(max_allocations=1)
     )[0]
     for cluster in cluster_robots(allocation, subtrees):
-        precedence = draw_state(robot_precedence(allocation, cluster, pairs))
+        precedence = cluster_draw_state(allocation, cluster, pairs)
         for seed in range(30):
             p = random_task_permutation(precedence, seed)
             for robot, order in p.items():
@@ -114,7 +113,7 @@ mission { task c at a; time 30;  }
         "z_0": frozenset({"r1"}),
     }
     cluster = cluster_robots(allocation, subtrees)[0]
-    precedence = draw_state(robot_precedence(allocation, cluster, pairs))
+    precedence = cluster_draw_state(allocation, cluster, pairs)
     for seed in range(40):
         p = random_task_permutation(precedence, seed)
         order = p["r1"]
@@ -140,17 +139,20 @@ def random_precedence(rng):
 
 
 def assert_precedence_matches_per_robot_scan(v, requested):
-    """Every cluster of every allocation, and each allocation's whole robot
-    set, gets the per-robot scan's restriction of the precedence order;
-    returns how many restrictions hold a predecessor."""
+    """Each allocation's draw state, and that of every cluster of it, equals
+    the one converted from the per-robot scan's restriction of the
+    precedence order; returns how many restrictions hold a predecessor."""
     leaves, _, pairs, subtrees = expanded(v)
     ordered = 0
     for a in enumerate_allocations(v, leaves, AllocatorConfig(max_allocations=requested)):
         whole = RobotCluster(used_robots(a), frozenset(a))
-        for cluster in [whole, *cluster_robots(a, subtrees)]:
-            got = robot_precedence(a, cluster, pairs)
-            assert got == per_robot_precedence(a, cluster, pairs)
-            ordered += sum(any(preds.values()) for _, preds in got)
+        expected = per_robot_precedence(a, whole, pairs)
+        assert draw_state(a, pairs) == precedence_draw_state(expected)
+        ordered += sum(any(preds.values()) for _, preds in expected)
+        for cluster in cluster_robots(a, subtrees):
+            expected = per_robot_precedence(a, cluster, pairs)
+            assert cluster_draw_state(a, cluster, pairs) == precedence_draw_state(expected)
+            ordered += sum(any(preds.values()) for _, preds in expected)
     return ordered
 
 
@@ -198,7 +200,7 @@ def test_draws_match_resorting_oracle_on_random_precedences():
     for _ in range(400):
         precedence = random_precedence(rng)
         # one state serves several draws: a draw must not change it
-        state = draw_state(precedence)
+        state = precedence_draw_state(precedence)
         for _ in range(3):
             seed = rng.random()
             drawn = random_task_permutation(state, seed)
@@ -235,7 +237,7 @@ def test_draws_use_randrange_bit_for_bit(monkeypatch):
         precedence = [
             ("a", {f"t{k:02d}": frozenset() for k in range(n)}), ("b", waiting), ("c", {}),
         ]
-        state = draw_state(precedence)
+        state = precedence_draw_state(precedence)
         for seed in [0, 1, n, f"{n}:3:7", rng.random()]:
             drawn = random_task_permutation(state, seed)
             assert drawn == resorted_task_permutation(precedence, seed)
@@ -266,7 +268,7 @@ def test_draws_match_resorting_oracle_on_benchmark_runs(workload, monkeypatch):
     for seed, drawn in draws:
         allocation = space.allocations[int(seed.split(":")[1])]
         whole = RobotCluster(used_robots(allocation), frozenset(allocation))
-        precedence = robot_precedence(allocation, whole, space.pairs)
+        precedence = per_robot_precedence(allocation, whole, space.pairs)
         expected = resorted_task_permutation(precedence, seed)
         assert list(drawn.items()) == list(expected.items()), seed
 
@@ -285,8 +287,9 @@ def test_top_level_api_draws_like_resorting_oracle(workload):
     drawn = 0
     for allocation in allocations:
         for cluster in kanoa.cluster_robots(allocation, subtrees):
-            precedence = kanoa.robot_precedence(allocation, cluster, pairs)
-            state = kanoa.draw_state(precedence)
+            mine = {inst: allocation[inst] for inst in cluster.instances}
+            state = kanoa.draw_state(mine, pairs)
+            precedence = per_robot_precedence(allocation, cluster, pairs)
             for seed in range(3):
                 got = kanoa.random_task_permutation(state, seed)
                 expected = resorted_task_permutation(precedence, seed)

@@ -15,7 +15,9 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from helpers import assert_golden_artifacts, compound_chain_text, wide_joint_task_text
+from helpers import (
+    assert_golden_artifacts, compound_chain_text, perfbench_mission, wide_joint_task_text,
+)
 from oracles import encode, pareto_document, pareto_table, plan_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -675,6 +677,56 @@ def test_cli_number_ending_in_dot_exit_one(fixtures_dir, tmp_path, capsys, old, 
     assert not out.exists()
 
 
+# past Python's limit of 4,300 digits in an integer string
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("old, new, at", [
+    ("time 10", f"time {NINES}", "15:8"),
+    ("(0, 0)", f"({NINES}, 0)", "3:14"),
+    ("velocity 1", f"velocity {NINES}", "9:30"),
+    ("velocity 1", f"velocity 1/{NINES}", "9:32"),
+    ("velocity 1", f"velocity 1.{NINES}", "9:30"),
+], ids=["time", "coordinate", "velocity", "denominator", "decimal"])
+def test_cli_number_past_digit_limit_exit_one(fixtures_dir, tmp_path, capsys, old, new, at):
+    mission = tmp_path / "mission.kanoa"
+    text = (fixtures_dir / "minimal.kanoa").read_text(encoding="utf-8")
+    mission.write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli_main(["plan", "--input", str(mission), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"{mission}:{at}: number too long")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--out", "o", "--pop", "abc"], "argument --pop: invalid int value: 'abc'"),
+    ([], "the following arguments are required: --out"),
+    (["--out", "o", "--seed", NINES], "argument --seed: invalid int value"),
+], ids=["pop_not_integer", "missing_out", "seed_past_digit_limit"])
+def test_cli_argument_error_exit_one(tmp_path, capsys, monkeypatch, extra, message):
+    """A command-line error is an input error: exit 1 and one line, not
+    argparse's exit 2, which would read as "no feasible plan"."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli_main(["plan", "--input", "m", *extra])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"kanoa plan: error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_help_still_exit_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli_main(["plan", "--help"])
+    assert info.value.code == 0
+    assert "--input" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("old, new, position", [
     ("(0, 0)", "(0, ²)", "3:17: unexpected character '²'"),
     ("velocity 1", "velocity ١", "9:30: unexpected character '١'"),
@@ -1087,6 +1139,41 @@ def test_import_does_not_load_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("mission", ["hospital", "relay"])
+def test_artifacts_do_not_depend_on_hash_seed(hospital_path, tmp_path, mission):
+    """Runs under ``PYTHONHASHSEED`` 0 and 1 write the same bytes to every
+    artifact but report.txt, whose timings differ, so no set or dict
+    order of strings reaches a file.  The relay mission is sub-instance 0
+    of the benchmark's basket, at its config."""
+    args = ["--dump-mdp", "--dump-allocations"]
+    if mission == "hospital":
+        path = hospital_path
+    else:
+        text, cfg = perfbench_mission("relay")
+        path = tmp_path / "relay.kanoa"
+        path.write_text(text, encoding="utf-8")
+        args += ["--allocations", str(cfg.allocations), "--permutations",
+                 str(cfg.permutations), "--pop", str(cfg.population),
+                 "--gens", str(cfg.generations), "--seed", str(cfg.seed)]
+    written = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kanoa.cli", "plan", "--input", str(path),
+             "--out", str(out), *args],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    first, second = written
+    assert sorted(first) == sorted(second)
+    assert any(name.startswith("mdp_") for name in first)
+    for name in sorted(first):
+        if name != "report.txt":
+            assert first[name] == second[name], name
 
 
 def test_console_script_installed(hospital_path, tmp_path):
